@@ -11,7 +11,7 @@
  * pure functions and own no state.
  *
  * Construction compiles exactly one program: the fused whole-system
- * expr::FusedTape (the default hot path — cross-equation common
+ * expr::FusedTape (the default RHS program — cross-equation common
  * subexpressions are computed once and one pass fills all of dstate).
  * The other programs are compiled lazily on first request, so the
  * cold compile path (218 distinct structures in the §4.5 sweep) never

@@ -91,20 +91,9 @@ class JitKernel
 using JitKernelPtr = std::shared_ptr<const JitKernel>;
 
 /**
- * Tier-5 bundle for scalar (non-lane) instances: a width-1 broadcast
- * of the system's FusedTape plus its compiled kernel. The integrator
- * drivers evaluate through the kernel when one is present.
- */
-struct JitScalarRhs
-{
-    LaneTape tape;
-    JitKernelPtr kernel;
-};
-
-/**
  * Whether the JIT tier should run, folding the ARK_JIT_FORCE
  * environment override into the option value: "1"/"on"/"true" forces
- * the tier on (the non-gating CI job runs tier-1 this way),
+ * the tier on (the jit CI job runs tier-1 this way),
  * "0"/"off"/"false" forces it off, anything else defers to
  * `optionValue` (SimOptions::jit).
  */

@@ -44,16 +44,18 @@
  * contraction. SimOptions::tapeFma selects the variant on the
  * simulation hot paths.
  *
- * FusedTape is the third of five execution tiers (see sim/sim.h for
- * the full ladder): tree interpreter -> per-variable Tape -> fused
- * whole-system tape -> lane-parallel LaneTape -> JIT native kernels
- * (expr/cjit.h, compiled from the LaneTape program). The compiled
- * program (ops()) is the exchange format between the upper tiers:
- * expr::LaneTape re-executes the exact instruction stream over a
- * structure-of-arrays block of instance states, with Const immediates
- * lifted into per-lane constant tables so ensembles that share the
- * program but not its parameters (e.g. per-chip mismatch weights)
- * still batch into one stream.
+ * FusedTape has two roles (see sim/sim.h for the full execution
+ * ladder). It is the compiler: the compiled program (ops()) is what
+ * the executing tiers run. expr::LaneTape re-executes the exact
+ * instruction stream over a structure-of-arrays block of instance
+ * states — a width-1 block on the scalar integrators — with Const
+ * immediates lifted into per-lane constant tables so ensembles that
+ * share the program but not its parameters (e.g. per-chip mismatch
+ * weights) still batch into one stream; the JIT (expr/cjit.h)
+ * compiles that LaneTape program to native code. And its own
+ * evaluator, evalInto, is the scalar test oracle the bit-identity
+ * suites compare the lane interpreter and the kernels against; no
+ * integrator calls it.
  */
 
 #include <cstddef>
@@ -123,7 +125,8 @@ class FusedTape
     /**
      * Evaluates the whole system: fills out[0..numOutputs). `regs`
      * must hold at least numRegs() doubles; only debug builds check.
-     * `out` must not alias `state` or `regs`.
+     * `out` must not alias `state` or `regs`. The reference evaluator
+     * (tests, OdeSystem::evalRhs); simulation runs expr::LaneTape.
      */
     void evalInto(const double *state, double t, double *out,
                   double *regs) const;

@@ -1,5 +1,6 @@
 #include "expr/lanetape.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -97,7 +98,56 @@ LaneTape::merge(const std::vector<const FusedTape *> &tapes)
         lane.ops_[i].a = static_cast<std::int32_t>(slot);
         ++slot;
     }
+    lane.deriveStream();
     return lane;
+}
+
+void
+LaneTape::deriveStream()
+{
+    const auto constRow = static_cast<std::int32_t>(numRegs_);
+    stateRow_ = static_cast<std::size_t>(numRegs_) +
+                constants_.size() / width_;
+    stateRows_ = 0;
+    for (const TapeOp &op : ops_)
+        if (op.op == OpCode::LoadState)
+            stateRows_ = std::max(stateRows_,
+                                  static_cast<std::size_t>(op.a) + 1);
+    fileRows_ = stateRow_ + stateRows_;
+
+    // rowOf[r]: the file row holding register r's current value. A
+    // load only redirects its register; every later read of it, up to
+    // the register's next write, reads the loaded row instead.
+    std::vector<std::int32_t> rowOf(static_cast<std::size_t>(numRegs_));
+    for (std::size_t r = 0; r < rowOf.size(); ++r)
+        rowOf[r] = static_cast<std::int32_t>(r);
+    auto row = [&rowOf](std::int32_t reg) {
+        return reg < 0 ? reg : rowOf[static_cast<std::size_t>(reg)];
+    };
+    stream_.clear();
+    stream_.reserve(ops_.size());
+    for (const TapeOp &op : ops_) {
+        switch (op.op) {
+          case OpCode::Const:
+            rowOf[static_cast<std::size_t>(op.dst)] = constRow + op.a;
+            break;
+          case OpCode::LoadState:
+            rowOf[static_cast<std::size_t>(op.dst)] =
+                static_cast<std::int32_t>(stateRow_) + op.a;
+            break;
+          case OpCode::WriteOutput:
+            stream_.push_back(
+                {op.op, op.builtin, op.dst, row(op.a), -1, -1});
+            break;
+          default:
+            // Operands are remapped before dst is redirected: an
+            // instruction may overwrite the register it reads.
+            stream_.push_back({op.op, op.builtin, op.dst, row(op.a),
+                               row(op.b), row(op.c)});
+            rowOf[static_cast<std::size_t>(op.dst)] = op.dst;
+            break;
+        }
+    }
 }
 
 LaneTape
@@ -114,135 +164,132 @@ LaneTape::broadcast(const FusedTape &tape, std::size_t lanes)
 template <int W>
 void
 LaneTape::evalIntoT(const double *state, double t, double *out,
-                    double *regs) const
+                    double *file) const
 {
-    const double *ctab = constants_.data();
-    for (const TapeOp &op : ops_) {
-        if (op.op == OpCode::WriteOutput) {
+    // Two block copies refill the constant and state rows; every
+    // register row is written before the stream reads it.
+    std::copy(constants_.begin(), constants_.end(),
+              file + static_cast<std::size_t>(numRegs_) * W);
+    std::copy_n(state, stateRows_ * W, file + stateRow_ * W);
+    auto row = [file](std::int32_t i) {
+        return file + static_cast<std::size_t>(i) * W;
+    };
+    for (const FileOp &op : stream_) {
+        switch (op.op) {
+          case OpCode::WriteOutput: {
             double *o = out + static_cast<std::size_t>(op.dst) * W;
-            const double *s = regs + static_cast<std::size_t>(op.a) * W;
+            const double *s = row(op.a);
             for (int l = 0; l < W; ++l)
                 o[l] = s[l];
-            continue;
-        }
-        double *d = regs + static_cast<std::size_t>(op.dst) * W;
-        switch (op.op) {
-          case OpCode::Const: {
-            const double *s = ctab + static_cast<std::size_t>(op.a) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = s[l];
             break;
           }
-          case OpCode::LoadTime:
+          case OpCode::LoadTime: {
+            double *d = row(op.dst);
             for (int l = 0; l < W; ++l)
                 d[l] = t;
             break;
-          case OpCode::LoadState: {
-            const double *s = state + static_cast<std::size_t>(op.a) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = s[l];
-            break;
           }
           case OpCode::Neg: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a);
             for (int l = 0; l < W; ++l)
                 d[l] = -a[l];
             break;
           }
           case OpCode::Add: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a), *b = row(op.b);
             for (int l = 0; l < W; ++l)
                 d[l] = a[l] + b[l];
             break;
           }
           case OpCode::Sub: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a), *b = row(op.b);
             for (int l = 0; l < W; ++l)
                 d[l] = a[l] - b[l];
             break;
           }
           case OpCode::Mul: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a), *b = row(op.b);
             for (int l = 0; l < W; ++l)
                 d[l] = a[l] * b[l];
             break;
           }
           case OpCode::Div: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a), *b = row(op.b);
             for (int l = 0; l < W; ++l)
                 d[l] = a[l] / b[l];
             break;
           }
           case OpCode::Lt: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a), *b = row(op.b);
             for (int l = 0; l < W; ++l)
                 d[l] = a[l] < b[l] ? 1.0 : 0.0;
             break;
           }
           case OpCode::Le: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a), *b = row(op.b);
             for (int l = 0; l < W; ++l)
                 d[l] = a[l] <= b[l] ? 1.0 : 0.0;
             break;
           }
           case OpCode::Gt: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a), *b = row(op.b);
             for (int l = 0; l < W; ++l)
                 d[l] = a[l] > b[l] ? 1.0 : 0.0;
             break;
           }
           case OpCode::Ge: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a), *b = row(op.b);
             for (int l = 0; l < W; ++l)
                 d[l] = a[l] >= b[l] ? 1.0 : 0.0;
             break;
           }
           case OpCode::EqOp: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a), *b = row(op.b);
             for (int l = 0; l < W; ++l)
                 d[l] = a[l] == b[l] ? 1.0 : 0.0;
             break;
           }
           case OpCode::NeOp: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a), *b = row(op.b);
             for (int l = 0; l < W; ++l)
                 d[l] = a[l] != b[l] ? 1.0 : 0.0;
             break;
           }
           case OpCode::AndOp: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a), *b = row(op.b);
             for (int l = 0; l < W; ++l)
                 d[l] = (a[l] != 0.0 && b[l] != 0.0) ? 1.0 : 0.0;
             break;
           }
           case OpCode::OrOp: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a), *b = row(op.b);
             for (int l = 0; l < W; ++l)
                 d[l] = (a[l] != 0.0 || b[l] != 0.0) ? 1.0 : 0.0;
             break;
           }
           case OpCode::NotOp: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a);
             for (int l = 0; l < W; ++l)
                 d[l] = a[l] == 0.0 ? 1.0 : 0.0;
             break;
           }
           case OpCode::Select: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            const double *c = regs + static_cast<std::size_t>(op.c) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a), *b = row(op.b), *c = row(op.c);
             for (int l = 0; l < W; ++l)
                 d[l] = c[l] != 0.0 ? a[l] : b[l];
             break;
@@ -252,9 +299,8 @@ LaneTape::evalIntoT(const double *state, double t, double *out,
             // lane, bit-identical to scalar FusedTape evaluation. On
             // FMA hosts (ARK_ENABLE_NATIVE) this lowers to the fused
             // instruction; baseline ISAs call libm's soft-fma.
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            const double *c = regs + static_cast<std::size_t>(op.c) * W;
+            double *d = row(op.dst);
+            const double *a = row(op.a), *b = row(op.b), *c = row(op.c);
             for (int l = 0; l < W; ++l)
                 d[l] = std::fma(a[l], b[l], c[l]);
             break;
@@ -262,24 +308,20 @@ LaneTape::evalIntoT(const double *state, double t, double *out,
           case OpCode::CallB: {
             // Builtins stay scalar per lane (libm calls); the lane win
             // here is only the amortized dispatch.
+            double *d = row(op.dst);
             for (int l = 0; l < W; ++l) {
                 double argv[3];
                 int n = 0;
-                if (op.a >= 0)
-                    argv[n++] = regs[static_cast<std::size_t>(op.a) * W +
-                                     static_cast<std::size_t>(l)];
-                if (op.b >= 0)
-                    argv[n++] = regs[static_cast<std::size_t>(op.b) * W +
-                                     static_cast<std::size_t>(l)];
-                if (op.c >= 0)
-                    argv[n++] = regs[static_cast<std::size_t>(op.c) * W +
-                                     static_cast<std::size_t>(l)];
+                for (std::int32_t operand : {op.a, op.b, op.c})
+                    if (operand >= 0)
+                        argv[n++] = row(operand)[l];
                 d[l] = evalBuiltin(op.builtin, argv, n);
             }
             break;
           }
-          case OpCode::WriteOutput:
-            break; // handled above
+          case OpCode::Const:
+          case OpCode::LoadState:
+            break; // never in the stream: deriveStream() folds loads
         }
     }
 }
@@ -289,7 +331,7 @@ LaneTape::evalInto(const double *state, double t, double *out,
                    double *regs) const
 {
     assert(out != nullptr || numOutputs_ == 0);
-    assert(regs != nullptr || numRegs_ == 0);
+    assert(regs != nullptr || fileRows_ == 0);
     switch (width_) {
       case 1:
         evalIntoT<1>(state, t, out, regs);

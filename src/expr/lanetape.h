@@ -5,15 +5,17 @@
  * @file
  * Lane-parallel batch execution of fused whole-system tapes.
  *
- * LaneTape is the fourth of five execution tiers (interpreter ->
- * per-variable Tape -> FusedTape -> LaneTape -> JIT native kernels,
- * expr/cjit.h): it re-executes a compiled FusedTape
- * program over a structure-of-arrays block of N instance states — one
- * instruction stream, W lanes wide. Each instruction's inner loop runs
- * lanewise over a compile-time width W in {1, 2, 4, 8} (runtime
- * dispatch picks the instantiation), so the per-instruction dispatch
- * cost is amortized W-fold and the lane loops autovectorize into SIMD
- * on targets that have it.
+ * LaneTape's interpreter is the RHS evaluator of every simulation
+ * path: lane blocks of up to 8 ensemble instances, and the scalar
+ * integrators, which run a width-1 broadcast(). It re-executes a
+ * compiled FusedTape program over a structure-of-arrays block of N
+ * instance states — one instruction stream, W lanes wide. Each
+ * instruction's inner loop runs lanewise over a compile-time width W
+ * in {1, 2, 4, 8} (runtime dispatch picks the instantiation), so the
+ * per-instruction dispatch cost is amortized W-fold and the lane
+ * loops autovectorize into SIMD on targets that have it. The tier
+ * above it, JIT native kernels (expr/cjit.h), compiles the same
+ * program to C.
  *
  * Constants are lifted out of the instruction stream into a per-lane
  * constant table. This is what lets *heterogeneous-parameter,
@@ -28,13 +30,27 @@
  * interact — a NaN in one lane cannot contaminate another — which the
  * batch integrator's divergence masking relies on.
  *
- * Numerics: every lane executes the exact instruction sequence of the
- * source FusedTape with the same IEEE operations in the same order, so
- * lane results are bit-identical to scalar FusedTape::evalInto on the
- * same state (builtin calls included; they evaluate per lane).
+ * The interpreter does not dispatch ops() as is. merge() derives a
+ * shorter stream without Const and LoadState instructions: each
+ * operand that read a loaded register reads the constant or state
+ * row it was loaded from instead, in one lane-minor file
+ *
+ *     [ registers (numRegs) | constant slots | state slots ]
+ *
+ * that evalInto keeps in the caller's scratch (scratchSize() covers
+ * all three parts) and refills with two block copies per call. ops()
+ * and constants() are unaffected: they stay the JIT emitter's input
+ * and the kernel cache key's.
+ *
+ * Numerics: every lane executes the exact arithmetic of the source
+ * FusedTape with the same IEEE operations in the same order (loads
+ * only move values), so lane results are bit-identical to
+ * FusedTape::evalInto, the test oracle, on the same state (builtin
+ * calls included; they evaluate per lane).
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -87,11 +103,9 @@ class LaneTape
     /** State variables / output slots per lane. */
     std::size_t numOutputs() const { return numOutputs_; }
 
-    /** Scratch doubles evalInto requires (numRegs x width). */
-    std::size_t scratchSize() const
-    {
-        return static_cast<std::size_t>(numRegs_) * width_;
-    }
+    /** Scratch doubles evalInto requires: the whole interpreter file
+     *  (registers, constant slots and state slots) x width. */
+    std::size_t scratchSize() const { return fileRows_ * width_; }
 
     /** Instruction count, including WriteOutput ops. */
     std::size_t size() const { return ops_.size(); }
@@ -104,13 +118,14 @@ class LaneTape
      *  the `consts` argument a JIT kernel is called with. */
     const std::vector<double> &constants() const { return constants_; }
 
-    /** Scratch registers per lane (scratchSize() / width()). */
+    /** Registers per lane of ops(); the JIT kernel's register file. */
     int numRegs() const { return numRegs_; }
 
     /**
      * Evaluates the whole block: `state` and `out` are SoA blocks of
      * numOutputs() x width() doubles, `regs` holds scratchSize()
-     * doubles. One shared time t drives every lane (the batch
+     * doubles (the interpreter file; its contents on entry do not
+     * matter). One shared time t drives every lane (the batch
      * integrator runs a homogeneous time grid). `out` must not alias
      * `state` or `regs`.
      */
@@ -126,20 +141,37 @@ class LaneTape
     static bool compatible(const FusedTape &a, const FusedTape &b);
 
   private:
+    /** Interpreter instruction: dst and operands are file rows
+     *  (WriteOutput: dst is the output slot). */
+    struct FileOp
+    {
+        OpCode op;
+        Builtin builtin;
+        std::int32_t dst, a, b, c;
+    };
+
     LaneTape() = default;
+
+    /** Derives stream_ and the file layout from ops_. */
+    void deriveStream();
 
     template <int W>
     void evalIntoT(const double *state, double t, double *out,
-                   double *regs) const;
+                   double *file) const;
 
     /** Program; Const ops hold a constant-table slot in `a`. */
     std::vector<TapeOp> ops_;
     /** Per-lane constants, slot-major: constants_[slot * width_ + l]. */
     std::vector<double> constants_;
+    /** What evalInto dispatches: ops_ without Const and LoadState. */
+    std::vector<FileOp> stream_;
     int numRegs_ = 0;
     std::size_t numOutputs_ = 0;
     std::size_t lanes_ = 0;
     std::size_t width_ = 0;
+    std::size_t stateRow_ = 0;  ///< First state row of the file.
+    std::size_t stateRows_ = 0; ///< State slots the program loads.
+    std::size_t fileRows_ = 0;  ///< Registers + constants + states.
 };
 
 } // namespace ark::expr

@@ -11,11 +11,12 @@
  * zero allocation per step; benchmarks show an order-of-magnitude win
  * over tree walking (see bench/perf_expr).
  *
- * Tape compiles one expression into one program; the hot simulation
- * path uses expr::FusedTape (fusedtape.h), which lowers a whole
+ * Tape compiles one expression into one program; simulation runs
+ * expr::FusedTape programs (fusedtape.h), which lower a whole
  * system's RHS vector into a single program with cross-equation CSE
- * and fills every dstate slot in one pass. Both engines share this
- * instruction set (TapeOp/OpCode) and the executor in tape_exec.h.
+ * and fill every dstate slot in one pass, through expr::LaneTape.
+ * Tape and FusedTape share this instruction set (TapeOp/OpCode) and
+ * the scalar executor in tape_exec.h.
  */
 
 #include <cstdint>

@@ -8,15 +8,14 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
 
-#include "engine/jit.h"
 #include "expr/cjit.h"
 #include "expr/lanetape.h"
 #include "expr/rewrite.h"
+#include "sim/blockeval.h"
 #include "sim/dopri5.h"
 #include "support/error.h"
 #include "support/faultinject.h"
@@ -96,45 +95,7 @@ deadlinePassed(const Deadline &deadline)
            std::chrono::steady_clock::now() >= *deadline;
 }
 
-/**
- * One lane block's RHS, routed through the tier-5 native kernel when
- * one resolves and the tier-4 interpreter otherwise. Resolution
- * happens once per block (a cache hit after the first compile); every
- * failure mode — jit off, no toolchain, compile failure — leaves
- * kernel_ null and the block runs interpreted with identical results.
- * The kernel path replays the interpreter's deterministic TapeNan
- * poison site so fault-injection tests see one behavior on both tiers.
- */
-class BlockEvaluator
-{
-  public:
-    BlockEvaluator(const expr::LaneTape &tape, bool jitOn)
-        : tape_(tape),
-          kernel_(jitOn ? engine::jitKernel(tape) : nullptr)
-    {
-    }
-
-    bool jitted() const { return kernel_ != nullptr; }
-
-    void
-    eval(const double *state, double t, double *out, double *regs) const
-    {
-        if (kernel_ != nullptr) {
-            kernel_->call(state, t, out, tape_.constants().data());
-            if (support::FaultInjector::shouldFire(
-                    support::FaultSite::TapeNan) &&
-                tape_.numOutputs() > 0) {
-                out[0] = std::numeric_limits<double>::quiet_NaN();
-            }
-            return;
-        }
-        tape_.evalInto(state, t, out, regs);
-    }
-
-  private:
-    const expr::LaneTape &tape_;
-    expr::JitKernelPtr kernel_;
-};
+using detail::BlockEvaluator;
 
 /** Message for an in-flight exception (structured fault capture). */
 std::string
@@ -163,13 +124,14 @@ currentExceptionMessage()
  * have reported in a serial run.
  */
 std::vector<SimResult>
-runLaneRk4(const expr::LaneTape &tape, const BlockEvaluator &rhs,
+runLaneRk4(BlockEvaluator &rhs,
            const std::vector<const std::vector<double> *> &initials,
            const std::vector<const compiler::OdeSystem *> &systems,
            double t0, double t1, const SimOptions &options,
            const std::stop_token &stop, const Deadline &deadline,
            const std::function<void(std::size_t)> &laneDone)
 {
+    const expr::LaneTape &tape = rhs.tape();
     const std::size_t lanes = tape.lanes();
     const std::size_t width = tape.width();
     const std::size_t n = tape.numOutputs();
@@ -189,7 +151,6 @@ runLaneRk4(const expr::LaneTape &tape, const BlockEvaluator &rhs,
     // SoA blocks, lane-minor; padding lanes replicate lane 0 so their
     // (discarded) arithmetic stays finite.
     std::vector<double> state(m), k1(m), k2(m), k3(m), k4(m), tmp(m);
-    std::vector<double> regs(tape.scratchSize());
     for (std::size_t l = 0; l < width; ++l) {
         const std::vector<double> &src = *initials[l < lanes ? l : 0];
         for (std::size_t i = 0; i < n; ++i)
@@ -246,7 +207,7 @@ runLaneRk4(const expr::LaneTape &tape, const BlockEvaluator &rhs,
     std::size_t steps = 0;
     // As in the scalar driver, k1 is both the recorded slope and the
     // next step's first stage — four block evaluations per step.
-    rhs.eval(state.data(), t, k1.data(), regs.data());
+    rhs.eval(state.data(), t, k1.data());
     record(t, true);
 
     while (t < t1 - 1e-15 * std::max(1.0, std::fabs(t1))) {
@@ -276,13 +237,13 @@ runLaneRk4(const expr::LaneTape &tape, const BlockEvaluator &rhs,
         }
         for (std::size_t j = 0; j < m; ++j)
             tmp[j] = state[j] + 0.5 * h * k1[j];
-        rhs.eval(tmp.data(), t + 0.5 * h, k2.data(), regs.data());
+        rhs.eval(tmp.data(), t + 0.5 * h, k2.data());
         for (std::size_t j = 0; j < m; ++j)
             tmp[j] = state[j] + 0.5 * h * k2[j];
-        rhs.eval(tmp.data(), t + 0.5 * h, k3.data(), regs.data());
+        rhs.eval(tmp.data(), t + 0.5 * h, k3.data());
         for (std::size_t j = 0; j < m; ++j)
             tmp[j] = state[j] + h * k3[j];
-        rhs.eval(tmp.data(), t + h, k4.data(), regs.data());
+        rhs.eval(tmp.data(), t + h, k4.data());
         for (std::size_t j = 0; j < m; ++j) {
             state[j] += h / 6.0 *
                         (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
@@ -304,7 +265,7 @@ runLaneRk4(const expr::LaneTape &tape, const BlockEvaluator &rhs,
         }
         if (aliveCount == 0)
             return results;
-        rhs.eval(state.data(), t, k1.data(), regs.data());
+        rhs.eval(state.data(), t, k1.data());
         record(t, false);
     }
     record(t, true);
@@ -469,8 +430,8 @@ class LaneDopri5
         // The batch partition already verified compatibility.
         support::panicIf(!merged.has_value(),
                          "LaneDopri5: block merge failed");
-        const expr::LaneTape &tape = *merged;
-        const BlockEvaluator rhs(tape, jitOn_);
+        BlockEvaluator rhs(*std::move(merged), jitOn_);
+        const expr::LaneTape &tape = rhs.tape();
         if (rhs.jitted())
             usedJit_ = true;
         const std::size_t L = active_.size();
@@ -480,7 +441,6 @@ class LaneDopri5
         std::vector<double> state(m), next(m), tmp(m);
         std::vector<double> k1(m), k2(m), k3(m), k4(m), k5(m), k6(m),
             k7(m);
-        std::vector<double> regs(tape.scratchSize());
         std::vector<double> err(L, 0.0);
         std::vector<char> alive(L, 1);
         std::size_t aliveCount = L;
@@ -526,7 +486,7 @@ class LaneDopri5
         };
 
         if (initial) {
-            rhs.eval(state.data(), t_, k1.data(), regs.data());
+            rhs.eval(state.data(), t_, k1.data());
             record(t_, true);
         }
 
@@ -581,42 +541,38 @@ class LaneDopri5
             const double h = h_;
             for (std::size_t j = 0; j < m; ++j)
                 tmp[j] = state[j] + h * Dopri5::a21 * k1[j];
-            rhs.eval(tmp.data(), t_ + Dopri5::c2 * h, k2.data(),
-                     regs.data());
+            rhs.eval(tmp.data(), t_ + Dopri5::c2 * h, k2.data());
             for (std::size_t j = 0; j < m; ++j) {
                 tmp[j] = state[j] +
                          h * (Dopri5::a31 * k1[j] + Dopri5::a32 * k2[j]);
             }
-            rhs.eval(tmp.data(), t_ + Dopri5::c3 * h, k3.data(),
-                     regs.data());
+            rhs.eval(tmp.data(), t_ + Dopri5::c3 * h, k3.data());
             for (std::size_t j = 0; j < m; ++j) {
                 tmp[j] = state[j] +
                          h * (Dopri5::a41 * k1[j] + Dopri5::a42 * k2[j] +
                               Dopri5::a43 * k3[j]);
             }
-            rhs.eval(tmp.data(), t_ + Dopri5::c4 * h, k4.data(),
-                     regs.data());
+            rhs.eval(tmp.data(), t_ + Dopri5::c4 * h, k4.data());
             for (std::size_t j = 0; j < m; ++j) {
                 tmp[j] = state[j] +
                          h * (Dopri5::a51 * k1[j] + Dopri5::a52 * k2[j] +
                               Dopri5::a53 * k3[j] + Dopri5::a54 * k4[j]);
             }
-            rhs.eval(tmp.data(), t_ + Dopri5::c5 * h, k5.data(),
-                     regs.data());
+            rhs.eval(tmp.data(), t_ + Dopri5::c5 * h, k5.data());
             for (std::size_t j = 0; j < m; ++j) {
                 tmp[j] = state[j] +
                          h * (Dopri5::a61 * k1[j] + Dopri5::a62 * k2[j] +
                               Dopri5::a63 * k3[j] + Dopri5::a64 * k4[j] +
                               Dopri5::a65 * k5[j]);
             }
-            rhs.eval(tmp.data(), t_ + h, k6.data(), regs.data());
+            rhs.eval(tmp.data(), t_ + h, k6.data());
             for (std::size_t j = 0; j < m; ++j) {
                 next[j] = state[j] +
                           h * (Dopri5::b1 * k1[j] + Dopri5::b3 * k3[j] +
                                Dopri5::b4 * k4[j] + Dopri5::b5 * k5[j] +
                                Dopri5::b6 * k6[j]);
             }
-            rhs.eval(next.data(), t_ + h, k7.data(), regs.data());
+            rhs.eval(next.data(), t_ + h, k7.data());
 
             // Per-lane scaled error norms (5th vs embedded 4th).
             for (std::size_t s = 0; s < L; ++s) {
@@ -767,7 +723,6 @@ class LaneDopri5
         telemetry::ScopedSpan span("ark.sim.scalar_spill");
         Lane lane = std::move(active_.front());
         active_.clear();
-        const expr::FusedTape &tape = *tapes_[lane.member];
         SimResult &r = results_[lane.member];
         const std::size_t n = n_;
 
@@ -776,29 +731,14 @@ class LaneDopri5
         k1.resize(n);
         std::vector<double> k2(n), k3(n), k4(n), k5(n), k6(n), k7(n);
         std::vector<double> tmp(n), next(n);
-        std::vector<double> regs(
-            static_cast<std::size_t>(tape.numRegs()));
         double prevErr = lane.prevErr;
 
-        // Tier-5 on the spill too: a width-1 broadcast of the lane's
-        // program. No TapeNan replay here — the interpreted baseline
-        // is FusedTape::evalInto, which has no poison site.
-        std::optional<expr::LaneTape> jitTape;
-        expr::JitKernelPtr jitKernel;
-        if (jitOn_) {
-            jitTape = expr::LaneTape::broadcast(tape, 1);
-            jitKernel = engine::jitKernel(*jitTape);
-            if (jitKernel != nullptr)
-                usedJit_ = true;
-        }
-        auto evalRhs = [&](const double *s, double t, double *out) {
-            if (jitKernel != nullptr) {
-                jitKernel->call(s, t, out,
-                                jitTape->constants().data());
-                return;
-            }
-            tape.evalInto(s, t, out, regs.data());
-        };
+        // The survivor's own program at width 1, through the same
+        // evaluator (interpreter or JIT kernel) as every block.
+        BlockEvaluator rhs(
+            expr::LaneTape::broadcast(*tapes_[lane.member], 1), jitOn_);
+        if (rhs.jitted())
+            usedJit_ = true;
 
         auto record = [&](double t, bool force) {
             if (!recordGateOpen(t, force))
@@ -808,7 +748,7 @@ class LaneDopri5
         };
 
         if (initial) {
-            evalRhs(state.data(), t_, k1.data());
+            rhs.eval(state.data(), t_, k1.data());
             record(t_, true);
         }
 
@@ -837,38 +777,38 @@ class LaneDopri5
             const double h = h_;
             for (std::size_t i = 0; i < n; ++i)
                 tmp[i] = state[i] + h * Dopri5::a21 * k1[i];
-            evalRhs(tmp.data(), t_ + Dopri5::c2 * h, k2.data());
+            rhs.eval(tmp.data(), t_ + Dopri5::c2 * h, k2.data());
             for (std::size_t i = 0; i < n; ++i) {
                 tmp[i] = state[i] +
                          h * (Dopri5::a31 * k1[i] + Dopri5::a32 * k2[i]);
             }
-            evalRhs(tmp.data(), t_ + Dopri5::c3 * h, k3.data());
+            rhs.eval(tmp.data(), t_ + Dopri5::c3 * h, k3.data());
             for (std::size_t i = 0; i < n; ++i) {
                 tmp[i] = state[i] +
                          h * (Dopri5::a41 * k1[i] + Dopri5::a42 * k2[i] +
                               Dopri5::a43 * k3[i]);
             }
-            evalRhs(tmp.data(), t_ + Dopri5::c4 * h, k4.data());
+            rhs.eval(tmp.data(), t_ + Dopri5::c4 * h, k4.data());
             for (std::size_t i = 0; i < n; ++i) {
                 tmp[i] = state[i] +
                          h * (Dopri5::a51 * k1[i] + Dopri5::a52 * k2[i] +
                               Dopri5::a53 * k3[i] + Dopri5::a54 * k4[i]);
             }
-            evalRhs(tmp.data(), t_ + Dopri5::c5 * h, k5.data());
+            rhs.eval(tmp.data(), t_ + Dopri5::c5 * h, k5.data());
             for (std::size_t i = 0; i < n; ++i) {
                 tmp[i] = state[i] +
                          h * (Dopri5::a61 * k1[i] + Dopri5::a62 * k2[i] +
                               Dopri5::a63 * k3[i] + Dopri5::a64 * k4[i] +
                               Dopri5::a65 * k5[i]);
             }
-            evalRhs(tmp.data(), t_ + h, k6.data());
+            rhs.eval(tmp.data(), t_ + h, k6.data());
             for (std::size_t i = 0; i < n; ++i) {
                 next[i] = state[i] +
                           h * (Dopri5::b1 * k1[i] + Dopri5::b3 * k3[i] +
                                Dopri5::b4 * k4[i] + Dopri5::b5 * k5[i] +
                                Dopri5::b6 * k6[i]);
             }
-            evalRhs(next.data(), t_ + h, k7.data());
+            rhs.eval(next.data(), t_ + h, k7.data());
 
             double errNorm = 0.0;
             for (std::size_t i = 0; i < n; ++i) {
@@ -933,10 +873,10 @@ class LaneDopri5
             SimResult &r = results_[lane.member];
             if (initial) {
                 lane.k1.resize(n_);
-                std::vector<double> regs(static_cast<std::size_t>(
-                    tapes_[lane.member]->numRegs()));
-                tapes_[lane.member]->evalInto(lane.state.data(), t_,
-                                              lane.k1.data(), regs.data());
+                BlockEvaluator rhs(
+                    expr::LaneTape::broadcast(*tapes_[lane.member], 1),
+                    /*jitOn=*/false);
+                rhs.eval(lane.state.data(), t_, lane.k1.data());
                 r.trajectory.addSample(t_, lane.state, &lane.k1);
             }
             r.steps = steps_;
@@ -1381,10 +1321,10 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
                     // Partitioning already verified compatibility.
                     support::panicIf(!tape.has_value(),
                                      "BatchRunner: lane merge failed");
-                    const BlockEvaluator rhs(*tape, jitOn);
+                    BlockEvaluator rhs(*std::move(tape), jitOn);
                     jitUsed[jobIndex] = rhs.jitted();
-                    block = runLaneRk4(*tape, rhs, inits, blockSystems,
-                                       t0, t1, options.sim, options.stop,
+                    block = runLaneRk4(rhs, inits, blockSystems, t0, t1,
+                                       options.sim, options.stop,
                                        options.deadline, laneDone);
                 } else {
                     LaneDopri5 driver(tapes, inits, blockSystems, t0,
@@ -1398,24 +1338,13 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
             } else {
                 telemetry::ScopedSpan span("ark.sim.scalar");
                 std::size_t member = job.members.front();
-                // Tier-5 for the scalar path: a width-1 broadcast of
-                // the instance's program, handed to the serial driver
-                // as a drop-in RHS (null means interpret as before).
-                std::optional<expr::JitScalarRhs> jitRhs;
-                if (jitOn) {
-                    expr::LaneTape tape = expr::LaneTape::broadcast(
-                        systemOf(member).rhsTape(fma, reassoc), 1);
-                    expr::JitKernelPtr kernel = engine::jitKernel(tape);
-                    if (kernel != nullptr) {
-                        jitRhs.emplace(expr::JitScalarRhs{
-                            std::move(tape), std::move(kernel)});
-                    }
-                }
-                jitUsed[jobIndex] = jitRhs.has_value();
+                BlockEvaluator rhs(
+                    detail::scalarTape(systemOf(member), options.sim),
+                    jitOn);
+                jitUsed[jobIndex] = rhs.jitted();
                 results[member] = detail::simulateWithStop(
                     systemOf(member), initialOf(member), t0, t1,
-                    options.sim, options.stop, options.deadline,
-                    jitRhs.has_value() ? &*jitRhs : nullptr);
+                    options.sim, options.stop, options.deadline, rhs);
                 laneDone(1);
             }
         } catch (...) {

@@ -28,7 +28,7 @@
  *    rejections reaching maxSteps retires THAT lane with
  *    BudgetExhausted — a stiff instance cannot take down its
  *    lane-mates); when survivors fit a narrower SoA width the block
- *    compacts, and a single survivor spills to a scalar continuation
+ *    compacts, and a single survivor spills to a width-1 continuation
  *    of the exact sim.cc recurrence. The shared
  *    voted grid makes batched adaptive trajectories tolerance-level
  *    equivalent to serial Dopri5 (every accepted step satisfied
@@ -38,12 +38,13 @@
  *    counts, because the voting sequence depends only on the block
  *    assignment.
  *
- * The scalar fused path remains for instances lane batching cannot
+ * The scalar integrators remain for instances lane batching cannot
  * take: structurally heterogeneous batches (fused programs differing
  * beyond Const immediates — per-lane constant tables absorb
  * parameter differences only), singleton blocks, and
- * laneBatching=false ablation runs; those results are bit-identical
- * to serial simulate() for both integrators.
+ * laneBatching=false ablation runs. They evaluate through the same
+ * LaneTape interpreter (or JIT kernel) at width 1, and their results
+ * are bit-identical to serial simulate() for both integrators.
  *
  * Both paths run on a persistent std::jthread worker pool owned by the
  * runner and reused across calls — no per-call thread spawn/join. The

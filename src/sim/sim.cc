@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "expr/cjit.h"
-#include "expr/rewrite.h"
 #include "sim/batch.h"
+#include "sim/blockeval.h"
 #include "sim/dopri5.h"
 #include "support/error.h"
 #include "support/logging.h"
@@ -140,18 +139,9 @@ struct Driver
     const SimOptions &options;
     const std::stop_token &stop;
     const std::optional<std::chrono::steady_clock::time_point> &deadline;
-    /** The RHS program: the plain fused tape, its FMA-contracted
-     *  variant when options.tapeFma is set, or the reassociated
-     *  variant when options.tapeReassoc is set (rhsTape builds lazy
-     *  variants and raises scratchSize before returning, so the
-     *  member order tape-then-scratch below is load-bearing). */
-    const expr::FusedTape &tape;
-    /** Tier-5 override: when non-null, evalRhs calls this width-1
-     *  native kernel instead of interpreting `tape` (bit-identical —
-     *  same instruction stream, same IEEE ops). */
-    const expr::JitScalarRhs *jit;
+    /** Width-1 evaluator of the RHS program options select. */
+    detail::BlockEvaluator &rhs;
     SimResult result;
-    std::vector<double> scratch;
     double lastRecord = -1.0;
     double recordDt;
 
@@ -159,12 +149,9 @@ struct Driver
            const std::stop_token &stopToken,
            const std::optional<std::chrono::steady_clock::time_point>
                &deadlinePoint,
-           const expr::JitScalarRhs *jitRhs)
+           detail::BlockEvaluator &evaluator)
         : system(sys), options(opts), stop(stopToken),
-          deadline(deadlinePoint),
-          tape(sys.rhsTape(opts.tapeFma,
-                           expr::reassocEnabled(opts.tapeReassoc))),
-          jit(jitRhs), scratch(sys.scratchSize()),
+          deadline(deadlinePoint), rhs(evaluator),
           recordDt(opts.recordDt)
     {
     }
@@ -172,12 +159,7 @@ struct Driver
     void
     evalRhs(const double *state, double t, double *dstate)
     {
-        if (jit != nullptr) {
-            jit->kernel->call(state, t, dstate,
-                              jit->tape.constants().data());
-            return;
-        }
-        tape.evalInto(state, t, dstate, scratch.data());
+        rhs.eval(state, t, dstate);
     }
 
     void
@@ -413,8 +395,10 @@ simulate(const compiler::OdeSystem &system,
          const std::vector<double> &initial, double t0, double t1,
          const SimOptions &options)
 {
+    detail::BlockEvaluator rhs(detail::scalarTape(system, options),
+                               /*jitOn=*/false);
     return detail::simulateWithStop(system, initial, t0, t1, options,
-                                    std::stop_token{});
+                                    std::stop_token{}, {}, rhs);
 }
 
 const char *
@@ -503,7 +487,7 @@ detail::simulateWithStop(
     double t0, double t1, const SimOptions &options,
     const std::stop_token &stop,
     const std::optional<std::chrono::steady_clock::time_point> &deadline,
-    const expr::JitScalarRhs *jit)
+    BlockEvaluator &rhs)
 {
     if (t1 <= t0)
         throw SimError("simulate: t1 must exceed t0");
@@ -512,7 +496,7 @@ detail::simulateWithStop(
                            initial.size(), " entries, system has ",
                            system.size()));
     }
-    Driver driver(system, options, stop, deadline, jit);
+    Driver driver(system, options, stop, deadline, rhs);
     std::vector<double> state = initial;
     if (int bad = firstNonfinite(state); bad >= 0) {
         driver.failDiverged(bad, t0);
@@ -572,10 +556,12 @@ simulateToSteadyState(const compiler::OdeSystem &system, double t0,
         return run;
 
     std::vector<double> deriv(system.size());
-    std::vector<double> scratch;
+    detail::BlockEvaluator rhs(
+        expr::LaneTape::broadcast(system.fusedTape(), 1),
+        /*jitOn=*/false);
     for (std::size_t s = 0; s < run.trajectory.size(); ++s) {
-        system.evalRhs(run.trajectory.state(s).data(),
-                       run.trajectory.time(s), deriv.data(), scratch);
+        rhs.eval(run.trajectory.state(s).data(), run.trajectory.time(s),
+                 deriv.data());
         double maxDeriv = 0.0;
         for (double d : deriv)
             maxDeriv = std::max(maxDeriv, std::fabs(d));

@@ -11,27 +11,29 @@
  * control (default; handles the nanosecond-scale TLN/OBC dynamics and
  * the CNN's piecewise-linear saturations efficiently).
  *
- * RHS evaluation has five execution tiers, each a strict speedup over
- * the previous at identical semantics:
+ * RHS evaluation has five execution tiers at identical semantics.
+ * The first three are references; every integrator runs tier 4 or 5:
  *
  *  1. tree interpreter (OdeSystem::evalRhsInterpreted) — ground truth
  *     for equivalence tests;
  *  2. per-variable tapes (evalRhsPerTape) — one register program per
  *     equation, kept as the ablation path;
- *  3. fused whole-system tape (evalRhs / expr::FusedTape) — one
- *     program with cross-equation CSE fills all of dstate per pass;
- *     what simulate() drives;
- *  4. lane-parallel batch tape (expr::LaneTape + sim::BatchRunner,
- *     sim/batch.h) — the fused program executed over a
- *     structure-of-arrays block of up to 8 ensemble instances at
- *     once, amortizing instruction dispatch and autovectorizing the
- *     lane loops;
+ *  3. fused whole-system tape (expr::FusedTape) — the compiler: one
+ *     program with cross-equation CSE fills all of dstate per pass.
+ *     Its own evaluator (evalRhs / FusedTape::evalInto) is the oracle
+ *     the bit-identity suites compare against; no integrator calls it;
+ *  4. LaneTape interpreter (expr::LaneTape) — the fused program over
+ *     a structure-of-arrays block. simulate() and the scalar ensemble
+ *     paths run a width-1 broadcast; sim::BatchRunner (sim/batch.h)
+ *     runs merged blocks of up to 8 ensemble instances at once,
+ *     amortizing instruction dispatch and autovectorizing the lane
+ *     loops;
  *  5. JIT native kernels (expr/cjit.h, SimOptions::jit) — the lane
  *     program lowered to straight-line C, compiled at runtime, and
- *     called through one function pointer per evaluation. Results
- *     are bit-identical to tiers 3/4 (same IEEE ops in the same
- *     order); any compile problem silently falls back to the
- *     interpreted tier.
+ *     called through one function pointer per evaluation, on lane
+ *     blocks and width-1 scalar runs alike. Results are bit-identical
+ *     to tiers 3/4 (same IEEE ops in the same order); any compile
+ *     problem silently falls back to the interpreted tier.
  *
  * Tier 4 is selected automatically by simulateEnsemble for ensembles
  * whose instances share one program structure — one system with many
@@ -52,10 +54,11 @@
  *    across thread counts, and EnsembleOptions::laneBatching = false
  *    restores the exact scalar path.
  *
- * Structurally heterogeneous instances and singleton blocks fall back
- * to tier 3 per instance (bit-identical to serial simulate() for both
- * integrators). Both batch paths run on BatchRunner's persistent
- * worker pool and honor EnsembleOptions::progress/stop.
+ * Structurally heterogeneous instances and singleton blocks run the
+ * scalar integrators per instance on a width-1 tape (bit-identical to
+ * serial simulate() for both integrators). Both batch paths run on
+ * BatchRunner's persistent worker pool and honor
+ * EnsembleOptions::progress/stop.
  */
 
 #include <chrono>
@@ -71,10 +74,6 @@
 
 namespace ark::telemetry {
 class RunLedger;
-}
-
-namespace ark::expr {
-struct JitScalarRhs;
 }
 
 namespace ark::sim {
@@ -153,7 +152,7 @@ struct SimOptions
      * without a usable toolchain (or when compilation fails, or
      * FaultSite::JitCompile is armed) execution silently falls back
      * to the interpreted tier. The ARK_JIT_FORCE environment variable
-     * overrides this flag in both directions (the non-gating CI job
+     * overrides this flag in both directions (the jit CI job
      * runs tier-1 with it set).
      */
     bool jit = false;
@@ -427,21 +426,21 @@ SimResult simulateToSteadyState(const compiler::OdeSystem &system,
 
 namespace detail {
 
+class BlockEvaluator; // sim/blockeval.h
+
 /**
  * simulate() with a cooperative stop token and optional wall-clock
  * deadline checked once per step — the scalar-path workhorse behind
- * BatchRunner. Not part of the public API. `jit`, when non-null,
- * routes RHS evaluation through a tier-5 native kernel (a width-1
- * broadcast of the system's tape; bit-identical to the fused
- * interpreter).
+ * BatchRunner. Not part of the public API. `rhs` evaluates the RHS:
+ * a width-1 evaluator of the program `options` select
+ * (detail::scalarTape), holding a tier-5 kernel when one resolved.
  */
 SimResult simulateWithStop(
     const compiler::OdeSystem &system, const std::vector<double> &initial,
     double t0, double t1, const SimOptions &options,
     const std::stop_token &stop,
-    const std::optional<std::chrono::steady_clock::time_point> &deadline =
-        {},
-    const expr::JitScalarRhs *jit = nullptr);
+    const std::optional<std::chrono::steady_clock::time_point> &deadline,
+    BlockEvaluator &rhs);
 
 /**
  * Shared failure constructors: the scalar and lane integrators must

@@ -7,14 +7,20 @@
  * forced cache miss/eviction rebuild, budget and deadline retirement,
  * dt/tolerance degradation — fires on demand and lands bit-identical
  * (or tolerance-equivalent where the contract says so) to the
- * equivalent clean run, with RunReport accounting exactly.
+ * equivalent clean run, with RunReport accounting exactly. The TapeNan
+ * poison site fires alike on the interpreted and JIT tiers, scalar
+ * runs and spills included.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <limits>
 #include <string>
 #include <memory>
 #include <vector>
@@ -22,6 +28,7 @@
 #include "compiler/compiler.h"
 #include "engine/cache.h"
 #include "engine/session.h"
+#include "expr/cjit.h"
 #include "lang/registry.h"
 #include "sim/sim.h"
 #include "spice/mna.h"
@@ -199,6 +206,104 @@ TEST_F(FaultInjectTest, LaneTapeFaultRecoversScalarBitIdentical)
     ASSERT_EQ(report.records[0].actions.size(), 1u);
     EXPECT_EQ(report.records[0].actions[0],
               RunReport::Action::ScalarRetry);
+}
+
+/**
+ * Runs `drill` with one armed TapeNan poison, first with the JIT off
+ * and then, when the host has a C toolchain, with it on. Both tiers
+ * must fire the site equally often and retire the same instances with
+ * the same structured failures. Returns the interpreted results.
+ */
+std::vector<SimResult>
+expectTapeNanParity(
+    const std::function<std::vector<SimResult>(bool jit)> &drill)
+{
+    FaultInjector::arm(FaultSite::TapeNan, 0, 1);
+    std::vector<SimResult> interpreted = drill(false);
+    const std::uint64_t fired = FaultInjector::fired(FaultSite::TapeNan);
+    EXPECT_EQ(fired, 1u);
+    if (!expr::jitToolchainAvailable())
+        return interpreted; // no kernel to compare against
+
+    setenv("ARK_JIT_CACHE_DIR", "", 1); // keep the disk cache out
+    FaultInjector::arm(FaultSite::TapeNan, 0, 1);
+    std::vector<SimResult> jitted = drill(true);
+    unsetenv("ARK_JIT_CACHE_DIR");
+    EXPECT_EQ(FaultInjector::fired(FaultSite::TapeNan), fired);
+    EXPECT_EQ(jitted.size(), interpreted.size());
+    for (std::size_t i = 0; i < std::min(jitted.size(), interpreted.size());
+         ++i) {
+        const SimResult &a = interpreted[i];
+        const SimResult &b = jitted[i];
+        EXPECT_EQ(a.ok(), b.ok()) << "instance " << i;
+        if (a.ok() || b.ok())
+            continue;
+        EXPECT_EQ(a.failure->reason, b.failure->reason);
+        EXPECT_EQ(a.failure->step, b.failure->step);
+        EXPECT_EQ(a.failure->stateIndex, b.failure->stateIndex);
+        EXPECT_EQ(a.failure->time, b.failure->time);
+        EXPECT_EQ(a.failure->message, b.failure->message);
+    }
+    return interpreted;
+}
+
+TEST_F(FaultInjectTest, TapeNanFiresAlikeOnScalarPathWithJitOnAndOff)
+{
+    // laneBatching off: the singleton runs the scalar driver, whose
+    // first RHS evaluation is poisoned under both integrators.
+    lang::LanguageRegistry registry;
+    OdeSystem system = oscillatorSystem(registry, 2.0);
+    for (sim::Method method : {sim::Method::Rk4, sim::Method::Dopri5}) {
+        std::vector<SimResult> results =
+            expectTapeNanParity([&](bool jit) {
+                EnsembleOptions options;
+                options.sim.method = method;
+                options.sim.dt = 1e-3;
+                options.sim.recordDt = 1e-2;
+                options.sim.jit = jit;
+                options.laneBatching = false;
+                options.numThreads = 1;
+                return sim::simulateEnsemble({&system}, 0.0, 1.0, options);
+            });
+        ASSERT_EQ(results.size(), 1u);
+        ASSERT_FALSE(results[0].ok());
+        EXPECT_EQ(results[0].failure->reason, sim::AbortReason::Diverged);
+    }
+}
+
+TEST_F(FaultInjectTest, TapeNanFiresAlikeOnSpilledSurvivorWithJitOnAndOff)
+{
+    // A Dopri5 lane block of two whose first member starts nonfinite:
+    // it retires before the first step, the survivor spills to the
+    // width-1 continuation, and the spill's first RHS evaluation is
+    // the poisoned one.
+    lang::LanguageRegistry registry;
+    OdeSystem system = oscillatorSystem(registry, 2.0);
+    const std::vector<std::vector<double>> initials{
+        {std::numeric_limits<double>::quiet_NaN(), 0.0},
+        system.initialState()};
+
+    const bool metricsWere = telemetry::metricsEnabled();
+    telemetry::setMetricsEnabled(true);
+    telemetry::Counter &spills =
+        telemetry::Registry::shared().counter("ark.sim.spills");
+    const std::uint64_t spillsBefore = spills.value();
+    std::vector<SimResult> results = expectTapeNanParity([&](bool jit) {
+        EnsembleOptions options;
+        options.sim.recordDt = 1e-2;
+        options.sim.jit = jit;
+        options.numThreads = 1;
+        return sim::simulateEnsemble(system, initials, 0.0, 1.0, options);
+    });
+    const std::uint64_t spillsAfter = spills.value();
+    telemetry::setMetricsEnabled(metricsWere);
+
+    EXPECT_GT(spillsAfter, spillsBefore);
+    ASSERT_EQ(results.size(), 2u);
+    for (const SimResult &result : results) {
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.failure->reason, sim::AbortReason::Diverged);
+    }
 }
 
 TEST_F(FaultInjectTest, WorkerFaultIsStructuredAndRetryable)

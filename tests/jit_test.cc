@@ -163,6 +163,18 @@ TEST(JitKeyTest, KeyIsStructureOnly)
               engine::kernelKey(LaneTape::broadcast(other, 4)));
 }
 
+TEST(JitKeyTest, SampleProgramKeyIsPinned)
+{
+    // On-disk kernels are named by this key. A change to the LaneTape
+    // program the emitter reads (ops(), constants(), register count)
+    // must bump kEmitterVersion, never silently re-key old entries.
+    FusedTape fused = sampleTape();
+    EXPECT_EQ(engine::kernelKey(LaneTape::broadcast(fused, 1)).str(),
+              "4d106c4ef49a68e353343e5644f8dff2");
+    EXPECT_EQ(engine::kernelKey(LaneTape::broadcast(fused, 8)).str(),
+              "4505fe4f930e6167f409f1bd0b1ba01d");
+}
+
 TEST_F(JitTest, KernelMatchesInterpreterOnSampleProgram)
 {
     FusedTape fused = sampleTape();
@@ -356,8 +368,8 @@ TEST_F(JitTest, EnsembleBitIdenticalWithJitOnAndOff)
 
 TEST_F(JitTest, ScalarPathBitIdenticalWithJitOnAndOff)
 {
-    // laneBatching off forces the serial driver — the JitScalarRhs
-    // hook in sim.cc — for both integrators.
+    // laneBatching off forces the serial driver — sim.cc's width-1
+    // evaluator — for both integrators.
     lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
     std::vector<compiler::OdeSystem> systems =
         mismatchedLines(registry, 6, 2);

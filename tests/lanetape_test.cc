@@ -2,7 +2,8 @@
  * @file
  * Tests for lane-parallel tape execution: broadcast and merged
  * construction, per-lane constant tables, structural-compatibility
- * gating, and the lane-vs-scalar equivalence property across random
+ * gating, edge cases of the interpreter's derived (load-free) stream,
+ * and the lane-vs-scalar equivalence property across random
  * TLN/OBC/CNN systems at every supported width.
  *
  * Tolerance note: a LaneTape lane executes the source FusedTape's
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <numbers>
 
 #include "apps/puf.h"
@@ -285,6 +287,122 @@ TEST_P(LaneEquivalence, RandomCnnSystem)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LaneEquivalence, ::testing::Range(0, 4));
+
+/**
+ * Derived-stream edge cases. `program(k)` builds one lane's outputs
+ * with its own constant k; the lanes are merged at lane counts
+ * 1/2/3/4/5/8, covering widths 1/2/4/8 plus the padded 3-of-4 and
+ * 5-of-8 blocks, and every lane is checked bit-for-bit against the
+ * FusedTape oracle.
+ */
+void
+expectDerivedStreamAgreement(
+    const std::function<std::vector<ExprPtr>(double)> &program)
+{
+    support::Rng rng(77);
+    for (std::size_t lanes : {1u, 2u, 3u, 4u, 5u, 8u}) {
+        std::vector<FusedTape> fused;
+        for (std::size_t l = 0; l < lanes; ++l)
+            fused.push_back(
+                FusedTape::compile(program(1.5 + 0.125 * double(l))));
+        std::vector<const FusedTape *> tapes;
+        for (const FusedTape &tape : fused)
+            tapes.push_back(&tape);
+        std::optional<LaneTape> lane = LaneTape::merge(tapes);
+        ASSERT_TRUE(lane.has_value()) << lanes << " lanes";
+        std::vector<std::vector<double>> states;
+        for (std::size_t l = 0; l < lanes; ++l) {
+            std::vector<double> state;
+            for (std::size_t i = 0; i < lane->numOutputs(); ++i)
+                state.push_back(rng.uniform(-2.0, 2.0));
+            states.push_back(std::move(state));
+        }
+        expectLanesMatchScalar(*lane, tapes, states, 0.625);
+    }
+}
+
+TEST(LaneTapeTest, DerivedStreamBareConstantOutput)
+{
+    expectDerivedStreamAgreement([](double k) {
+        return std::vector<ExprPtr>{
+            Expr::real(k),
+            Expr::binary(BinOp::Mul, Expr::stateVar(0), Expr::real(-0.5)),
+        };
+    });
+}
+
+TEST(LaneTapeTest, DerivedStreamBareStateOutput)
+{
+    // The order-2 shape: dq/dt = q' is a bare state load.
+    expectDerivedStreamAgreement([](double k) {
+        return std::vector<ExprPtr>{
+            Expr::stateVar(1),
+            Expr::binary(BinOp::Mul, Expr::real(-k), Expr::stateVar(0)),
+        };
+    });
+}
+
+/** True when an instruction's dst is the register a Const loaded for
+ *  one of its own operands. */
+bool
+overwritesOwnConstant(const FusedTape &tape)
+{
+    std::vector<char> holdsConst(static_cast<std::size_t>(tape.numRegs()));
+    for (const expr::TapeOp &op : tape.ops()) {
+        if (op.op == expr::OpCode::WriteOutput)
+            continue;
+        const auto dst = static_cast<std::size_t>(op.dst);
+        const bool loads = op.op == expr::OpCode::Const ||
+                           op.op == expr::OpCode::LoadState ||
+                           op.op == expr::OpCode::LoadTime;
+        if (!loads && holdsConst[dst] &&
+            (op.a == op.dst || op.b == op.dst || op.c == op.dst))
+            return true;
+        holdsConst[dst] = op.op == expr::OpCode::Const;
+    }
+    return false;
+}
+
+TEST(LaneTapeTest, DerivedStreamInstructionOverwritesItsConstant)
+{
+    // k * q0 reuses the constant's register for the product, and the
+    // product is read again by the Sub: the operand must come from the
+    // constant slot, and the later read from the register.
+    auto program = [](double k) {
+        return std::vector<ExprPtr>{
+            Expr::binary(BinOp::Sub,
+                         Expr::binary(BinOp::Mul, Expr::real(k),
+                                      Expr::stateVar(0)),
+                         Expr::stateVar(1)),
+            Expr::binary(BinOp::Add, Expr::stateVar(1), Expr::real(-0.75)),
+        };
+    };
+    ASSERT_TRUE(overwritesOwnConstant(FusedTape::compile(program(1.5))));
+    expectDerivedStreamAgreement(program);
+}
+
+TEST(LaneTapeTest, DerivedStreamWithoutConstants)
+{
+    expectDerivedStreamAgreement([](double) {
+        return std::vector<ExprPtr>{
+            Expr::binary(BinOp::Mul, Expr::stateVar(0), Expr::stateVar(1)),
+            Expr::binary(BinOp::Sub, Expr::stateVar(0),
+                         Expr::binary(BinOp::Mul, Expr::stateVar(1),
+                                      Expr::stateVar(1))),
+        };
+    });
+}
+
+TEST(LaneTapeTest, DerivedStreamWithoutStateLoads)
+{
+    expectDerivedStreamAgreement([](double k) {
+        return std::vector<ExprPtr>{
+            Expr::binary(BinOp::Mul, Expr::call("sin", {Expr::time()}),
+                         Expr::real(k)),
+            Expr::real(-3.0),
+        };
+    });
+}
 
 TEST(LaneTapeTest, FusedMulAddExecutesLanewiseBitIdentical)
 {
