@@ -48,7 +48,7 @@
  * ladder). It is the compiler: the compiled program (ops()) is what
  * the executing tiers run. expr::LaneTape re-executes the exact
  * instruction stream over a structure-of-arrays block of instance
- * states — a width-1 block on the scalar integrators — with Const
+ * states — a width-1 block for a single instance — with Const
  * immediates lifted into per-lane constant tables so ensembles that
  * share the program but not its parameters (e.g. per-chip mismatch
  * weights) still batch into one stream; the JIT (expr/cjit.h)

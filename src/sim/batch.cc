@@ -8,15 +8,16 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <utility>
 
+#include "engine/jit.h"
 #include "expr/cjit.h"
 #include "expr/lanetape.h"
 #include "expr/rewrite.h"
-#include "sim/blockeval.h"
-#include "sim/dopri5.h"
 #include "support/error.h"
 #include "support/faultinject.h"
 #include "support/ledger.h"
@@ -58,12 +59,12 @@ struct VoteStats
         static telemetry::Counter &laneRetirements =
             telemetry::Registry::shared().counter(
                 "ark.sim.lane_retirements");
-        static telemetry::Counter &scalarSpills =
+        static telemetry::Counter &widthOneFinishes =
             telemetry::Registry::shared().counter("ark.sim.spills");
         acceptedVotes.add(accepted);
         rejectedVotes.add(rejected);
         laneRetirements.add(retirements);
-        scalarSpills.add(spills);
+        widthOneFinishes.add(spills);
     }
 };
 
@@ -72,11 +73,80 @@ using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 /** Lazily-grown pool cap; parked workers are cheap but not free. */
 constexpr unsigned kMaxPoolThreads = 64;
 
+/*
+ * Failure constructors: every driver and skip path builds its reports
+ * here, so one event reads the same at any lane width. `var` -1 means
+ * "not variable-specific" (e.g. a nonfinite Dopri5 error estimate with
+ * every state entry still finite).
+ */
+
+SimFailure
+divergedFailure(const compiler::OdeSystem &system, int var, double t,
+                std::size_t steps)
+{
+    SimFailure failure;
+    failure.reason = AbortReason::Diverged;
+    failure.step = steps;
+    failure.stateIndex = var;
+    failure.time = t;
+    const char *label =
+        var >= 0
+            ? system.vars()[static_cast<std::size_t>(var)].node.c_str()
+            : "<error estimate>";
+    failure.message = cat("state diverged (non-finite ", label,
+                          " after step ", steps, " at t=", t, ")");
+    return failure;
+}
+
+SimFailure
+cancelledFailure(double t, std::size_t steps)
+{
+    SimFailure failure;
+    failure.reason = AbortReason::Cancelled;
+    failure.step = steps;
+    failure.time = t;
+    failure.message = cat("cancelled at t=", t);
+    return failure;
+}
+
+SimFailure
+budgetFailure(double t, std::size_t steps)
+{
+    SimFailure failure;
+    failure.reason = AbortReason::BudgetExhausted;
+    failure.step = steps;
+    failure.time = t;
+    failure.message =
+        cat("step budget exhausted after step ", steps, " at t=", t);
+    return failure;
+}
+
+SimFailure
+deadlineFailure(double t, std::size_t steps)
+{
+    SimFailure failure;
+    failure.reason = AbortReason::DeadlineExceeded;
+    failure.step = steps;
+    failure.time = t;
+    failure.message = cat("deadline exceeded at t=", t);
+    return failure;
+}
+
+SimFailure
+faultFailure(double t, const std::string &what)
+{
+    SimFailure failure;
+    failure.reason = AbortReason::Fault;
+    failure.time = t;
+    failure.message = cat("internal fault: ", what);
+    return failure;
+}
+
 SimResult
 cancelledResult(double t)
 {
     SimResult result;
-    result.failure = detail::cancelledFailure(t, 0);
+    result.failure = cancelledFailure(t, 0);
     return result;
 }
 
@@ -84,7 +154,7 @@ SimResult
 deadlineResult(double t)
 {
     SimResult result;
-    result.failure = detail::deadlineFailure(t, 0);
+    result.failure = deadlineFailure(t, 0);
     return result;
 }
 
@@ -94,8 +164,6 @@ deadlinePassed(const Deadline &deadline)
     return deadline &&
            std::chrono::steady_clock::now() >= *deadline;
 }
-
-using detail::BlockEvaluator;
 
 /** Message for an in-flight exception (structured fault capture). */
 std::string
@@ -110,18 +178,86 @@ currentExceptionMessage()
     }
 }
 
+/** First nonfinite entry of a (lane-strided) column, or -1. */
+int
+firstNonfinite(const double *column, std::size_t n, std::size_t stride)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        if (!std::isfinite(column[i * stride]))
+            return static_cast<int>(i);
+    return -1;
+}
+
 /**
- * Lane-batched fixed-step RK4 over one block. Mirrors the scalar RK4
- * driver in sim.cc operation-for-operation — same stage expressions,
- * same time accumulation, same record gating — so every lane's
- * trajectory is bit-identical to a serial simulate() of that instance.
- * A lane whose state goes nonfinite is masked out with a structured
- * failure (recording stops, its columns keep computing ignored
- * garbage; lanes never mix, so the rest of the block is unaffected).
- * Budget exhaustion is likewise structural: all lanes share one fixed
- * grid, so when the step budget runs out every still-active lane
- * retires with a BudgetExhausted failure — exactly what each would
- * have reported in a serial run.
+ * One lane block's RHS: the members' programs merged into one
+ * LaneTape (a single member merges to the width-1 program), routed
+ * through the tier-5 native kernel when one resolves and the LaneTape
+ * interpreter otherwise. Resolution happens once, at construction (a
+ * cache hit after the first compile); every failure mode — jit off, no
+ * toolchain, compile failure — leaves the kernel null and the block
+ * runs interpreted with identical results. Both tiers fire the
+ * deterministic TapeNan poison site exactly once per evaluation. Owns
+ * the interpreter's scratch file, so an evaluator serves one thread at
+ * a time.
+ */
+class BlockEvaluator
+{
+  public:
+    BlockEvaluator(const std::vector<const expr::FusedTape *> &tapes,
+                   bool jitOn)
+        : tape_(merged(tapes)),
+          kernel_(jitOn ? engine::jitKernel(tape_) : nullptr),
+          file_(kernel_ != nullptr ? 0 : tape_.scratchSize())
+    {
+    }
+
+    const expr::LaneTape &tape() const { return tape_; }
+
+    bool jitted() const { return kernel_ != nullptr; }
+
+    /** Evaluates the block: LaneTape::evalInto minus the scratch. */
+    void
+    eval(const double *state, double t, double *out)
+    {
+        if (kernel_ == nullptr) {
+            tape_.evalInto(state, t, out, file_.data());
+            return;
+        }
+        kernel_->call(state, t, out, tape_.constants().data());
+        // The interpreter's poison site, replayed so fault drills see
+        // one behaviour on both tiers.
+        if (support::FaultInjector::shouldFire(
+                support::FaultSite::TapeNan) &&
+            tape_.numOutputs() > 0)
+            out[0] = std::numeric_limits<double>::quiet_NaN();
+    }
+
+  private:
+    static expr::LaneTape
+    merged(const std::vector<const expr::FusedTape *> &tapes)
+    {
+        std::optional<expr::LaneTape> tape = expr::LaneTape::merge(tapes);
+        // Partitioning already verified compatibility.
+        support::panicIf(!tape.has_value(),
+                         "BatchRunner: lane merge failed");
+        return *std::move(tape);
+    }
+
+    expr::LaneTape tape_;
+    expr::JitKernelPtr kernel_;
+    std::vector<double> file_;
+};
+
+/**
+ * Lane-batched fixed-step classical RK4 over one block, at any width
+ * from 1 (simulate(), singletons) to 8. All lanes share one time grid
+ * and lanes never mix, so every lane's trajectory is bit-identical to
+ * the same instance run alone at width 1. A lane whose state goes
+ * nonfinite is masked out with a structured failure (recording stops,
+ * its columns keep computing ignored garbage). Budget exhaustion is
+ * likewise structural: when the shared step budget runs out every
+ * still-active lane retires with a BudgetExhausted failure — exactly
+ * what each would have reported alone.
  */
 std::vector<SimResult>
 runLaneRk4(BlockEvaluator &rhs,
@@ -139,15 +275,6 @@ runLaneRk4(BlockEvaluator &rhs,
     std::vector<SimResult> results(lanes);
     VoteStats stats;
 
-    auto failDiverged = [&](std::size_t lane, int var, double t,
-                            std::size_t steps) {
-        results[lane].steps = steps;
-        results[lane].failure =
-            detail::divergedFailure(*systems[lane], var, t, steps);
-        ++stats.retirements;
-        laneDone(1);
-    };
-
     // SoA blocks, lane-minor; padding lanes replicate lane 0 so their
     // (discarded) arithmetic stays finite.
     std::vector<double> state(m), k1(m), k2(m), k3(m), k4(m), tmp(m);
@@ -159,16 +286,23 @@ runLaneRk4(BlockEvaluator &rhs,
 
     std::vector<char> alive(lanes, 1);
     std::size_t aliveCount = lanes;
-    for (std::size_t l = 0; l < lanes; ++l) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!std::isfinite(state[i * width + l])) {
-                failDiverged(l, static_cast<int>(i), t0, 0);
-                alive[l] = 0;
-                --aliveCount;
-                break;
-            }
+    // Retires every live lane whose state went nonfinite.
+    auto retireDiverged = [&](double t, std::size_t steps) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+            int bad = alive[l] ? firstNonfinite(state.data() + l, n, width)
+                               : -1;
+            if (bad < 0)
+                continue;
+            results[l].steps = steps;
+            results[l].failure =
+                divergedFailure(*systems[l], bad, t, steps);
+            alive[l] = 0;
+            --aliveCount;
+            ++stats.retirements;
+            laneDone(1);
         }
-    }
+    };
+    retireDiverged(t0, 0);
     if (aliveCount == 0)
         return results;
 
@@ -205,8 +339,10 @@ runLaneRk4(BlockEvaluator &rhs,
 
     double t = t0;
     std::size_t steps = 0;
-    // As in the scalar driver, k1 is both the recorded slope and the
-    // next step's first stage — four block evaluations per step.
+    // k1 doubles as the recorded slope at each sample point AND the
+    // first stage of the next step: (state, t) is unchanged between
+    // the end-of-step recording eval and the loop top, so each step
+    // costs four block evaluations, not five.
     rhs.eval(state.data(), t, k1.data());
     record(t, true);
 
@@ -217,7 +353,7 @@ runLaneRk4(BlockEvaluator &rhs,
                 if (!alive[l])
                     continue;
                 results[l].steps = steps;
-                results[l].failure = detail::budgetFailure(t, steps);
+                results[l].failure = budgetFailure(t, steps);
             }
             laneDone(aliveCount);
             return results;
@@ -228,9 +364,8 @@ runLaneRk4(BlockEvaluator &rhs,
                 if (!alive[l])
                     continue;
                 results[l].steps = steps;
-                results[l].failure =
-                    cancel ? detail::cancelledFailure(t, steps)
-                           : detail::deadlineFailure(t, steps);
+                results[l].failure = cancel ? cancelledFailure(t, steps)
+                                            : deadlineFailure(t, steps);
             }
             laneDone(aliveCount);
             return results;
@@ -251,18 +386,7 @@ runLaneRk4(BlockEvaluator &rhs,
         t += h;
         ++steps;
         stats.accepted = steps;
-        for (std::size_t l = 0; l < lanes; ++l) {
-            if (!alive[l])
-                continue;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (!std::isfinite(state[i * width + l])) {
-                    failDiverged(l, static_cast<int>(i), t, steps);
-                    alive[l] = 0;
-                    --aliveCount;
-                    break;
-                }
-            }
-        }
+        retireDiverged(t, steps);
         if (aliveCount == 0)
             return results;
         rhs.eval(state.data(), t, k1.data());
@@ -276,8 +400,54 @@ runLaneRk4(BlockEvaluator &rhs,
     return results;
 }
 
+/** Dormand-Prince 5(4) tableau (Dormand & Prince 1980) and the PI
+ *  step-size controller. */
+struct Dopri5
+{
+    static constexpr double c2 = 1.0 / 5, c3 = 3.0 / 10, c4 = 4.0 / 5,
+                            c5 = 8.0 / 9;
+    static constexpr double a21 = 1.0 / 5;
+    static constexpr double a31 = 3.0 / 40, a32 = 9.0 / 40;
+    static constexpr double a41 = 44.0 / 45, a42 = -56.0 / 15,
+                            a43 = 32.0 / 9;
+    static constexpr double a51 = 19372.0 / 6561, a52 = -25360.0 / 2187,
+                            a53 = 64448.0 / 6561, a54 = -212.0 / 729;
+    static constexpr double a61 = 9017.0 / 3168, a62 = -355.0 / 33,
+                            a63 = 46732.0 / 5247, a64 = 49.0 / 176,
+                            a65 = -5103.0 / 18656;
+    static constexpr double b1 = 35.0 / 384, b3 = 500.0 / 1113,
+                            b4 = 125.0 / 192, b5 = -2187.0 / 6784,
+                            b6 = 11.0 / 84;
+    // Embedded 4th-order weights (error estimate).
+    static constexpr double e1 = 5179.0 / 57600, e3 = 7571.0 / 16695,
+                            e4 = 393.0 / 640, e5 = -92097.0 / 339200,
+                            e6 = 187.0 / 2100, e7 = 1.0 / 40;
+
+    /**
+     * PI controller (Gustafsson) growth factor after an accepted step
+     * with error norm `err` (previous accepted norm `prevErr`),
+     * clamped to [0.2, 5].
+     */
+    static double
+    acceptFactor(double err, double prevErr)
+    {
+        double factor = 0.9 *
+                        std::pow(err > 0 ? err : 1e-10, -0.7 / 5.0) *
+                        std::pow(prevErr > 0 ? prevErr : 1e-10, 0.4 / 5.0);
+        return std::clamp(factor, 0.2, 5.0);
+    }
+
+    /** Shrink factor after a rejected step with error norm `err`. */
+    static double
+    rejectFactor(double err)
+    {
+        return std::max(0.1, 0.9 * std::pow(err, -0.2));
+    }
+};
+
 /**
- * Lane-synchronized adaptive Dopri5 over one block ("step voting").
+ * Lane-synchronized adaptive Dopri5 over one block ("step voting"),
+ * at any width from 1 (simulate(), singletons) to 8.
  *
  * Every lane advances on ONE shared step size: per step the block
  * evaluates the six Dormand-Prince stages plus the FSAL stage for all
@@ -292,23 +462,22 @@ runLaneRk4(BlockEvaluator &rhs,
  *    (per-lane rejection masking) and shrinking by the controller
  *    factor of the worst lane.
  *
- * A lane whose error estimate or accepted state goes nonfinite is
- * retired on the spot with a structured divergence failure and stops
- * voting; the rest of the block integrates on. When enough lanes
- * retire that a narrower SoA width would hold the survivors, the
- * block compacts (state/slope columns are re-merged into a fresh
- * LaneTape of the smaller width); a single surviving lane spills to a
- * scalar continuation that reuses the exact sim.cc recurrence, so a
- * degenerate block costs no lane overhead.
+ * With one lane the vote is that lane's own controller, so a width-1
+ * block is the plain scalar Dopri5 recurrence. A lane whose error
+ * estimate or accepted state goes nonfinite is retired on the spot
+ * with a structured divergence failure and stops voting; the rest of
+ * the block integrates on. When survivors fit half the SoA width the
+ * block compacts: state/slope columns are re-merged into a fresh
+ * LaneTape of the smaller width, down to width 1 for a last survivor.
  *
  * Numerics: the shared grid makes trajectories tolerance-level
- * equivalent to scalar Dopri5 (every accepted step satisfied every
- * lane's error test), not bitwise; the voting sequence depends only
- * on the block membership, so results are bit-identical across
- * thread counts. Step collapse on the shared step still throws for
- * the block as a unit (a tolerance/step-floor misconfiguration, not a
- * per-instance property); budget exhaustion is charged per lane — a
- * lane retires with a structured BudgetExhausted failure once the
+ * equivalent to the members' width-1 runs (every accepted step
+ * satisfied every lane's error test), not bitwise; the voting sequence
+ * depends only on the block membership, so results are bit-identical
+ * across thread counts. Step collapse on the shared step still throws
+ * for the block as a unit (a tolerance/step-floor misconfiguration,
+ * not a per-instance property); budget exhaustion is charged per lane
+ * — a lane retires with a structured BudgetExhausted failure once the
  * shared accepted steps plus ITS OWN voted-down rejections reach
  * maxSteps, and the healthy lanes integrate on.
  */
@@ -333,10 +502,10 @@ class LaneDopri5
     {
         for (std::size_t member = 0; member < initials.size(); ++member) {
             const std::vector<double> &init = *initials[member];
-            int bad = firstNonfinite(init.data(), init.size());
+            int bad = firstNonfinite(init.data(), init.size(), 1);
             if (bad >= 0) {
-                results_[member].failure = detail::divergedFailure(
-                    *systems_[member], bad, t0, 0);
+                results_[member].failure =
+                    divergedFailure(*systems_[member], bad, t0, 0);
                 laneDone_(1);
                 continue;
             }
@@ -361,8 +530,8 @@ class LaneDopri5
         // stats_'s own destructor flushes to the registry.
     }
 
-    /** True when any block (or the scalar spill) ran a tier-5
-     *  kernel — drives the run ledger's tier attribution. */
+    /** True when any block ran a tier-5 kernel — drives the run
+     *  ledger's tier attribution. */
     bool usedJit() const { return usedJit_; }
 
     std::vector<SimResult>
@@ -370,21 +539,20 @@ class LaneDopri5
     {
         // The first block evaluation also produces the k1 slope for
         // the initial record; after a compaction the slopes carry
-        // over and nothing is re-recorded.
-        bool initial = true;
-        while (!active_.empty() && t_ < end_) {
-            if (active_.size() == 1) {
-                spill(initial);
-                return results_;
-            }
+        // over and nothing is re-recorded. Even a range inside the
+        // loop epsilon (t1 ~ t0) runs one block, which records the
+        // initial sample and the forced final one.
+        for (bool initial = true; !active_.empty(); initial = false) {
+            // A multi-member job whose survivors dwindled to one
+            // finishes at width 1: the ark.sim.spills tally.
+            if (active_.size() == 1 && results_.size() > 1)
+                ++stats_.spills;
             if (runBlock(initial) == Status::Done)
-                return results_;
-            initial = false;
+                break;
         }
-        // Degenerate ranges (t0 ~ t1): record the initial sample only.
-        if (!active_.empty()) {
-            finishActive(initial);
-        }
+        // A copy on purpose: it drops the capacity the trajectories
+        // reserved from the recordDt bound but never filled. Moving
+        // them out raised sec45-crossval's peak RSS by about 40 MB.
         return results_;
     }
 
@@ -401,15 +569,6 @@ class LaneDopri5
         std::size_t rejected = 0;  ///< Steps this lane voted down.
     };
 
-    static int
-    firstNonfinite(const double *x, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            if (!std::isfinite(x[i]))
-                return static_cast<int>(i);
-        return -1;
-    }
-
     bool
     recordGateOpen(double t, bool force) const
     {
@@ -425,12 +584,7 @@ class LaneDopri5
         blockTapes.reserve(active_.size());
         for (const Lane &lane : active_)
             blockTapes.push_back(tapes_[lane.member]);
-        std::optional<expr::LaneTape> merged =
-            expr::LaneTape::merge(blockTapes);
-        // The batch partition already verified compatibility.
-        support::panicIf(!merged.has_value(),
-                         "LaneDopri5: block merge failed");
-        BlockEvaluator rhs(*std::move(merged), jitOn_);
+        BlockEvaluator rhs(blockTapes, jitOn_);
         const expr::LaneTape &tape = rhs.tape();
         if (rhs.jitted())
             usedJit_ = true;
@@ -473,16 +627,20 @@ class LaneDopri5
             lastRecord_ = t;
         };
 
-        auto retireDiverged = [&](std::size_t s, int var) {
+        // Ends lane s's run with `failure` at the current step.
+        auto retire = [&](std::size_t s, SimFailure failure) {
             SimResult &r = results_[active_[s].member];
             r.steps = steps_;
             r.rejectedSteps = active_[s].rejected;
-            r.failure = detail::divergedFailure(*systems_[active_[s].member],
-                                                var, t_, steps_);
+            r.failure = std::move(failure);
             alive[s] = 0;
             --aliveCount;
             ++stats_.retirements;
             laneDone_(1);
+        };
+        auto retireDiverged = [&](std::size_t s, int var) {
+            retire(s, divergedFailure(*systems_[active_[s].member], var,
+                                      t_, steps_));
         };
 
         if (initial) {
@@ -490,35 +648,25 @@ class LaneDopri5
             record(t_, true);
         }
 
-        using detail::Dopri5;
         while (t_ < end_) {
             h_ = std::min(h_, t1_ - t_);
             h_ = std::min(h_, hMax_);
             if (h_ < 1e-18 * std::max(1.0, std::fabs(t_)))
                 throw SimError(cat("step size collapsed at t=", t_));
             // Per-lane budget: shared accepted steps plus the lane's
-            // own voted-down rejections — the same accounting the
-            // scalar driver applies to steps + rejectedSteps. Only
-            // the exhausted lane retires; its block-mates vote on.
+            // own voted-down rejections. Only the exhausted lane
+            // retires; its block-mates vote on.
             bool budgetRetired = false;
             for (std::size_t s = 0; s < L; ++s) {
                 if (!alive[s] ||
                     steps_ + active_[s].rejected < options_.maxSteps)
                     continue;
-                SimResult &r = results_[active_[s].member];
-                r.steps = steps_;
-                r.rejectedSteps = active_[s].rejected;
-                r.failure = detail::budgetFailure(t_, steps_);
-                alive[s] = 0;
-                --aliveCount;
-                ++stats_.retirements;
-                laneDone_(1);
+                retire(s, budgetFailure(t_, steps_));
                 budgetRetired = true;
             }
             if (aliveCount == 0)
                 return Status::Done;
-            if (budgetRetired &&
-                (aliveCount == 1 || aliveCount <= W / 2)) {
+            if (budgetRetired && aliveCount <= W / 2) {
                 compactInto(state, k1, alive, W);
                 return Status::Compact;
             }
@@ -530,9 +678,8 @@ class LaneDopri5
                     SimResult &r = results_[active_[s].member];
                     r.steps = steps_;
                     r.rejectedSteps = active_[s].rejected;
-                    r.failure =
-                        cancel ? detail::cancelledFailure(t_, steps_)
-                               : detail::deadlineFailure(t_, steps_);
+                    r.failure = cancel ? cancelledFailure(t_, steps_)
+                                       : deadlineFailure(t_, steps_);
                 }
                 laneDone_(aliveCount);
                 return Status::Done;
@@ -596,9 +743,11 @@ class LaneDopri5
                 err[s] = std::sqrt(norm / static_cast<double>(n_));
             }
 
-            // A nonfinite error estimate retires the lane right here,
-            // exactly like the scalar driver aborts: error control
-            // can never accept it again. The survivors keep voting.
+            // A nonfinite error estimate means a stage or the
+            // candidate state blew up: error control can never accept
+            // the lane again, and rejecting would grind the shared
+            // step toward collapse. Retire it right here; the
+            // survivors keep voting.
             for (std::size_t s = 0; s < L; ++s) {
                 if (!alive[s] || std::isfinite(err[s]))
                     continue;
@@ -652,13 +801,12 @@ class LaneDopri5
             }
 
             // Too few survivors to pay for this width: extract the
-            // live columns and let the caller rebuild (or spill) —
+            // live columns and let the caller re-merge them narrower —
             // but only while integration work remains. Compacting on
             // the very step that reached t1 would skip the forced
             // final record below and end the surviving trajectories
             // on the last gated sample instead of t1.
-            if (aliveCount < L && t_ < end_ &&
-                (aliveCount == 1 || aliveCount <= W / 2)) {
+            if (aliveCount < L && t_ < end_ && aliveCount <= W / 2) {
                 compactInto(state, k1, alive, W);
                 return Status::Compact;
             }
@@ -674,16 +822,6 @@ class LaneDopri5
         }
         laneDone_(aliveCount);
         return Status::Done;
-    }
-
-    /** First nonfinite of a lane's strided column, or -1. */
-    static int
-    firstNonfinite(const double *column, std::size_t n, std::size_t stride)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            if (!std::isfinite(column[i * stride]))
-                return static_cast<int>(i);
-        return -1;
     }
 
     /** Saves surviving columns into active_ and drops retired lanes. */
@@ -709,183 +847,6 @@ class LaneDopri5
         active_ = std::move(survivors);
     }
 
-    /**
-     * Scalar continuation of the last surviving lane: the sim.cc
-     * Dopri5 recurrence (same tableau, same controller, same
-     * divergence handling) resumed from the block's shared (t, h)
-     * with the lane's own FSAL slope and PI history.
-     */
-    void
-    spill(bool initial)
-    {
-        using detail::Dopri5;
-        ++stats_.spills;
-        telemetry::ScopedSpan span("ark.sim.scalar_spill");
-        Lane lane = std::move(active_.front());
-        active_.clear();
-        SimResult &r = results_[lane.member];
-        const std::size_t n = n_;
-
-        std::vector<double> state = std::move(lane.state);
-        std::vector<double> k1 = std::move(lane.k1);
-        k1.resize(n);
-        std::vector<double> k2(n), k3(n), k4(n), k5(n), k6(n), k7(n);
-        std::vector<double> tmp(n), next(n);
-        double prevErr = lane.prevErr;
-
-        // The survivor's own program at width 1, through the same
-        // evaluator (interpreter or JIT kernel) as every block.
-        BlockEvaluator rhs(
-            expr::LaneTape::broadcast(*tapes_[lane.member], 1), jitOn_);
-        if (rhs.jitted())
-            usedJit_ = true;
-
-        auto record = [&](double t, bool force) {
-            if (!recordGateOpen(t, force))
-                return;
-            r.trajectory.addSample(t, state, &k1);
-            lastRecord_ = t;
-        };
-
-        if (initial) {
-            rhs.eval(state.data(), t_, k1.data());
-            record(t_, true);
-        }
-
-        while (t_ < end_) {
-            h_ = std::min(h_, t1_ - t_);
-            h_ = std::min(h_, hMax_);
-            if (h_ < 1e-18 * std::max(1.0, std::fabs(t_)))
-                throw SimError(cat("step size collapsed at t=", t_));
-            if (steps_ + lane.rejected >= options_.maxSteps) {
-                r.steps = steps_;
-                r.rejectedSteps = lane.rejected;
-                r.failure = detail::budgetFailure(t_, steps_);
-                laneDone_(1);
-                return;
-            }
-            if (stop_.stop_requested() || deadlinePassed(deadline_)) {
-                r.steps = steps_;
-                r.rejectedSteps = lane.rejected;
-                r.failure = stop_.stop_requested()
-                                ? detail::cancelledFailure(t_, steps_)
-                                : detail::deadlineFailure(t_, steps_);
-                laneDone_(1);
-                return;
-            }
-
-            const double h = h_;
-            for (std::size_t i = 0; i < n; ++i)
-                tmp[i] = state[i] + h * Dopri5::a21 * k1[i];
-            rhs.eval(tmp.data(), t_ + Dopri5::c2 * h, k2.data());
-            for (std::size_t i = 0; i < n; ++i) {
-                tmp[i] = state[i] +
-                         h * (Dopri5::a31 * k1[i] + Dopri5::a32 * k2[i]);
-            }
-            rhs.eval(tmp.data(), t_ + Dopri5::c3 * h, k3.data());
-            for (std::size_t i = 0; i < n; ++i) {
-                tmp[i] = state[i] +
-                         h * (Dopri5::a41 * k1[i] + Dopri5::a42 * k2[i] +
-                              Dopri5::a43 * k3[i]);
-            }
-            rhs.eval(tmp.data(), t_ + Dopri5::c4 * h, k4.data());
-            for (std::size_t i = 0; i < n; ++i) {
-                tmp[i] = state[i] +
-                         h * (Dopri5::a51 * k1[i] + Dopri5::a52 * k2[i] +
-                              Dopri5::a53 * k3[i] + Dopri5::a54 * k4[i]);
-            }
-            rhs.eval(tmp.data(), t_ + Dopri5::c5 * h, k5.data());
-            for (std::size_t i = 0; i < n; ++i) {
-                tmp[i] = state[i] +
-                         h * (Dopri5::a61 * k1[i] + Dopri5::a62 * k2[i] +
-                              Dopri5::a63 * k3[i] + Dopri5::a64 * k4[i] +
-                              Dopri5::a65 * k5[i]);
-            }
-            rhs.eval(tmp.data(), t_ + h, k6.data());
-            for (std::size_t i = 0; i < n; ++i) {
-                next[i] = state[i] +
-                          h * (Dopri5::b1 * k1[i] + Dopri5::b3 * k3[i] +
-                               Dopri5::b4 * k4[i] + Dopri5::b5 * k5[i] +
-                               Dopri5::b6 * k6[i]);
-            }
-            rhs.eval(next.data(), t_ + h, k7.data());
-
-            double errNorm = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                double y4 = state[i] +
-                            h * (Dopri5::e1 * k1[i] + Dopri5::e3 * k3[i] +
-                                 Dopri5::e4 * k4[i] + Dopri5::e5 * k5[i] +
-                                 Dopri5::e6 * k6[i] + Dopri5::e7 * k7[i]);
-                double scale = options_.absTol +
-                               options_.relTol *
-                                   std::max(std::fabs(state[i]),
-                                            std::fabs(next[i]));
-                double e = (next[i] - y4) / scale;
-                errNorm += e * e;
-            }
-            errNorm = std::sqrt(errNorm / static_cast<double>(n));
-
-            if (!std::isfinite(errNorm)) {
-                int bad = firstNonfinite(next.data(), n);
-                if (bad < 0)
-                    bad = firstNonfinite(k7.data(), n);
-                r.steps = steps_;
-                r.rejectedSteps = lane.rejected;
-                r.failure = detail::divergedFailure(*systems_[lane.member],
-                                                    bad, t_, steps_);
-                laneDone_(1);
-                return;
-            }
-
-            if (errNorm <= 1.0) {
-                t_ += h;
-                ++steps_;
-                state.swap(next);
-                std::swap(k1, k7);
-                if (int bad = firstNonfinite(state.data(), n); bad >= 0) {
-                    r.steps = steps_;
-                    r.rejectedSteps = lane.rejected;
-                    r.failure = detail::divergedFailure(
-                        *systems_[lane.member], bad, t_, steps_);
-                    laneDone_(1);
-                    return;
-                }
-                record(t_, false);
-                h_ *= Dopri5::acceptFactor(errNorm, prevErr);
-                prevErr = errNorm;
-            } else {
-                ++rejectedShared_;
-                ++lane.rejected;
-                h_ *= Dopri5::rejectFactor(errNorm);
-            }
-        }
-        record(t_, true);
-        r.steps = steps_;
-        r.rejectedSteps = lane.rejected;
-        laneDone_(1);
-    }
-
-    /** Degenerate (t0 ~ t1) finish: record the initial state only. */
-    void
-    finishActive(bool initial)
-    {
-        for (Lane &lane : active_) {
-            SimResult &r = results_[lane.member];
-            if (initial) {
-                lane.k1.resize(n_);
-                BlockEvaluator rhs(
-                    expr::LaneTape::broadcast(*tapes_[lane.member], 1),
-                    /*jitOn=*/false);
-                rhs.eval(lane.state.data(), t_, lane.k1.data());
-                r.trajectory.addSample(t_, lane.state, &lane.k1);
-            }
-            r.steps = steps_;
-            r.rejectedSteps = lane.rejected;
-        }
-        laneDone_(active_.size());
-        active_.clear();
-    }
-
     const std::vector<const expr::FusedTape *> &tapes_;
     const std::vector<const compiler::OdeSystem *> &systems_;
     const SimOptions &options_;
@@ -893,7 +854,7 @@ class LaneDopri5
     const Deadline &deadline_;
     const std::function<void(std::size_t)> &laneDone_;
     const bool jitOn_;     ///< Try tier-5 kernels per block.
-    bool usedJit_ = false; ///< Any block/spill actually ran one.
+    bool usedJit_ = false; ///< Any block actually ran one.
 
     const std::size_t n_;  ///< State variables per instance.
     const double t1_;
@@ -911,14 +872,42 @@ class LaneDopri5
     std::vector<SimResult> results_;
 };
 
-/** One pool job: a lane block (2+ members) or a scalar instance. */
-struct Job
-{
-    std::vector<std::size_t> members;
-    bool lane = false;
-};
-
 } // namespace
+
+std::vector<SimResult>
+detail::integrateBlock(
+    const std::vector<const compiler::OdeSystem *> &systems,
+    const std::vector<const std::vector<double> *> &initials, double t0,
+    double t1, const SimOptions &options, bool jitOn,
+    const std::stop_token &stop, const Deadline &deadline,
+    const std::function<void(std::size_t)> &laneDone, bool *usedJit)
+{
+    // The tape variant the options select: reassociated (with its
+    // ARK_TAPE_REASSOC override), FMA-contracted, or plain.
+    const bool reassoc = expr::reassocEnabled(options.tapeReassoc);
+    std::vector<const expr::FusedTape *> tapes;
+    tapes.reserve(systems.size());
+    for (const compiler::OdeSystem *system : systems)
+        tapes.push_back(&system->rhsTape(options.tapeFma, reassoc));
+
+    std::vector<SimResult> results;
+    bool jitted = false;
+    if (options.method == Method::Rk4) {
+        BlockEvaluator rhs(tapes, jitOn);
+        jitted = rhs.jitted();
+        results = runLaneRk4(rhs, initials, systems, t0, t1, options, stop,
+                             deadline, laneDone);
+    } else {
+        // Merges per block itself: compaction re-merges survivors.
+        LaneDopri5 driver(tapes, initials, systems, t0, t1, options, stop,
+                          deadline, laneDone, jitOn);
+        results = driver.run();
+        jitted = driver.usedJit();
+    }
+    if (usedJit != nullptr)
+        *usedJit = jitted;
+    return results;
+}
 
 /**
  * Persistent worker pool. Workers are std::jthread, parked on a
@@ -1162,9 +1151,9 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
     // like [A, B, A, B, ...] still lane-batch per structure), then
     // each class splits into blocks of up to kMaxLanes. Partitioning
     // depends only on the batch, never on thread count, and results
-    // are written by original index, so ordering is preserved. Both
-    // integrators lane-batch; Rk4 blocks run the fixed-step driver,
-    // Dopri5 blocks the step-voting adaptive driver.
+    // are written by original index, so ordering is preserved. Every
+    // job — singletons and laneBatching=false instances included — is
+    // one lane block run by detail::integrateBlock.
     const bool laneEligible = options.laneBatching;
     const bool fma = options.sim.tapeFma;
     // Resolved once per batch (ARK_TAPE_REASSOC override folded in)
@@ -1195,17 +1184,15 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
         }
         classes.push_back({i});
     }
-    std::vector<Job> jobs;
+    // One job per block: its members' indices into the batch.
+    std::vector<std::vector<std::size_t>> jobs;
     for (const std::vector<std::size_t> &cls : classes) {
         for (std::size_t base = 0; base < cls.size();
              base += expr::LaneTape::kMaxLanes) {
-            std::size_t blockSize = std::min(
-                expr::LaneTape::kMaxLanes, cls.size() - base);
-            Job job;
-            job.lane = blockSize >= 2;
-            for (std::size_t k = 0; k < blockSize; ++k)
-                job.members.push_back(cls[base + k]);
-            jobs.push_back(std::move(job));
+            std::size_t end =
+                std::min(cls.size(), base + expr::LaneTape::kMaxLanes);
+            jobs.emplace_back(cls.begin() + static_cast<std::ptrdiff_t>(base),
+                              cls.begin() + static_cast<std::ptrdiff_t>(end));
         }
     }
 
@@ -1243,8 +1230,8 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
         };
         ensembles.add();
         instances.add(count);
-        for (const Job &job : jobs) {
-            const std::size_t lanes = job.members.size();
+        for (const std::vector<std::size_t> &members : jobs) {
+            const std::size_t lanes = members.size();
             std::size_t width = 1, widthClass = 0;
             while (width < lanes) {
                 width *= 2;
@@ -1266,9 +1253,8 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
 
     // Per-instance progress: both lane drivers report each instance
     // the moment it completes (finish, divergence retirement, or
-    // cancellation), so `completed` ticks consistently across the
-    // scalar and batched paths and stays strictly increasing under
-    // lane retirement.
+    // cancellation), so `completed` ticks consistently at every block
+    // width and stays strictly increasing under lane retirement.
     auto instanceDone = [&](std::size_t done) {
         watchdogRun.heartbeat();
         if (done == 0 || !options.progress)
@@ -1279,7 +1265,7 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
     };
 
     auto runJob = [&](std::size_t jobIndex) {
-        const Job &job = jobs[jobIndex];
+        const std::vector<std::size_t> &members = jobs[jobIndex];
         std::size_t reported = 0;
         std::function<void(std::size_t)> laneDone =
             [&](std::size_t done) {
@@ -1292,60 +1278,36 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
                 throw SimError("fault injection: worker task fault");
             if (options.stop.stop_requested()) {
                 // Skipped before starting: no samples at all.
-                for (std::size_t member : job.members)
+                for (std::size_t member : members)
                     results[member] = cancelledResult(t0);
-                laneDone(job.members.size());
+                laneDone(members.size());
             } else if (deadlinePassed(options.deadline)) {
-                for (std::size_t member : job.members)
+                for (std::size_t member : members)
                     results[member] = deadlineResult(t0);
-                laneDone(job.members.size());
-            } else if (job.lane) {
-                telemetry::ScopedSpan span("ark.sim.lane_block",
-                                           job.members.size());
-                std::vector<const expr::FusedTape *> tapes;
-                std::vector<const std::vector<double> *> inits;
-                std::vector<const compiler::OdeSystem *> blockSystems;
-                tapes.reserve(job.members.size());
-                inits.reserve(job.members.size());
-                blockSystems.reserve(job.members.size());
-                for (std::size_t member : job.members) {
-                    tapes.push_back(
-                        &systemOf(member).rhsTape(fma, reassoc));
-                    inits.push_back(&initialOf(member));
-                    blockSystems.push_back(&systemOf(member));
-                }
-                std::vector<SimResult> block;
-                if (options.sim.method == Method::Rk4) {
-                    std::optional<expr::LaneTape> tape =
-                        expr::LaneTape::merge(tapes);
-                    // Partitioning already verified compatibility.
-                    support::panicIf(!tape.has_value(),
-                                     "BatchRunner: lane merge failed");
-                    BlockEvaluator rhs(*std::move(tape), jitOn);
-                    jitUsed[jobIndex] = rhs.jitted();
-                    block = runLaneRk4(rhs, inits, blockSystems, t0, t1,
-                                       options.sim, options.stop,
-                                       options.deadline, laneDone);
-                } else {
-                    LaneDopri5 driver(tapes, inits, blockSystems, t0,
-                                      t1, options.sim, options.stop,
-                                      options.deadline, laneDone, jitOn);
-                    block = driver.run();
-                    jitUsed[jobIndex] = driver.usedJit();
-                }
-                for (std::size_t k = 0; k < job.members.size(); ++k)
-                    results[job.members[k]] = std::move(block[k]);
+                laneDone(members.size());
             } else {
-                telemetry::ScopedSpan span("ark.sim.scalar");
-                std::size_t member = job.members.front();
-                BlockEvaluator rhs(
-                    detail::scalarTape(systemOf(member), options.sim),
-                    jitOn);
-                jitUsed[jobIndex] = rhs.jitted();
-                results[member] = detail::simulateWithStop(
-                    systemOf(member), initialOf(member), t0, t1,
-                    options.sim, options.stop, options.deadline, rhs);
-                laneDone(1);
+                // Singletons run the same drivers at width 1 but keep
+                // their own span (and ledger tier, below).
+                const bool lane = members.size() >= 2;
+                telemetry::ScopedSpan span(lane ? "ark.sim.lane_block"
+                                                : "ark.sim.scalar");
+                if (lane)
+                    span.setArg(members.size());
+                std::vector<const compiler::OdeSystem *> blockSystems;
+                std::vector<const std::vector<double> *> inits;
+                blockSystems.reserve(members.size());
+                inits.reserve(members.size());
+                for (std::size_t member : members) {
+                    blockSystems.push_back(&systemOf(member));
+                    inits.push_back(&initialOf(member));
+                }
+                bool jitted = false;
+                std::vector<SimResult> block = detail::integrateBlock(
+                    blockSystems, inits, t0, t1, options.sim, jitOn,
+                    options.stop, options.deadline, laneDone, &jitted);
+                jitUsed[jobIndex] = jitted;
+                for (std::size_t k = 0; k < members.size(); ++k)
+                    results[members[k]] = std::move(block[k]);
             }
         } catch (...) {
             if (options.structuredFaults) {
@@ -1353,20 +1315,20 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
                 // the retry supervisor treats it as data, and the
                 // batch as a whole no longer throws for it.
                 std::string what = currentExceptionMessage();
-                for (std::size_t member : job.members) {
+                for (std::size_t member : members) {
                     SimResult faulted;
-                    faulted.failure = detail::faultFailure(t0, what);
+                    faulted.failure = faultFailure(t0, what);
                     results[member] = std::move(faulted);
                 }
             } else {
-                for (std::size_t member : job.members)
+                for (std::size_t member : members)
                     errors[member] = std::current_exception();
             }
         }
         // A thrown block (step collapse, budget) still accounts for
         // every member so `completed` reaches `total` exactly once.
-        if (reported < job.members.size())
-            instanceDone(job.members.size() - reported);
+        if (reported < members.size())
+            instanceDone(members.size() - reported);
     };
 
     unsigned requested = options.numThreads;
@@ -1391,11 +1353,11 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
         // result to describe and are skipped.
         for (std::size_t jobIndex = 0; jobIndex < jobs.size();
              ++jobIndex) {
-            const Job &job = jobs[jobIndex];
+            const std::vector<std::size_t> &members = jobs[jobIndex];
             std::size_t width = 1;
-            while (width < job.members.size())
+            while (width < members.size())
                 width *= 2;
-            for (std::size_t member : job.members) {
+            for (std::size_t member : members) {
                 if (errors[member])
                     continue;
                 const SimResult &result = results[member];
@@ -1406,10 +1368,11 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
                 record.tier =
                     jitUsed[jobIndex]
                         ? telemetry::RunLedger::Tier::Jit
-                        : (job.lane ? telemetry::RunLedger::Tier::Lane
-                                    : telemetry::RunLedger::Tier::Scalar);
-                record.laneWidth = job.lane ? width : 1;
-                record.lanes = job.members.size();
+                        : (members.size() >= 2
+                               ? telemetry::RunLedger::Tier::Lane
+                               : telemetry::RunLedger::Tier::Scalar);
+                record.laneWidth = width;
+                record.lanes = members.size();
                 record.blockId = jobIndex;
                 record.stepsAccepted = result.steps;
                 record.stepsRejected = result.rejectedSteps;

@@ -10,7 +10,8 @@
  * of up to expr::LaneTape::kMaxLanes instances that share one fused
  * program structure and integrates each block over a
  * structure-of-arrays state block — one instruction stream, all
- * lanes per dispatch:
+ * lanes per dispatch. Each method has exactly one integrator, and it
+ * runs every block at whatever width the block needs, from 1 to 8:
  *
  *  - Rk4 blocks run the lane-batched fixed-step driver on the shared
  *    grid; every lane's trajectory is bit-identical to serial
@@ -28,25 +29,24 @@
  *    rejections reaching maxSteps retires THAT lane with
  *    BudgetExhausted — a stiff instance cannot take down its
  *    lane-mates); when survivors fit a narrower SoA width the block
- *    compacts, and a single survivor spills to a width-1 continuation
- *    of the exact sim.cc recurrence. The shared
+ *    compacts, down to width 1 for a last survivor. The shared
  *    voted grid makes batched adaptive trajectories tolerance-level
  *    equivalent to serial Dopri5 (every accepted step satisfied
  *    every lane's error test; empirically the voted grid, being the
- *    min over lanes, tracks a tight reference closer than the scalar
- *    runs do), NOT bitwise — and still bit-identical across thread
- *    counts, because the voting sequence depends only on the block
- *    assignment.
+ *    min over lanes, tracks a tight reference closer than the
+ *    one-lane runs do), NOT bitwise — and still bit-identical across
+ *    thread counts, because the voting sequence depends only on the
+ *    block assignment.
  *
- * The scalar integrators remain for instances lane batching cannot
- * take: structurally heterogeneous batches (fused programs differing
- * beyond Const immediates — per-lane constant tables absorb
- * parameter differences only), singleton blocks, and
- * laneBatching=false ablation runs. They evaluate through the same
- * LaneTape interpreter (or JIT kernel) at width 1, and their results
- * are bit-identical to serial simulate() for both integrators.
+ * Instances lane batching cannot pair — structurally heterogeneous
+ * batches (fused programs differing beyond Const immediates —
+ * per-lane constant tables absorb parameter differences only),
+ * singleton blocks, and laneBatching=false ablation runs — become
+ * one-lane blocks of the same drivers. A one-lane block is exactly
+ * what simulate() runs, so those results are bit-identical to serial
+ * simulate() for both integrators.
  *
- * Both paths run on a persistent std::jthread worker pool owned by the
+ * Jobs run on a persistent std::jthread worker pool owned by the
  * runner and reused across calls — no per-call thread spawn/join. The
  * pool parks on a condition variable between batches and grows lazily
  * to the requested concurrency.
@@ -56,22 +56,25 @@
  * results at any thread count equal the single-thread results on
  * every path. EnsembleOptions::progress ticks per completed instance
  * — including lanes that retire mid-block — strictly increasing to
- * the total. SimOptions::tapeFma routes every driver (scalar and
- * lane) through the FMA-contracted tape variant uniformly, so the
- * lane-vs-scalar identity contracts above hold for either setting.
+ * the total. SimOptions::tapeFma routes every block through the
+ * FMA-contracted tape variant uniformly, so the identity contracts
+ * above hold for either setting.
  *
  * Failure discipline (the arkd-prerequisite contract): divergence,
  * budget exhaustion, cancellation, and deadline expiry are always
- * structured per-instance failures — never exceptions — on every
- * path (scalar, lane RK4, voted Dopri5, spill). Exceptions are
- * reserved for caller errors and step-size collapse; with
- * EnsembleOptions::structuredFaults even those are captured as
- * AbortReason::Fault failures on the affected instances instead of
- * rethrowing, which is how the engine::Session retry supervisor
- * turns faults into retryable work.
+ * structured per-instance failures — never exceptions — at every
+ * block width. Exceptions are reserved for caller errors and
+ * step-size collapse; with EnsembleOptions::structuredFaults even
+ * those are captured as AbortReason::Fault failures on the affected
+ * instances instead of rethrowing, which is how the engine::Session
+ * retry supervisor turns faults into retryable work.
  */
 
+#include <chrono>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <stop_token>
 #include <vector>
 
 #include "sim/sim.h"
@@ -107,7 +110,7 @@ class BatchRunner
      * Heterogeneous batch: N distinct systems, each from its compiled
      * initial state. Instances whose fused programs are structurally
      * identical (e.g. per-chip mismatch variants of one circuit) are
-     * lane-batched together; the rest run scalar.
+     * lane-batched together; the rest run as one-lane blocks.
      */
     std::vector<SimResult>
     run(const std::vector<const compiler::OdeSystem *> &systems,
@@ -143,6 +146,30 @@ class BatchRunner
 
     std::unique_ptr<Pool> pool_;
 };
+
+namespace detail {
+
+/**
+ * Integrates one block: instance k of `systems` from `initials[k]`
+ * (one to expr::LaneTape::kMaxLanes instances of one program
+ * structure). Picks the tape variant `options` select, merges the
+ * members' programs into one LaneTape (width 1 for a single member),
+ * and runs the driver for options.method. A tier-5 kernel serves the
+ * RHS when `jitOn` and one resolves; `usedJit`, when given, reports
+ * whether one did. `laneDone` ticks once per finished instance. The
+ * engine behind simulate() and every BatchRunner job; not part of the
+ * public API.
+ */
+std::vector<SimResult> integrateBlock(
+    const std::vector<const compiler::OdeSystem *> &systems,
+    const std::vector<const std::vector<double> *> &initials, double t0,
+    double t1, const SimOptions &options, bool jitOn,
+    const std::stop_token &stop,
+    const std::optional<std::chrono::steady_clock::time_point> &deadline,
+    const std::function<void(std::size_t)> &laneDone,
+    bool *usedJit = nullptr);
+
+} // namespace detail
 
 } // namespace ark::sim
 

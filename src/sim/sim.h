@@ -22,43 +22,40 @@
  *     program with cross-equation CSE fills all of dstate per pass.
  *     Its own evaluator (evalRhs / FusedTape::evalInto) is the oracle
  *     the bit-identity suites compare against; no integrator calls it;
- *  4. LaneTape interpreter (expr::LaneTape) — the fused program over
- *     a structure-of-arrays block. simulate() and the scalar ensemble
- *     paths run a width-1 broadcast; sim::BatchRunner (sim/batch.h)
- *     runs merged blocks of up to 8 ensemble instances at once,
+ *  4. LaneTape interpreter (expr::LaneTape) — the fused programs of
+ *     one to eight instances merged over a structure-of-arrays block,
  *     amortizing instruction dispatch and autovectorizing the lane
  *     loops;
  *  5. JIT native kernels (expr/cjit.h, SimOptions::jit) — the lane
  *     program lowered to straight-line C, compiled at runtime, and
- *     called through one function pointer per evaluation, on lane
- *     blocks and width-1 scalar runs alike. Results are bit-identical
- *     to tiers 3/4 (same IEEE ops in the same order); any compile
- *     problem silently falls back to the interpreted tier.
+ *     called through one function pointer per evaluation. Results are
+ *     bit-identical to tiers 3/4 (same IEEE ops in the same order);
+ *     any compile problem silently falls back to the interpreted tier.
  *
- * Tier 4 is selected automatically by simulateEnsemble for ensembles
- * whose instances share one program structure — one system with many
- * initial states, or distinct systems that differ only in constants
- * (per-chip mismatch) — under BOTH integrators:
+ * Each method has ONE integrator (sim/batch.h), and every run is a
+ * lane block of it, 1 to 8 lanes wide. simulate() is a one-lane
+ * block. simulateEnsemble groups instances that share one program
+ * structure — one system with many initial states, or distinct
+ * systems that differ only in constants (per-chip mismatch) — into
+ * blocks of up to 8; everything else runs as one-lane blocks.
  *
- *  - Rk4 blocks run the lane-batched fixed-step driver on the shared
- *    time grid; every lane's trajectory is bit-identical to serial
- *    simulate() of that instance.
- *  - Dopri5 blocks run the lane-synchronized adaptive driver
- *    (sim/batch.h): all lanes advance on ONE shared step size chosen
+ *  - Rk4 blocks advance all lanes on the shared fixed-step grid;
+ *    every lane's trajectory is bit-identical to serial simulate() of
+ *    that instance.
+ *  - Dopri5 blocks advance all lanes on ONE shared step size chosen
  *    by min-over-active-lanes of the PI controller ("step voting"),
- *    with per-lane error estimates and rejection masking. The shared
- *    grid means the step sequence differs from a per-instance scalar
- *    Dopri5 run, so batched adaptive results agree with serial
+ *    with per-lane error estimates and rejection masking. With one
+ *    lane that is the plain adaptive recurrence; with several, the
+ *    shared grid means the step sequence differs from each instance's
+ *    own run, so batched adaptive results agree with serial
  *    simulate() at tolerance level (each accepted step satisfies
  *    every lane's error test), NOT bitwise. They ARE bit-identical
  *    across thread counts, and EnsembleOptions::laneBatching = false
- *    restores the exact scalar path.
+ *    runs one one-lane block per instance, which is serial simulate()
+ *    exactly.
  *
- * Structurally heterogeneous instances and singleton blocks run the
- * scalar integrators per instance on a width-1 tape (bit-identical to
- * serial simulate() for both integrators). Both batch paths run on
- * BatchRunner's persistent worker pool and honor
- * EnsembleOptions::progress/stop.
+ * Every ensemble job runs on BatchRunner's persistent worker pool and
+ * honors EnsembleOptions::progress/stop.
  */
 
 #include <chrono>
@@ -107,8 +104,8 @@ struct SimOptions
      * one rounding for a*b+c, deterministic across hosts. Off by
      * default: the contracted program agrees with the plain tape only
      * to rounding (~1 ulp per pair), so the default build keeps the
-     * tier-equivalence bit contract. Lane and scalar paths honor the
-     * flag identically, so lane-vs-scalar bit identity holds for
+     * tier-equivalence bit contract. Blocks of every width honor the
+     * flag identically, so lane-vs-serial bit identity holds for
      * either setting. Perf note: the contraction removes one
      * instruction per pair but only pays off where std::fma is a
      * hardware instruction (ARK_ENABLE_NATIVE on FMA hosts);
@@ -128,7 +125,7 @@ struct SimOptions
      * rewritten program agrees with the default tape only to
      * tolerance level, never reorders sums, and never touches
      * branch-deciding subtrees — so it is off by default and all
-     * tiers honor the flag identically (lane-vs-scalar bit identity
+     * tiers honor the flag identically (lane-vs-serial bit identity
      * holds under the flag). Takes precedence over tapeFma when both
      * are set (the reassociated variant is always FMA-contracted).
      * The ARK_TAPE_REASSOC environment variable overrides this flag
@@ -139,7 +136,7 @@ struct SimOptions
     /**
      * Serve RHS evaluation from tier-5 JIT-compiled native kernels
      * (expr/cjit.h): the ensemble engine lowers each lane block's
-     * program (and each scalar instance's width-1 broadcast) to C,
+     * program, one-lane blocks included, to C,
      * compiles it once per structure through the engine's
      * ArtifactCache and an on-disk object cache, and evaluates
      * through the resolved function pointer. Results are
@@ -198,6 +195,14 @@ class Trajectory
 
     /** True while every sample has carried a derivative. */
     bool hasDerivs() const { return !times_.empty() && !derivsDropped_; }
+
+    /**
+     * The dstate/dt recorded with one sample (a view into the flat
+     * slope buffer). The simulation drivers record, with every
+     * sample, the RHS they integrated evaluated at that sample.
+     * Requires hasDerivs().
+     */
+    std::span<const double> deriv(std::size_t sample) const;
 
     /** Series of one state variable across all samples. */
     std::vector<double> series(int stateIndex) const;
@@ -280,11 +285,14 @@ struct SimResult
 };
 
 /**
- * Integrates the system from t0 to t1. A diverging state (NaN/Inf)
- * stops the run early and reports a structured SimResult::failure, and
- * so does an exhausted step budget (AbortReason::BudgetExhausted, with
- * every sample recorded up to the stop); configuration errors (bad
- * time range, step collapse) still throw.
+ * Integrates the system from t0 to t1 as a one-lane block of the
+ * method's integrator, on the calling thread and always on the
+ * interpreted tier (SimOptions::jit is an ensemble option). A
+ * diverging state (NaN/Inf) stops the run early and reports a
+ * structured SimResult::failure, and so does an exhausted step budget
+ * (AbortReason::BudgetExhausted, with every sample recorded up to the
+ * stop); configuration errors (bad time range, step collapse) still
+ * throw.
  * @throws ark::support::SimError on step-size collapse.
  */
 SimResult simulate(const compiler::OdeSystem &system, double t0, double t1,
@@ -316,17 +324,18 @@ struct EnsembleOptions
      * Lane-batch structurally compatible instances through
      * expr::LaneTape — fixed-step Rk4 on the shared grid, adaptive
      * Dopri5 through the lane-synchronized step-voting driver. Off
-     * forces the scalar per-instance path (ablation benchmarks and
-     * differential tests). Rk4 results are bit-identical either way;
-     * Dopri5 results are tolerance-level equivalent (the voting
-     * driver integrates on a shared step sequence) and become
-     * bit-identical to serial simulate() only with laneBatching off.
+     * runs one one-lane block per instance (ablation benchmarks and
+     * differential tests), which is exactly serial simulate(). Rk4
+     * results are bit-identical either way; Dopri5 results are
+     * tolerance-level equivalent (the voting driver integrates on a
+     * shared step sequence) and become bit-identical to serial
+     * simulate() only with laneBatching off.
      */
     bool laneBatching = true;
 
     /**
      * Optional completion callback: invoked with (completed, total)
-     * as each instance completes, on the scalar and lane paths alike
+     * as each instance completes, at every block width
      * (a lane that retires mid-block — divergence, cancellation —
      * reports the moment it retires, not when its block ends).
      * `completed` is strictly increasing and reaches `total` exactly
@@ -418,44 +427,13 @@ std::vector<SimResult> simulateEnsemble(
 
 /**
  * Integrates until max |dq/dt| falls below `derivTol` (checked every
- * sample) or tMax is reached; `reachedSteadyState` reports which.
+ * sample, on the slopes the run recorded — so under tapeFma or
+ * tapeReassoc the check follows the program actually integrated) or
+ * tMax is reached; `reachedSteadyState` reports which.
  */
 SimResult simulateToSteadyState(const compiler::OdeSystem &system,
                                 double t0, double tMax, double derivTol,
                                 const SimOptions &options = SimOptions{});
-
-namespace detail {
-
-class BlockEvaluator; // sim/blockeval.h
-
-/**
- * simulate() with a cooperative stop token and optional wall-clock
- * deadline checked once per step — the scalar-path workhorse behind
- * BatchRunner. Not part of the public API. `rhs` evaluates the RHS:
- * a width-1 evaluator of the program `options` select
- * (detail::scalarTape), holding a tier-5 kernel when one resolved.
- */
-SimResult simulateWithStop(
-    const compiler::OdeSystem &system, const std::vector<double> &initial,
-    double t0, double t1, const SimOptions &options,
-    const std::stop_token &stop,
-    const std::optional<std::chrono::steady_clock::time_point> &deadline,
-    BlockEvaluator &rhs);
-
-/**
- * Shared failure constructors: the scalar and lane integrators must
- * report byte-identical failures for the same event, so both build
- * them here. `var` -1 means "not variable-specific" (e.g. a nonfinite
- * Dopri5 error estimate with every state entry still finite).
- */
-SimFailure divergedFailure(const compiler::OdeSystem &system, int var,
-                           double t, std::size_t steps);
-SimFailure cancelledFailure(double t, std::size_t steps);
-SimFailure budgetFailure(double t, std::size_t steps);
-SimFailure deadlineFailure(double t, std::size_t steps);
-SimFailure faultFailure(double t, const std::string &what);
-
-} // namespace detail
 
 } // namespace ark::sim
 

@@ -65,7 +65,7 @@ public:
     std::size_t index = 0;         // instance position in the batch
     Workload workload = Workload::Ode;
     Tier tier = Tier::Scalar;
-    std::size_t laneWidth = 1;     // SoA width paid (1 on scalar paths)
+    std::size_t laneWidth = 1;     // SoA width paid (1 for one-lane blocks)
     std::size_t lanes = 1;         // live instances sharing the block
     std::size_t blockId = 0;       // dispatch block / structure group
     int attempt = 1;               // 1-based supervisor attempt

@@ -89,8 +89,8 @@ rk4Options()
 TEST(BatchTest, LaneBlocksMatchScalarPathBitForBit)
 {
     // 11 instances: one full 8-lane block plus a padded tail block —
-    // both partitions must reproduce the scalar path exactly, at
-    // every thread count.
+    // both partitions must reproduce one-lane runs exactly, at every
+    // thread count.
     lang::LanguageRegistry registry;
     OdeSystem system = oscillatorSystem(registry, 2.0);
     std::vector<std::vector<double>> initials;
@@ -121,7 +121,7 @@ TEST(BatchTest, HeterogeneousPufChipsLaneBatch)
 {
     // A real heterogeneous-parameter battery: five fabricated chips
     // of one PUF design (shared structure, per-chip mismatch). The
-    // lane path must agree with the forced-scalar path bit for bit.
+    // lane path must agree with one-lane blocks bit for bit.
     lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
     const lang::Language &gmcTln = registry.language("gmc-tln");
     apps::PufDesign design;
@@ -275,8 +275,8 @@ TEST(BatchTest, StopRequestedMidBatchCancelsTheRest)
 TEST(BatchTest, ExpiredDeadlineRetiresEveryInstanceStructurally)
 {
     // A deadline already in the past must skip every instance with a
-    // DeadlineExceeded failure — no throw, no samples — on the lane
-    // and scalar paths alike.
+    // DeadlineExceeded failure — no throw, no samples — with and
+    // without lane batching alike.
     lang::LanguageRegistry registry;
     OdeSystem system = oscillatorSystem(registry, 3.0);
     std::vector<std::vector<double>> initials(6, {1.0, 0.0});

@@ -3,9 +3,9 @@
  * Tests for the lane-synchronized adaptive Dopri5 batch driver ("step
  * voting"): tolerance-level agreement with scalar Dopri5 on random
  * TLN/OBC/CNN ensembles, bit identity across thread counts, stiff-lane
- * voting, per-lane divergence retirement with block compaction and
- * scalar spill, ablation parity, and per-instance progress
- * monotonicity under lane retirement.
+ * voting, per-lane divergence retirement with block compaction down
+ * to width 1, ablation parity, degenerate ranges, and per-instance
+ * progress monotonicity under lane retirement.
  */
 
 #include <gtest/gtest.h>
@@ -284,8 +284,8 @@ TEST(Dopri5BatchTest, BitIdenticalAcrossThreadCounts)
 
 TEST(Dopri5BatchTest, SingletonAdaptiveStaysScalar)
 {
-    // A one-instance batch has no lanes to vote with: it must take
-    // the scalar path and match serial simulate() bit for bit.
+    // A one-instance batch has no lanes to vote with: it runs the
+    // one-lane block serial simulate() runs and matches it bit for bit.
     lang::LanguageRegistry registry;
     OdeSystem system = oscillatorSystem(registry, 2.0);
     EnsembleOptions options;
@@ -424,9 +424,9 @@ TEST(Dopri5BatchTest, DivergingLanesRetireThroughCompactionAndSpill)
     // Eight instances of one drain system with staggered zero
     // crossings (t* = 2 sqrt(x0)): lanes retire as their error
     // estimates go NaN (divergence masking), the block compacts as
-    // survivors dwindle, and the last lane spills to the scalar
-    // continuation. Progress must tick per retirement, strictly
-    // increasing, and reach the total exactly once.
+    // survivors dwindle, and the last lane finishes at width 1.
+    // Progress must tick per retirement, strictly increasing, and
+    // reach the total exactly once.
     lang::LanguageRegistry registry;
     OdeSystem system = drainSystem(registry);
     const std::vector<double> x0s{0.0025, 0.01, 0.0225, 0.04, 0.0625,
@@ -536,8 +536,8 @@ TEST(Dopri5BatchTest, SurvivorsAlwaysRecordTheFinalSample)
 
 TEST(Dopri5BatchTest, AblationMatchesSerialBitForBit)
 {
-    // laneBatching=false must reproduce the scalar per-instance
-    // adaptive path exactly — the differential-testing anchor for the
+    // laneBatching=false must reproduce serial simulate()'s one-lane
+    // adaptive runs exactly — the differential-testing anchor for the
     // voting driver.
     lang::LanguageRegistry registry;
     OdeSystem system = oscillatorSystem(registry, 2.0);
@@ -553,6 +553,33 @@ TEST(Dopri5BatchTest, AblationMatchesSerialBitForBit)
         for (std::size_t i = 0; i < initials.size(); ++i) {
             SimResult serial = sim::simulate(system, initials[i], 0.0,
                                              1.5, options.sim);
+            expectIdenticalResults(batch[i], serial);
+        }
+    }
+}
+
+TEST(Dopri5BatchTest, DegenerateRangeMatchesSerialBitForBit)
+{
+    // t1 one ulp past t0 lies inside the loop epsilon: no step is
+    // taken, and a lane block records what serial simulate() records —
+    // the initial sample plus the forced final one.
+    lang::LanguageRegistry registry;
+    OdeSystem system = oscillatorSystem(registry, 2.0);
+    const std::vector<std::vector<double>> initials{{1.0, 0.0},
+                                                    {0.5, 0.2}};
+    const double t0 = 0.5;
+    const double t1 = std::nextafter(t0, 1.0);
+    for (sim::Method method : {sim::Method::Rk4, sim::Method::Dopri5}) {
+        EnsembleOptions options;
+        options.sim.method = method;
+        options.numThreads = 1;
+        std::vector<SimResult> batch =
+            sim::simulateEnsemble(system, initials, t0, t1, options);
+        ASSERT_EQ(batch.size(), initials.size());
+        for (std::size_t i = 0; i < initials.size(); ++i) {
+            SimResult serial =
+                sim::simulate(system, initials[i], t0, t1, options.sim);
+            EXPECT_EQ(serial.trajectory.size(), 2u);
             expectIdenticalResults(batch[i], serial);
         }
     }
@@ -681,7 +708,7 @@ TEST(Dopri5BatchTest, TapeFmaKeepsLaneScalarParity)
 TEST(Dopri5BatchTest, NonfiniteInitialLaneRetiresAtStepZero)
 {
     // A NaN initial state must retire its lane before any stepping,
-    // mirroring the scalar driver's step-0 structured failure, while
+    // mirroring serial simulate()'s step-0 structured failure, while
     // the remaining lanes integrate normally.
     lang::LanguageRegistry registry;
     OdeSystem system = oscillatorSystem(registry, 2.0);

@@ -8,8 +8,8 @@
  * dt/tolerance degradation — fires on demand and lands bit-identical
  * (or tolerance-equivalent where the contract says so) to the
  * equivalent clean run, with RunReport accounting exactly. The TapeNan
- * poison site fires alike on the interpreted and JIT tiers, scalar
- * runs and spills included.
+ * poison site fires alike on the interpreted and JIT tiers, one-lane
+ * blocks and blocks compacted to width 1 included.
  */
 
 #include <gtest/gtest.h>
@@ -168,7 +168,7 @@ TEST_F(FaultInjectTest, LaneTapeFaultRecoversScalarBitIdentical)
     // One injected NaN in the first lane-tape evaluation retires lane
     // 0 as Diverged; the supervisor's scalar retry re-runs exactly
     // that instance and must land bit-identical to the clean run
-    // (Rk4 lane and scalar paths are bit-identical by contract).
+    // (Rk4 lanes are bit-identical to one-lane runs by contract).
     lang::LanguageRegistry registry;
     std::vector<engine::SystemPtr> systems =
         oscillatorBatch(registry, 4);
@@ -249,7 +249,7 @@ expectTapeNanParity(
 
 TEST_F(FaultInjectTest, TapeNanFiresAlikeOnScalarPathWithJitOnAndOff)
 {
-    // laneBatching off: the singleton runs the scalar driver, whose
+    // laneBatching off: the singleton runs as a one-lane block, whose
     // first RHS evaluation is poisoned under both integrators.
     lang::LanguageRegistry registry;
     OdeSystem system = oscillatorSystem(registry, 2.0);
@@ -274,9 +274,9 @@ TEST_F(FaultInjectTest, TapeNanFiresAlikeOnScalarPathWithJitOnAndOff)
 TEST_F(FaultInjectTest, TapeNanFiresAlikeOnSpilledSurvivorWithJitOnAndOff)
 {
     // A Dopri5 lane block of two whose first member starts nonfinite:
-    // it retires before the first step, the survivor spills to the
-    // width-1 continuation, and the spill's first RHS evaluation is
-    // the poisoned one.
+    // it retires before the first step, the survivor finishes the job
+    // in a width-1 block (an ark.sim.spills event), and that block's
+    // first RHS evaluation is the poisoned one.
     lang::LanguageRegistry registry;
     OdeSystem system = oscillatorSystem(registry, 2.0);
     const std::vector<std::vector<double>> initials{

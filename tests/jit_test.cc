@@ -342,8 +342,8 @@ expectResultsBitIdentical(const std::vector<sim::SimResult> &a,
 TEST_F(JitTest, EnsembleBitIdenticalWithJitOnAndOff)
 {
     // Lane blocks (6 instances -> W=8), both integrators: the jitted
-    // battery must reproduce the interpreted one bit for bit, spills
-    // and step votes included.
+    // battery must reproduce the interpreted one bit for bit, width-1
+    // compactions and step votes included.
     lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
     std::vector<compiler::OdeSystem> systems =
         mismatchedLines(registry, 8, 6);

@@ -2,15 +2,22 @@
  * @file
  * Tests for the ODE simulation engine against closed-form solutions:
  * exponential decay, harmonic oscillation (order-2 nodes), driven
- * systems, method agreement, steady-state detection, trajectory
- * sampling, and failure modes.
+ * systems, method agreement, convergence order and tight-tolerance
+ * accuracy at one lane and across an 8-lane block, recorded slopes,
+ * steady-state detection, trajectory sampling, and failure modes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <numbers>
+#include <span>
+#include <vector>
 
 #include "compiler/compiler.h"
 #include "lang/func.h"
@@ -72,6 +79,63 @@ oscillatorSystem(lang::LanguageRegistry &registry, double w)
     builder.init("x", 0, 1.0);
     builder.init("x", 1, 0.0);
     return compiler::compile(builder.take(), registry.language("osc2"));
+}
+
+/**
+ * x' = -sqrt(x): from x0 > 0 the state empties at t = 2 sqrt(x0) and
+ * dips negative, so the RHS goes NaN while the state is still finite.
+ */
+OdeSystem
+drainSystem(lang::LanguageRegistry &registry)
+{
+    if (!registry.findLanguage("drain")) {
+        registry.addProgram(R"(
+            lang drain {
+                ntyp(1,sum) X {};
+                etyp E {};
+                prod(e:E,s:X->s:X) s <= 0-sqrt(var(s));
+            }
+        )");
+    }
+    GraphBuilder builder(registry.language("drain"), 0);
+    builder.node("x", "X");
+    builder.edge("self", "E", "x", "x");
+    builder.init("x", 0, 1.0);
+    return compiler::compile(builder.take(), registry.language("drain"));
+}
+
+/** Eight distinct amplitudes in [0.5, 2]: one full lane block. */
+const std::vector<double> kAmplitudes{0.5,  0.7, 0.9,  1.1,
+                                      1.3,  1.5, 1.75, 2.0};
+
+/**
+ * `score(result, amplitude)` for a simulate() run from amplitude 1
+ * (the system's own initial state) followed by every lane of one
+ * 8-instance simulateEnsemble block started from kAmplitudes, the
+ * first state variable set to the amplitude and the rest to zero.
+ */
+std::vector<double>
+scoreEveryLane(const OdeSystem &system, double t1,
+               const SimOptions &options,
+               const std::function<double(const SimResult &, double)> &score)
+{
+    std::vector<double> scores{
+        score(sim::simulate(system, 0.0, t1, options), 1.0)};
+    std::vector<std::vector<double>> initials;
+    for (double amplitude : kAmplitudes) {
+        std::vector<double> x0(system.size(), 0.0);
+        x0[0] = amplitude;
+        initials.push_back(std::move(x0));
+    }
+    sim::EnsembleOptions ensemble;
+    ensemble.sim = options;
+    ensemble.numThreads = 1;
+    std::vector<SimResult> block =
+        sim::simulateEnsemble(system, initials, 0.0, t1, ensemble);
+    EXPECT_EQ(block.size(), kAmplitudes.size());
+    for (std::size_t l = 0; l < block.size(); ++l)
+        scores.push_back(score(block[l], kAmplitudes[l]));
+    return scores;
 }
 
 class SimMethodTest : public ::testing::TestWithParam<Method>
@@ -136,6 +200,114 @@ TEST(SimTest, MethodsAgreeOnSmoothSystem)
     }
     // The adaptive method should use far fewer steps.
     EXPECT_LT(b.steps, a.steps / 5);
+}
+
+TEST(SimTest, Rk4GlobalErrorIsFourthOrderOnEveryLane)
+{
+    // x' = -2x from x0: the global error at t1 = 1 must fall by about
+    // 2^4 = 16 each time dt halves, at width 1 and on every lane.
+    lang::LanguageRegistry registry;
+    OdeSystem system = decaySystem(registry, 2.0, 1.0);
+    auto finalError = [](const SimResult &result, double x0) {
+        EXPECT_TRUE(result.ok());
+        const std::size_t last = result.trajectory.size() - 1;
+        const double t = result.trajectory.time(last);
+        EXPECT_NEAR(t, 1.0, 1e-12);
+        return std::fabs(result.trajectory.state(last)[0] -
+                         x0 * std::exp(-2.0 * t));
+    };
+    std::vector<std::vector<double>> errors;
+    for (double dt : {0.05, 0.025, 0.0125}) {
+        SimOptions options;
+        options.method = Method::Rk4;
+        options.dt = dt;
+        errors.push_back(scoreEveryLane(system, 1.0, options, finalError));
+    }
+    for (std::size_t k = 1; k < errors.size(); ++k) {
+        for (std::size_t run = 0; run < errors[k].size(); ++run) {
+            const double ratio = errors[k - 1][run] / errors[k][run];
+            EXPECT_GE(ratio, 15.0) << "halving " << k << ", run " << run;
+            EXPECT_LE(ratio, 18.0) << "halving " << k << ", run " << run;
+        }
+    }
+}
+
+TEST(SimTest, Dopri5TracksTheOscillatorAtTightToleranceOnEveryLane)
+{
+    // x'' = -4x from (x0, 0) is x0 cos 2t. At relTol 1e-10 every
+    // recorded sample, at width 1 and on every lane, stays within 1e-9.
+    lang::LanguageRegistry registry;
+    OdeSystem system = oscillatorSystem(registry, 2.0);
+    SimOptions options;
+    options.relTol = 1e-10;
+    options.absTol = 1e-12;
+    auto worstError = [](const SimResult &result, double x0) {
+        EXPECT_TRUE(result.ok());
+        EXPECT_GT(result.trajectory.size(), 10u);
+        double worst = 0.0;
+        for (std::size_t s = 0; s < result.trajectory.size(); ++s) {
+            const double t = result.trajectory.time(s);
+            worst = std::max(worst,
+                             std::fabs(result.trajectory.state(s)[0] -
+                                       x0 * std::cos(2.0 * t)));
+        }
+        return worst;
+    };
+    for (double worst : scoreEveryLane(system, 5.0, options, worstError))
+        EXPECT_LE(worst, 1e-9);
+}
+
+/**
+ * Every recorded slope is the FusedTape oracle's RHS at its sample,
+ * bit for bit (compared as bit patterns, so a NaN slope recorded
+ * just before a divergence matches too).
+ */
+void
+expectSlopesAreTheRhs(const OdeSystem &system, const SimResult &result)
+{
+    ASSERT_TRUE(result.trajectory.hasDerivs());
+    std::vector<double> scratch, rhs(system.size());
+    for (std::size_t s = 0; s < result.trajectory.size(); ++s) {
+        system.evalRhs(result.trajectory.state(s).data(),
+                       result.trajectory.time(s), rhs.data(), scratch);
+        std::span<const double> slope = result.trajectory.deriv(s);
+        ASSERT_EQ(slope.size(), rhs.size());
+        for (std::size_t i = 0; i < rhs.size(); ++i) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(slope[i]),
+                      std::bit_cast<std::uint64_t>(rhs[i]))
+                << "sample " << s << " var " << i;
+        }
+    }
+}
+
+TEST(SimTest, RecordedSlopesAreTheRhsAtEachSample)
+{
+    // The 0.04 lane empties at t = 0.4 and retires; the others outlive
+    // t1. Three lanes run at width 4, so the Dopri5 block compacts to
+    // width 2 after the retirement and carries its slopes across.
+    lang::LanguageRegistry registry;
+    OdeSystem system = drainSystem(registry);
+    const std::vector<std::vector<double>> initials{{1.0}, {0.04}, {0.81}};
+    for (Method method : {Method::Rk4, Method::Dopri5}) {
+        SimOptions options;
+        options.method = method;
+        options.dt = 1e-3;
+        SimResult serial = sim::simulate(system, 0.0, 1.0, options);
+        ASSERT_TRUE(serial.ok());
+        expectSlopesAreTheRhs(system, serial);
+
+        sim::EnsembleOptions ensemble;
+        ensemble.sim = options;
+        ensemble.numThreads = 1;
+        std::vector<SimResult> block =
+            sim::simulateEnsemble(system, initials, 0.0, 1.0, ensemble);
+        ASSERT_EQ(block.size(), initials.size());
+        EXPECT_TRUE(block[0].ok());
+        EXPECT_FALSE(block[1].ok());
+        EXPECT_TRUE(block[2].ok());
+        for (const SimResult &result : block)
+            expectSlopesAreTheRhs(system, result);
+    }
 }
 
 TEST(SimTest, AdaptiveStepsConcentrateAtTransients)
@@ -371,19 +543,7 @@ TEST(SimTest, DivergenceAbortsAdaptiveRunEarly)
     // the state is still finite. That must abort structurally instead
     // of rejecting NaN steps toward the budget or step collapse.
     lang::LanguageRegistry registry;
-    registry.addProgram(R"(
-        lang drain {
-            ntyp(1,sum) X {};
-            etyp E {};
-            prod(e:E,s:X->s:X) s <= 0-sqrt(var(s));
-        }
-    )");
-    GraphBuilder builder(registry.language("drain"), 0);
-    builder.node("x", "X");
-    builder.edge("self", "E", "x", "x");
-    builder.init("x", 0, 1.0);
-    OdeSystem system =
-        compiler::compile(builder.take(), registry.language("drain"));
+    OdeSystem system = drainSystem(registry);
     SimOptions options;
     options.maxSteps = 100'000;
     SimResult result = sim::simulate(system, 0.0, 3.0, options);

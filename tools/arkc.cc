@@ -367,9 +367,9 @@ cmdRun(int argc, char **argv)
                               ? options.recordDt
                               : options.tEnd / 500.0;
     simOptions.jit = options.jit;
-    // A single-system ensemble runs the scalar per-instance path,
-    // bit-identical to serial sim::simulate — dispatched through the
-    // session so the flight recorder sees it.
+    // A single-system ensemble runs one one-lane block, bit-identical
+    // to serial sim::simulate — dispatched through the session so the
+    // flight recorder sees it.
     telemetry::RunLedger ledger;
     sim::EnsembleOptions ensembleOptions;
     ensembleOptions.sim = simOptions;
