@@ -41,9 +41,12 @@ class Shard
      * The three telemetry counters mirror the member tallies: every
      * ++hits/++misses/++evictions below also bumps its registry twin,
      * so CacheStats, the metrics registry, and (through the hit
-     * out-param) SweepStats all count by one definition — in
-     * particular, a FaultInjector-forced miss or evict is a miss or
-     * evict in every ledger.
+     * out-param, which TransientBatch reads via the session's stepper
+     * cache) the sweep's factorHits/factorMisses all count by one
+     * definition — in particular, a FaultInjector-forced miss or
+     * evict is a miss or evict in every ledger. The one exception: a
+     * miss whose build throws returns no stepper, so the sweep does
+     * not count it.
      */
     Shard(std::size_t capacity, telemetry::Counter &hitCounter,
           telemetry::Counter &missCounter,

@@ -38,8 +38,8 @@
  * Fingerprints are 128-bit mixes of a byte-level canonical
  * serialization; equality is treated as content equality (collision
  * probability ~2^-64 per pair, negligible against the workload sizes
- * here, and the structure-grouping callers re-verify with
- * sharesStructure before sharing factors).
+ * here; sweeps group instances with sharesStructure itself and use
+ * MNA fingerprints only as stepper-cache keys).
  */
 
 #include <cstdint>

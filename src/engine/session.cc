@@ -1,25 +1,17 @@
 #include "engine/session.h"
 
-#include <atomic>
 #include <chrono>
-#include <exception>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "compiler/compiler.h"
-#include "sim/batch.h"
 #include "support/error.h"
 #include "support/logging.h"
-#include "support/watchdog.h"
 #include "validator/validator.h"
 
 namespace ark::engine {
-
-using support::cat;
-using support::SimError;
 
 namespace {
 
@@ -31,36 +23,33 @@ deadlinePassed(
            std::chrono::steady_clock::now() >= *deadline;
 }
 
-/** Serialized (completed, total) dispatcher; free when callback empty
- *  (same contract as the TransientBatch-internal ticker — the cached
- *  sweep must report progress identically to the uncached one). */
-class ProgressTicker
+/**
+ * The session's ArtifactCache as TransientBatch's stepper policy.
+ * Entries are keyed by stepperKey: the bound system's pattern and
+ * values plus the pivot source's values, so a served stepper holds
+ * exactly the bits an uncached sweep would build.
+ */
+class CachedSteppers final : public spice::StepperCache
 {
   public:
-    ProgressTicker(
-        const std::function<void(std::size_t, std::size_t)> &callback,
-        std::size_t total, telemetry::StallWatchdog::Run *watchdog)
-        : callback_(callback), total_(total), watchdog_(watchdog)
-    {
-    }
+    explicit CachedSteppers(ArtifactCache &cache) : cache_(cache) {}
 
-    void
-    tick()
+    StepperPtr
+    get(const spice::SparseMnaSystem &pivotSource,
+        const spice::SparseMnaSystem &bound, double dt, double finalH,
+        const std::function<StepperPtr()> &build, bool &hit) override
     {
-        if (watchdog_ != nullptr)
-            watchdog_->heartbeat();
-        if (!callback_)
-            return;
-        std::lock_guard lock(mutex_);
-        callback_(++completed_, total_);
+        const MnaFingerprint fp = fingerprintMna(bound);
+        const Fingerprint pivotValues =
+            &pivotSource == &bound ? fp.values
+                                   : fingerprintMna(pivotSource).values;
+        return cache_.stepper(
+            stepperKey(fp, pivotValues, fp.values, dt, finalH), build,
+            &hit);
     }
 
   private:
-    const std::function<void(std::size_t, std::size_t)> &callback_;
-    std::size_t total_;
-    telemetry::StallWatchdog::Run *watchdog_;
-    std::mutex mutex_;
-    std::size_t completed_ = 0;
+    ArtifactCache &cache_;
 };
 
 /** True when a supervised ensemble retry can change the outcome. */
@@ -205,268 +194,17 @@ Session::runSweep(const std::vector<const spice::Netlist *> &netlists,
         telemetry::Registry::shared().histogram("ark.session.sweep_ns");
     telemetry::ScopedSpan span("ark.session.sweep", netlists.size());
     telemetry::ScopedTimer timer(sweepNs);
-    if (stats)
-        *stats = SweepStats{};
     // The session-level flight recorder applies unless the per-run
     // options brought their own (observation-only either way).
     spice::TransientBatchOptions effective = options;
     if (effective.ledger == nullptr)
         effective.ledger = options_.ledger;
-    if (!options_.caching || !effective.sparse) {
-        // Dense path and the caching=false ablation delegate to the
-        // in-sweep engine: factor sharing within the sweep (sparse)
-        // but nothing carried across sweeps.
-        spice::TransientBatch batch(effective);
-        spice::TransientBatchStats batchStats;
-        std::vector<spice::TransientResult> results =
-            batch.run(netlists, t0, t1, dt, &batchStats);
-        if (stats)
-            stats->structureGroups = batchStats.structureGroups;
-        return results;
-    }
-
-    if (dt <= 0.0)
-        throw SimError(cat("Session sweep: dt must be positive, got ",
-                           dt));
-    if (t1 < t0)
-        throw SimError(cat("Session sweep: t1 (", t1, ") precedes t0 (",
-                           t0, ")"));
-    const std::size_t count = netlists.size();
-    std::vector<spice::TransientResult> results(count);
-    if (count == 0)
-        return results;
-    for (const spice::Netlist *netlist : netlists)
-        support::panicIf(netlist == nullptr,
-                         "Session sweep: null netlist");
-
-    // Phase 1: assemble + fingerprint every netlist. Assembly rejects
-    // land as structured BadInput failures, exactly like
-    // TransientBatch.
-    std::vector<std::unique_ptr<spice::SparseMnaSystem>> systems(count);
-    std::vector<MnaFingerprint> fps(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        try {
-            systems[i] =
-                std::make_unique<spice::SparseMnaSystem>(*netlists[i]);
-            fps[i] = fingerprintMna(*systems[i]);
-        } catch (const support::ArkError &error) {
-            results[i].failure = spice::detail::errorFailure(error, t0);
-        }
-    }
-
-    // Phase 2: group by structural fingerprint — O(n) against the
-    // quadratic sharesStructure scan — re-verifying each bucket match
-    // with sharesStructure so a hash collision can only split a
-    // group, never merge distinct structures.
-    std::vector<std::size_t> leaderOf(count, count);
-    std::vector<std::size_t> leaders;
-    std::unordered_map<Fingerprint, std::vector<std::size_t>,
-                       FingerprintHash>
-        buckets;
-    for (std::size_t i = 0; i < count; ++i) {
-        if (!systems[i])
-            continue;
-        std::vector<std::size_t> &bucket = buckets[fps[i].pattern];
-        for (std::size_t leader : bucket) {
-            if (systems[leader]->sharesStructure(*systems[i])) {
-                leaderOf[i] = leader;
-                break;
-            }
-        }
-        if (leaderOf[i] == count) {
-            leaders.push_back(i);
-            bucket.push_back(i);
-            leaderOf[i] = i;
-        }
-    }
-    if (stats)
-        stats->structureGroups = leaders.size();
-
-    // Phase 3 + 4: resolve each group's factored operators through
-    // the artifact cache and run the transients on the shared pool.
-    // Leader resolution is lazy under a per-leader once-flag so
-    // heterogeneous sweeps factor concurrently; a leader whose values
-    // are singular leaves no shared stepper and members fall back to
-    // standalone (self-pivot-sourced, still cached) factorizations.
-    const double finalH = spice::finalStepSize(t0, t1, dt);
-    ArtifactCache &artifacts = cache();
-    std::atomic<std::size_t> factorHits{0};
-    std::atomic<std::size_t> factorMisses{0};
-    std::vector<StepperPtr> leaderStepper(count);
-    std::vector<std::unique_ptr<std::once_flag>> leaderOnce(count);
-    for (std::size_t leader : leaders)
-        leaderOnce[leader] = std::make_unique<std::once_flag>();
-
-    // Per-instance cache provenance for the flight recorder. A member
-    // that shares its leader's factors outright inherits the leader's
-    // outcome — the factors it runs with were resolved once for the
-    // whole group. 0 = no cache consult (slot failed before lookup).
-    constexpr std::uint8_t kNoLookup = 0, kHit = 1, kMiss = 2;
-    std::vector<std::uint8_t> cacheOutcome(
-        effective.ledger != nullptr ? count : 0, kNoLookup);
-    std::vector<std::uint8_t> leaderOutcome(
-        effective.ledger != nullptr ? count : 0, kNoLookup);
-
-    auto cachedStepper = [&](const Fingerprint &key,
-                             const std::function<StepperPtr()> &build,
-                             std::uint8_t *outcome) {
-        bool hit = false;
-        StepperPtr stepper = artifacts.stepper(key, build, &hit);
-        if (hit)
-            ++factorHits;
-        else
-            ++factorMisses;
-        if (outcome != nullptr)
-            *outcome = hit ? kHit : kMiss;
-        return stepper;
-    };
-    auto outcomeSlot = [&](std::vector<std::uint8_t> &slots,
-                           std::size_t i) -> std::uint8_t * {
-        return effective.ledger != nullptr ? &slots[i] : nullptr;
-    };
-
-    std::vector<std::exception_ptr> errors(count);
-    telemetry::StallWatchdog::Run watchdogRun("spice_sweep", count);
-    ProgressTicker progress(effective.progress, count, &watchdogRun);
-    const spice::TransientControl control{effective.stop,
-                                          effective.deadline};
-    const std::uint64_t ledgerRun =
-        effective.ledger != nullptr
-            ? effective.ledger->beginRun(
-                  telemetry::RunLedger::Workload::Spice, count)
-            : 0;
-    sim::BatchRunner::shared().parallelFor(
-        count, effective.numThreads, [&](std::size_t i) {
-            if (results[i].failure.has_value()) {
-                progress.tick(); // assembly already failed
-                return;
-            }
-            if (effective.stop.stop_requested()) {
-                // Skipped before starting: no samples at all.
-                results[i].failure = spice::detail::cancelledFailure(t0, 0);
-                progress.tick();
-                return;
-            }
-            if (deadlinePassed(effective.deadline)) {
-                results[i].failure = spice::detail::deadlineFailure(t0, 0);
-                progress.tick();
-                return;
-            }
-            const spice::SparseMnaSystem &system = *systems[i];
-            const std::size_t leader = leaderOf[i];
-            try {
-                std::call_once(*leaderOnce[leader], [&] {
-                    try {
-                        leaderStepper[leader] = cachedStepper(
-                            stepperKey(fps[leader], fps[leader].values,
-                                       fps[leader].values, dt, finalH),
-                            [&]() -> StepperPtr {
-                                auto built = std::make_shared<
-                                    spice::TransientStepper>(
-                                    *systems[leader], dt);
-                                built->prepareFinalStep(*systems[leader],
-                                                        finalH);
-                                return built;
-                            },
-                            outcomeSlot(leaderOutcome, leader));
-                    } catch (...) {
-                        // Leader factorization failed; members factor
-                        // standalone and report whatever recurs.
-                    }
-                });
-                StepperPtr stepper;
-                if (leaderStepper[leader] != nullptr &&
-                    system.sharesMatrixValues(*systems[leader])) {
-                    // Bit-identical matrices: share the leader's
-                    // factors outright.
-                    stepper = leaderStepper[leader];
-                    if (effective.ledger != nullptr)
-                        cacheOutcome[i] = leaderOutcome[leader];
-                } else if (leaderStepper[leader] != nullptr) {
-                    // Same structure, different values: the leader's
-                    // pivot order numerically rebound to this
-                    // instance — the exact factors TransientBatch
-                    // computes, addressed by (pattern, leader values,
-                    // instance values).
-                    stepper = cachedStepper(
-                        stepperKey(fps[i], fps[leader].values,
-                                   fps[i].values, dt, finalH),
-                        [&]() -> StepperPtr {
-                            auto rebound = std::make_shared<
-                                spice::TransientStepper>(
-                                *leaderStepper[leader]);
-                            rebound->rebind(system);
-                            return rebound;
-                        },
-                        outcomeSlot(cacheOutcome, i));
-                } else {
-                    stepper = cachedStepper(
-                        stepperKey(fps[i], fps[i].values, fps[i].values,
-                                   dt, finalH),
-                        [&]() -> StepperPtr {
-                            auto built = std::make_shared<
-                                spice::TransientStepper>(system, dt);
-                            built->prepareFinalStep(system, finalH);
-                            return built;
-                        },
-                        outcomeSlot(cacheOutcome, i));
-                }
-                results[i] = stepper->run(system, t0, t1, {}, control);
-            } catch (const support::ArkError &error) {
-                results[i].failure =
-                    spice::detail::errorFailure(error, t0);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-            progress.tick();
-        });
-    if (effective.ledger != nullptr) {
-        // Same flush point and record shape as TransientBatch's
-        // sparse path, plus the cache outcome only this path has.
-        std::vector<std::size_t> groupSize(count, 0);
-        for (std::size_t i = 0; i < count; ++i)
-            if (leaderOf[i] < count)
-                ++groupSize[leaderOf[i]];
-        for (std::size_t i = 0; i < count; ++i) {
-            if (errors[i])
-                continue;
-            const spice::TransientResult &result = results[i];
-            telemetry::RunLedger::Record record;
-            record.runId = ledgerRun;
-            record.index = i;
-            record.workload = telemetry::RunLedger::Workload::Spice;
-            record.tier = telemetry::RunLedger::Tier::Sparse;
-            record.blockId = leaderOf[i] < count ? leaderOf[i] : i;
-            record.lanes =
-                leaderOf[i] < count ? groupSize[leaderOf[i]] : 1;
-            record.stepsAccepted =
-                result.ok()
-                    ? (result.size() > 0 ? result.size() - 1 : 0)
-                    : result.failure->step;
-            record.cache =
-                cacheOutcome[i] == kHit
-                    ? telemetry::RunLedger::CacheOutcome::Hit
-                    : cacheOutcome[i] == kMiss
-                          ? telemetry::RunLedger::CacheOutcome::Miss
-                          : telemetry::RunLedger::CacheOutcome::None;
-            record.ok = result.ok();
-            if (result.failure.has_value()) {
-                record.failureReason =
-                    spice::transientAbortName(result.failure->reason);
-                record.failureMessage = result.failure->message;
-            }
-            effective.ledger->append(std::move(record));
-        }
-    }
-    for (std::exception_ptr &error : errors)
-        if (error)
-            std::rethrow_exception(error);
-
-    if (stats) {
-        stats->factorHits = factorHits.load();
-        stats->factorMisses = factorMisses.load();
-    }
-    return results;
+    // The caching flag alone decides whether factors are looked up.
+    std::optional<CachedSteppers> steppers;
+    effective.cache =
+        options_.caching ? &steppers.emplace(cache()) : nullptr;
+    return spice::TransientBatch(effective).run(netlists, t0, t1, dt,
+                                                stats);
 }
 
 std::vector<sim::SimResult>
@@ -738,33 +476,19 @@ Session::runSweep(const std::vector<const spice::Netlist *> &netlists,
                     spice::detail::errorFailure(error, t0);
             }
             if (ledger != nullptr) {
-                // Serial retries bypass the batch engines, so the
+                // Serial retries bypass the batch engine, so the
                 // supervisor writes their records itself: standalone
                 // block, no cache consult, tier per the rung taken.
-                const spice::TransientResult &result = results[index];
-                telemetry::RunLedger::Record rec;
-                rec.runId = ledger->lastRunId();
-                rec.index = index;
-                rec.workload = telemetry::RunLedger::Workload::Spice;
-                rec.tier = denseRetry
-                               ? telemetry::RunLedger::Tier::Dense
-                               : telemetry::RunLedger::Tier::Sparse;
-                rec.blockId = index;
+                telemetry::RunLedger::Record rec =
+                    spice::detail::ledgerRecord(
+                        results[index], ledger->lastRunId(), index,
+                        denseRetry ? telemetry::RunLedger::Tier::Dense
+                                   : telemetry::RunLedger::Tier::Sparse);
                 rec.attempt = attempt;
                 rec.action =
                     denseRetry
                         ? telemetry::RunLedger::RetryAction::DenseFallback
                         : telemetry::RunLedger::RetryAction::RelaxedRetry;
-                rec.stepsAccepted =
-                    result.ok()
-                        ? (result.size() > 0 ? result.size() - 1 : 0)
-                        : result.failure->step;
-                rec.ok = result.ok();
-                if (result.failure.has_value()) {
-                    rec.failureReason = spice::transientAbortName(
-                        result.failure->reason);
-                    rec.failureMessage = result.failure->message;
-                }
                 ledger->append(std::move(rec));
             }
             if (results[index].failure &&

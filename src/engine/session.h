@@ -16,19 +16,17 @@
  *    sim::BatchRunner::shared() — lane batching, step voting, and
  *    thread-pool reuse all apply as documented in sim/batch.h.
  *
- *  - SPICE side: runSweep() is the cache-backed twin of
- *    spice::TransientBatch::run. Instances group by structural
- *    fingerprint (verified with sharesStructure, so hash collisions
- *    cannot merge distinct structures), each group's factored
- *    TransientStepper operators are fetched from the cache under
- *    stepperKey(pattern, leader values, instance values, dt, finalH),
- *    and transients execute on the shared worker pool. A repeated
- *    sweep (challenge batteries, re-validation) hits warm factors:
- *    zero symbolic analyses, zero numeric refactorizations. Results
- *    are bit-identical to the uncached TransientBatch path because
- *    cached factors carry their pivot-source in the key — a member
- *    stepper is always the leader's factors numerically rebound to
- *    the member's values, exactly what the uncached path computes.
+ *  - SPICE side: runSweep() runs spice::TransientBatch, the one sweep
+ *    engine, with the ArtifactCache as its stepper policy: each
+ *    factored TransientStepper the sweep needs is looked up under
+ *    stepperKey(pattern, pivot-source values, bound values, dt,
+ *    finalH) before it is built. A repeated sweep (challenge
+ *    batteries, re-validation) hits warm factors: zero symbolic
+ *    analyses, zero numeric refactorizations. Results are
+ *    bit-identical to an uncached sweep because cached factors carry
+ *    their pivot source in the key — a member stepper is always the
+ *    leader's factors numerically rebound to the member's values,
+ *    exactly what the uncached path computes.
  *
  * Sessions are cheap value objects (an options struct and a cache
  * pointer); copy them freely. All methods are const and thread-safe.
@@ -175,20 +173,9 @@ struct RunReport
     std::shared_ptr<telemetry::RunLedger> ledger;
 };
 
-/** What a cache-backed SPICE sweep did. */
-struct SweepStats
-{
-    /** Distinct netlist structures (same notion as
-     *  spice::TransientBatchStats::structureGroups). */
-    std::size_t structureGroups = 0;
-    /** Factored steppers served from the cache this sweep. */
-    std::size_t factorHits = 0;
-    /** Factored steppers built (symbolic or numeric factorization
-     *  work) this sweep. Hit/miss counters stay 0 on the delegated
-     *  paths (caching off, or the dense ablation), which do not
-     *  address factors by content. */
-    std::size_t factorMisses = 0;
-};
+/** What a SPICE sweep did: structure groups and stepper-cache
+ *  hits/misses (both 0 with caching off or on the dense path). */
+using SweepStats = spice::TransientBatchStats;
 
 class Session
 {
@@ -242,13 +229,15 @@ class Session
 
     /**
      * Batched SPICE transient sweep over [t0, t1] with step dt from
-     * zero initial states, sampling every step — the cache-backed
-     * equivalent of spice::TransientBatch::run with identical result
-     * semantics (positional ordering, structured per-instance
-     * failures, SimError on batch-level misconfiguration) and
-     * bit-identical samples. options.sparse = false delegates to the
-     * dense ablation path (never cached — dense factorizations are
-     * not reusable artifacts).
+     * zero initial states, sampling every step: spice::TransientBatch
+     * run with `options`, the session ledger when the options carry
+     * none, and — with caching on — the session's ArtifactCache as
+     * the stepper cache (options.cache is always replaced by the
+     * session's choice). Result semantics are TransientBatch::run's:
+     * positional ordering, structured per-instance failures,
+     * SimError on batch-level misconfiguration, and samples
+     * bit-identical with caching on or off. options.sparse = false
+     * runs the dense ablation path, which never consults the cache.
      */
     std::vector<spice::TransientResult>
     runSweep(const std::vector<const spice::Netlist *> &netlists,

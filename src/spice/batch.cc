@@ -1,5 +1,6 @@
 #include "spice/batch.h"
 
+#include <atomic>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -28,11 +29,33 @@ errorFailure(const support::ArkError &error, double t0)
     return TransientFailure{reason, 0, t0, error.message()};
 }
 
+telemetry::RunLedger::Record
+ledgerRecord(const TransientResult &result, std::uint64_t runId,
+             std::size_t index, telemetry::RunLedger::Tier tier)
+{
+    telemetry::RunLedger::Record record;
+    record.runId = runId;
+    record.index = index;
+    record.workload = telemetry::RunLedger::Workload::Spice;
+    record.tier = tier;
+    record.blockId = index;
+    record.stepsAccepted =
+        result.ok() ? (result.size() > 0 ? result.size() - 1 : 0)
+                    : result.failure->step;
+    record.ok = result.ok();
+    if (result.failure.has_value()) {
+        record.failureReason = transientAbortName(result.failure->reason);
+        record.failureMessage = result.failure->message;
+    }
+    return record;
+}
+
 } // namespace detail
 
 namespace {
 
 using detail::errorFailure;
+using CacheOutcome = telemetry::RunLedger::CacheOutcome;
 
 bool
 deadlinePassed(
@@ -113,6 +136,17 @@ groupByStructure(
     }
 }
 
+/** A freshly factored operator for `system` with its fractional final
+ *  step (finalStepSize) prepared, so every instance that shares or
+ *  rebinds it steps the whole grid without a one-off factorization. */
+StepperPtr
+preparedStepper(const SparseMnaSystem &system, double dt, double finalH)
+{
+    auto stepper = std::make_shared<TransientStepper>(system, dt);
+    stepper->prepareFinalStep(system, finalH);
+    return stepper;
+}
+
 } // namespace
 
 std::size_t
@@ -166,45 +200,6 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
             ? options_.ledger->beginRun(
                   telemetry::RunLedger::Workload::Spice, count)
             : 0;
-    // Per-instance ledger flush shared by both solve paths: sample
-    // counts stand in for accepted steps (one sample per step plus
-    // the initial state), the structure-group leader is the block id
-    // on the sparse path, and failures carry their structured reason.
-    auto flushLedger = [&](telemetry::RunLedger::Tier tier,
-                           const std::vector<std::size_t> *leaderOf,
-                           const std::vector<std::size_t> *groupSize) {
-        if (options_.ledger == nullptr)
-            return;
-        for (std::size_t i = 0; i < count; ++i) {
-            if (errors[i])
-                continue;
-            const TransientResult &result = results[i];
-            telemetry::RunLedger::Record record;
-            record.runId = ledgerRun;
-            record.index = i;
-            record.workload = telemetry::RunLedger::Workload::Spice;
-            record.tier = tier;
-            record.blockId =
-                leaderOf != nullptr && (*leaderOf)[i] < count
-                    ? (*leaderOf)[i]
-                    : i; // unassemblable slots stand alone
-            record.lanes =
-                groupSize != nullptr && (*leaderOf)[i] < count
-                    ? (*groupSize)[(*leaderOf)[i]]
-                    : 1;
-            record.stepsAccepted =
-                result.ok()
-                    ? (result.size() > 0 ? result.size() - 1 : 0)
-                    : result.failure->step;
-            record.ok = result.ok();
-            if (result.failure.has_value()) {
-                record.failureReason =
-                    transientAbortName(result.failure->reason);
-                record.failureMessage = result.failure->message;
-            }
-            options_.ledger->append(std::move(record));
-        }
-    };
 
     if (!options_.sparse) {
         // Dense ablation path: independent assembly + transient per
@@ -229,7 +224,13 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
                 }
                 progress.tick();
             });
-        flushLedger(telemetry::RunLedger::Tier::Dense, nullptr, nullptr);
+        if (options_.ledger != nullptr) {
+            for (std::size_t i = 0; i < count; ++i)
+                if (!errors[i])
+                    options_.ledger->append(detail::ledgerRecord(
+                        results[i], ledgerRun, i,
+                        telemetry::RunLedger::Tier::Dense));
+        }
         rethrowFirst(errors);
         return results;
     }
@@ -248,6 +249,10 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
     // Phase 2: group instances by shared structure.
     std::vector<std::size_t> leaderOf, leaders;
     groupByStructure(systems, leaderOf, leaders);
+    std::vector<std::size_t> groupSize(count, 0);
+    for (std::size_t i = 0; i < count; ++i)
+        if (leaderOf[i] < count)
+            ++groupSize[leaderOf[i]];
     if (stats)
         stats->structureGroups = leaders.size();
     if (telemetry::metricsEnabled()) {
@@ -258,19 +263,14 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
                 "ark.spice.sweep_instances");
         static telemetry::Counter &groups =
             telemetry::Registry::shared().counter("ark.spice.groups");
-        static telemetry::Histogram &groupSize =
+        static telemetry::Histogram &groupSizes =
             telemetry::Registry::shared().histogram(
                 "ark.spice.group_size");
         sweeps.add();
         sweepInstances.add(count);
         groups.add(leaders.size());
-        for (std::size_t leader : leaders) {
-            std::uint64_t members = 0;
-            for (std::size_t i = 0; i < count; ++i)
-                if (leaderOf[i] == leader)
-                    ++members;
-            groupSize.record(members);
-        }
+        for (std::size_t leader : leaders)
+            groupSizes.record(groupSize[leader]);
     }
     telemetry::ScopedSpan sweepSpan("ark.spice.sweep", count);
 
@@ -282,16 +282,36 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
     // groups) factor concurrently instead of serializing up front. A
     // leader whose own values are singular leaves no shared stepper;
     // members then factor individually.
-    std::vector<std::optional<TransientStepper>> leaderStepper(count);
+    const double finalH = finalStepSize(t0, t1, dt);
+    std::vector<StepperPtr> leaderStepper(count);
     std::vector<std::unique_ptr<std::once_flag>> leaderOnce(count);
     for (std::size_t leader : leaders)
         leaderOnce[leader] = std::make_unique<std::once_flag>();
 
+    // Every factorization goes through `resolve`: straight to `build`
+    // without a cache, else a cache lookup keyed by the pivot source
+    // and the bound values (cached factors are then the bits `build`
+    // computes). Each instance's outcome lands in its own slot for the
+    // ledger; a leader's lands in leaderOutcome, which members sharing
+    // its operator inherit.
+    std::atomic<std::size_t> factorHits{0};
+    std::atomic<std::size_t> factorMisses{0};
+    std::vector<CacheOutcome> cacheOutcome(count, CacheOutcome::None);
+    std::vector<CacheOutcome> leaderOutcome(count, CacheOutcome::None);
+    auto resolve = [&](const SparseMnaSystem &pivotSource,
+                       const SparseMnaSystem &bound, CacheOutcome &outcome,
+                       const std::function<StepperPtr()> &build) {
+        if (options_.cache == nullptr)
+            return build();
+        bool hit = false;
+        StepperPtr stepper =
+            options_.cache->get(pivotSource, bound, dt, finalH, build, hit);
+        ++(hit ? factorHits : factorMisses);
+        outcome = hit ? CacheOutcome::Hit : CacheOutcome::Miss;
+        return stepper;
+    };
+
     // Phase 4: per-instance transient on the shared worker pool.
-    // NOTE: engine::Session::runSweep mirrors this leader/share/
-    // rebind/standalone resolution against its artifact cache and
-    // must keep reporting bit-identical results and failures —
-    // parity is pinned by engine_test; change both together.
     sim::BatchRunner::shared().parallelFor(
         count, options_.numThreads, [&](std::size_t i) {
             if (results[i].failure.has_value()) {
@@ -311,17 +331,16 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
             }
             const SparseMnaSystem &system = *systems[i];
             const std::size_t leader = leaderOf[i];
+            const SparseMnaSystem &leaderSystem = *systems[leader];
             try {
                 std::call_once(*leaderOnce[leader], [&] {
                     try {
-                        leaderStepper[leader].emplace(*systems[leader],
-                                                      dt);
-                        // Non-divisible grids end on one fractional
-                        // step; factor its operator once here so
-                        // members share (or numerically refactor) it
-                        // instead of one-off-factoring per instance.
-                        leaderStepper[leader]->prepareFinalStep(
-                            *systems[leader], finalStepSize(t0, t1, dt));
+                        leaderStepper[leader] = resolve(
+                            leaderSystem, leaderSystem,
+                            leaderOutcome[leader], [&] {
+                                return preparedStepper(leaderSystem, dt,
+                                                       finalH);
+                            });
                     } catch (...) {
                         // Leader factorization failed (singular, out
                         // of memory, ...): leave no shared stepper;
@@ -329,22 +348,29 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
                         // whatever recurs through its own handler.
                     }
                 });
-                std::optional<TransientStepper> own;
-                const TransientStepper *stepper = nullptr;
-                if (leaderStepper[leader].has_value() &&
-                    system.sharesMatrixValues(*systems[leader])) {
+                const StepperPtr &shared = leaderStepper[leader];
+                StepperPtr stepper;
+                if (shared != nullptr &&
+                    system.sharesMatrixValues(leaderSystem)) {
                     // Bit-identical matrices: share the leader's
                     // factors outright (solve is const/thread-safe).
-                    stepper = &*leaderStepper[leader];
-                } else if (leaderStepper[leader].has_value()) {
+                    stepper = shared;
+                    cacheOutcome[i] = leaderOutcome[leader];
+                } else if (shared != nullptr) {
                     // Same structure, different values: copy the
                     // symbolic skeleton and refactor numerically.
-                    own.emplace(*leaderStepper[leader]);
-                    own->rebind(system);
-                    stepper = &*own;
+                    stepper = resolve(
+                        leaderSystem, system, cacheOutcome[i],
+                        [&]() -> StepperPtr {
+                            auto rebound =
+                                std::make_shared<TransientStepper>(*shared);
+                            rebound->rebind(system);
+                            return rebound;
+                        });
                 } else {
-                    own.emplace(system, dt);
-                    stepper = &*own;
+                    stepper = resolve(system, system, cacheOutcome[i], [&] {
+                        return preparedStepper(system, dt, finalH);
+                    });
                 }
                 results[i] = stepper->run(system, t0, t1, {}, control);
             } catch (const support::ArkError &error) {
@@ -354,13 +380,23 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
             }
             progress.tick();
         });
+    if (stats) {
+        stats->factorHits = factorHits.load();
+        stats->factorMisses = factorMisses.load();
+    }
     if (options_.ledger != nullptr) {
-        std::vector<std::size_t> groupSize(count, 0);
-        for (std::size_t i = 0; i < count; ++i)
-            if (leaderOf[i] < count)
-                ++groupSize[leaderOf[i]];
-        flushLedger(telemetry::RunLedger::Tier::Sparse, &leaderOf,
-                    &groupSize);
+        for (std::size_t i = 0; i < count; ++i) {
+            if (errors[i])
+                continue;
+            telemetry::RunLedger::Record record = detail::ledgerRecord(
+                results[i], ledgerRun, i, telemetry::RunLedger::Tier::Sparse);
+            if (leaderOf[i] < count) { // unassemblable slots stand alone
+                record.blockId = leaderOf[i];
+                record.lanes = groupSize[leaderOf[i]];
+            }
+            record.cache = cacheOutcome[i];
+            options_.ledger->append(std::move(record));
+        }
     }
     rethrowFirst(errors);
     return results;

@@ -4,7 +4,8 @@
 /**
  * @file
  * Batched SPICE transient execution — the circuit-side twin of the
- * ODE ensemble engine (sim/batch.h).
+ * ODE ensemble engine (sim/batch.h), and the one sparse sweep engine:
+ * engine::Session::runSweep delegates here.
  *
  * A validation sweep runs hundreds of netlists that are mostly the
  * same circuit with different parameter values (mismatch-sampled
@@ -22,6 +23,12 @@
  *  4. instances execute in parallel on sim::BatchRunner::shared()'s
  *     persistent worker pool via parallelFor — no per-call thread
  *     spawn.
+ *
+ * Caching is a policy, not a second engine: with
+ * TransientBatchOptions::cache set, every leader, rebound-member and
+ * standalone factorization is first asked of that StepperCache, so a
+ * repeated sweep runs on warm factors. Results are bit-identical with
+ * and without a cache.
  *
  * Failures are per-instance and structured (TransientResult::failure
  * with TransientAbort::BadInput / SingularMatrix / NonfiniteState /
@@ -44,16 +51,15 @@
  * rounding (<= 1e-12 relative, property-tested).
  */
 
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "spice/mna.h"
 #include "spice/netlist.h"
 #include "support/error.h"
-
-namespace ark::telemetry {
-class RunLedger;
-}
+#include "support/ledger.h"
 
 namespace ark::spice {
 
@@ -62,15 +68,61 @@ namespace detail {
 /**
  * Maps an assembly/factorization error to the structured per-instance
  * failure a sweep reports: ErrorKind::Sim (singular companion) ->
- * SingularMatrix, everything else -> BadInput. Shared between
- * TransientBatch and the engine layer's cache-backed sweep
- * (engine::Session::runSweep) so both report byte-identical failures
- * for the same event — their result parity is regression-tested in
- * engine_test.
+ * SingularMatrix, everything else -> BadInput. TransientBatch reports
+ * every such failure through it, and the supervised sweep
+ * (engine::Session::runSweep with a RunPolicy) reports its serial
+ * retries' failures the same way.
  */
 TransientFailure errorFailure(const support::ArkError &error, double t0);
 
+/**
+ * The run-ledger record of one finished sweep instance: run id,
+ * index, the spice workload, `tier`, a standalone block (the instance
+ * itself, one lane), accepted steps (one sample per step plus the
+ * initial state; the failure's step count when it stopped early), and
+ * the structured failure. Group, cache and retry fields are the
+ * caller's to set. TransientBatch's flush and the supervised sweep's
+ * serial retries both build their records here, so their shapes
+ * cannot drift apart.
+ */
+telemetry::RunLedger::Record ledgerRecord(const TransientResult &result,
+                                          std::uint64_t runId,
+                                          std::size_t index,
+                                          telemetry::RunLedger::Tier tier);
+
 } // namespace detail
+
+/** Shared immutable factored companion operator. */
+using StepperPtr = std::shared_ptr<const TransientStepper>;
+
+/**
+ * Where a sparse sweep gets its factored operators. TransientBatch
+ * asks before every leader, rebound-member and standalone
+ * factorization; a member whose matrix values equal its leader's
+ * shares the leader's operator and asks nothing. engine::Session
+ * adapts its ArtifactCache to this seam.
+ */
+class StepperCache
+{
+  public:
+    /**
+     * The stepper whose pivot order `pivotSource`'s values chose and
+     * whose factors are bound to `bound`'s values (one system for a
+     * leader or a standalone build), at step `dt` with the fractional
+     * final step `finalH` prepared. Returns a stored operator, or
+     * calls `build` and may keep its result; `hit` reports which. A
+     * throw from `build` propagates and nothing is kept. Called
+     * concurrently from pool workers.
+     */
+    virtual StepperPtr get(const SparseMnaSystem &pivotSource,
+                           const SparseMnaSystem &bound, double dt,
+                           double finalH,
+                           const std::function<StepperPtr()> &build,
+                           bool &hit) = 0;
+
+  protected:
+    ~StepperCache() = default; // never owned through this interface
+};
 
 /** Controls for a batched transient sweep. */
 struct TransientBatchOptions
@@ -122,9 +174,18 @@ struct TransientBatchOptions
      * one telemetry::RunLedger::Record per instance at the flush
      * points the sweep already has — solve path (dense/sparse),
      * structure group as the block id, sample count, and the
-     * structured failure. Observation-only; must outlive the call.
+     * structured failure, plus the stepper-cache outcome when `cache`
+     * is set. Observation-only; must outlive the call.
      */
     telemetry::RunLedger *ledger = nullptr;
+
+    /**
+     * Optional stepper cache the sparse path consults before each
+     * factorization (see StepperCache). Null builds every operator in
+     * the sweep; the dense ablation path never consults it. Results
+     * are bit-identical either way. Must outlive the call.
+     */
+    StepperCache *cache = nullptr;
 };
 
 /** What a batch run did, beyond the per-instance results. */
@@ -136,6 +197,16 @@ struct TransientBatchStats
      * which does not group.
      */
     std::size_t structureGroups = 0;
+
+    /** Factored steppers the options' `cache` served this sweep. */
+    std::size_t factorHits = 0;
+
+    /**
+     * Factored steppers built through that cache this sweep (symbolic
+     * or numeric factorization work); a build that throws counts in
+     * neither field. Both stay 0 without a cache.
+     */
+    std::size_t factorMisses = 0;
 };
 
 /**

@@ -216,9 +216,9 @@ namespace detail {
 
 /**
  * Shared failure constructors for cancellation and deadline expiry:
- * the transient drivers and both sweep engines (TransientBatch,
- * engine::Session::runSweep) must report byte-identical failures for
- * the same event, so all of them build the failure here.
+ * serial transient() runs and the sweep engine (TransientBatch,
+ * behind engine::Session::runSweep too) must report byte-identical
+ * failures for the same event, so all of them build the failure here.
  */
 TransientFailure cancelledFailure(double t, std::size_t step);
 TransientFailure deadlineFailure(double t, std::size_t step);
@@ -276,7 +276,8 @@ class TransientResult
  * TransientBatch shares across a same-structure sweep — construct
  * once from the group leader, then per instance either run() directly
  * (bit-identical matrix values) or copy + rebind() (numeric-only
- * refactorization replaying the leader's pivot order).
+ * refactorization replaying the leader's pivot order) — and the unit
+ * a StepperCache (spice/batch.h) keeps between sweeps.
  */
 class TransientStepper
 {
@@ -383,7 +384,9 @@ TransientResult transient(const SparseMnaSystem &system, double t0,
  * the integrator's own time-accumulation loop so the result is
  * bit-identical to the `h` the stepper sees on its final iteration
  * (a closed-form remainder would round differently). Used by
- * TransientBatch to pre-factor a group leader's final-step operator.
+ * TransientBatch to pre-factor the final-step operator of every
+ * stepper it factors afresh (group leaders and standalone
+ * instances), and as part of its stepper-cache key.
  */
 double finalStepSize(double t0, double t1, double dt);
 

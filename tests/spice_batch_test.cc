@@ -3,8 +3,9 @@
  * Tests for the batched SPICE transient engine: sparse-vs-dense
  * equivalence on random generated TLN netlists (the tentpole property
  * test), shared-structure factorization reuse, per-instance
- * structured failures (singular matrix, nonfinite state), batch-level
- * input validation, and thread-count invariance.
+ * structured failures (singular matrix, nonfinite state), members of
+ * a group whose leader cannot be factored (with and without a stepper
+ * cache), batch-level input validation, and thread-count invariance.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "apps/experiments.h"
+#include "engine/session.h"
 #include "paradigms/standard.h"
 #include "paradigms/tln.h"
 #include "spice/batch.h"
@@ -410,6 +412,66 @@ TEST_F(SpiceBatchTest, LeaderSharedFinalStepOperator)
     }
     // The duplicate pair shares every factor, final step included.
     expectBitIdentical(batched[0], batched[4]);
+}
+
+/**
+ * One-node cell: C = 1, R = 1 and a 1 A source, plus a VCCS of `gain`
+ * driven by the node's own voltage. Its trapezoidal companion at step
+ * h is 2/h + 1 - gain, so every gain gives the same structure.
+ */
+Netlist
+selfControlledCell(double gain)
+{
+    Netlist cell;
+    int n = cell.addNode("n");
+    cell.capacitor("C", n, kGround, 1.0);
+    cell.resistor("R", n, kGround, 1.0);
+    cell.vccs("G", kGround, n, n, kGround, gain);
+    cell.currentSource("I", kGround, n, 1.0);
+    return cell;
+}
+
+TEST_F(SpiceBatchTest, MemberFactorsAloneWhenLeaderIsSingular)
+{
+    // The leader's gain cancels its companion matrix exactly at dt,
+    // so the group has no shared operator and the member factors on
+    // its own; t1 ends the grid on a fractional step. The member must
+    // come out bit for bit as if swept alone, with and without a
+    // stepper cache.
+    const double dt = 1e-3, t1 = 5.5e-3;
+    Netlist leader = selfControlledCell(2.0 / dt + 1.0);
+    Netlist member = selfControlledCell(0.5);
+    const std::vector<const Netlist *> group{&leader, &member};
+
+    TransientBatchStats stats;
+    std::vector<TransientResult> uncached =
+        TransientBatch().run(group, 0.0, t1, dt, &stats);
+    EXPECT_EQ(stats.structureGroups, 1u);
+    std::vector<TransientResult> alone = TransientBatch().run(
+        std::vector<const Netlist *>{&member}, 0.0, t1, dt);
+    ASSERT_TRUE(alone[0].ok());
+
+    engine::ArtifactCache cache;
+    engine::Session session(
+        engine::SessionOptions{.caching = true, .cache = &cache});
+    engine::SweepStats cachedStats;
+    std::vector<TransientResult> cached = session.runSweep(
+        group, 0.0, t1, dt, TransientBatchOptions{}, &cachedStats);
+
+    for (const std::vector<TransientResult> *results :
+         {&uncached, &cached}) {
+        ASSERT_EQ(results->size(), 2u);
+        ASSERT_FALSE((*results)[0].ok());
+        EXPECT_EQ((*results)[0].failure->reason,
+                  TransientAbort::SingularMatrix);
+        ASSERT_TRUE((*results)[1].ok());
+        expectBitIdentical((*results)[1], alone[0]);
+    }
+    // The leader's failed builds store and count nothing; the one
+    // miss is the member's own standalone operator.
+    EXPECT_EQ(cachedStats.factorHits, 0u);
+    EXPECT_EQ(cachedStats.factorMisses, 1u);
+    EXPECT_EQ(cache.stats().steppersCached, 1u);
 }
 
 TEST_F(SpiceBatchTest, BatchLevelBadArgumentsThrow)

@@ -2,9 +2,9 @@
  * @file
  * Tests for the telemetry subsystem: counter/histogram correctness
  * under concurrent writers, span nesting and thread attribution,
- * Chrome-trace JSON validity, the non-interference contract
- * (collection on vs. off is bit-identical), and the timestamped
- * log-sink path.
+ * Chrome-trace JSON validity, the spice family a cached session sweep
+ * records, the non-interference contract (collection on vs. off is
+ * bit-identical), and the timestamped log-sink path.
  */
 
 #include <gtest/gtest.h>
@@ -19,8 +19,11 @@
 #include <vector>
 
 #include "compiler/compiler.h"
+#include "engine/session.h"
 #include "lang/registry.h"
 #include "sim/sim.h"
+#include "spice/batch.h"
+#include "spice/netlist.h"
 #include "support/ledger.h"
 #include "support/logging.h"
 #include "support/statsserver.h"
@@ -153,6 +156,33 @@ TEST(TelemetryTest, DisabledCollectionIsInert)
     EXPECT_EQ(trace.str().find("ark.test.inert_span"), std::string::npos);
 }
 
+/** One complete ("X") event of an exported Chrome trace. */
+struct Event
+{
+    std::string name;
+    double ts;
+    double dur;
+    int tid;
+};
+
+/** Pulls (name, ts, dur, tid) out of the trace via the event regex. */
+std::vector<Event>
+traceEvents(const std::string &trace)
+{
+    std::regex eventRe("\\{\"name\":\"([^\"]+)\",\"cat\":\"ark\","
+                       "\"ph\":\"X\",\"ts\":([0-9.eE+-]+),"
+                       "\"dur\":([0-9.eE+-]+),\"pid\":1,"
+                       "\"tid\":([0-9]+)");
+    std::vector<Event> events;
+    for (std::sregex_iterator it(trace.begin(), trace.end(), eventRe),
+         end;
+         it != end; ++it) {
+        events.push_back({(*it)[1], std::stod((*it)[2]),
+                          std::stod((*it)[3]), std::stoi((*it)[4])});
+    }
+    return events;
+}
+
 TEST(TelemetryTest, SpanNestingAndThreadAttribution)
 {
     TelemetryGuard guard;
@@ -172,25 +202,7 @@ TEST(TelemetryTest, SpanNestingAndThreadAttribution)
     telemetry::writeChromeTrace(out);
     const std::string trace = out.str();
 
-    // Pull (name, ts, dur, tid) out of the trace via the event regex.
-    struct Event
-    {
-        std::string name;
-        double ts;
-        double dur;
-        int tid;
-    };
-    std::regex eventRe("\\{\"name\":\"([^\"]+)\",\"cat\":\"ark\","
-                       "\"ph\":\"X\",\"ts\":([0-9.eE+-]+),"
-                       "\"dur\":([0-9.eE+-]+),\"pid\":1,"
-                       "\"tid\":([0-9]+)");
-    std::vector<Event> events;
-    for (std::sregex_iterator it(trace.begin(), trace.end(), eventRe),
-         end;
-         it != end; ++it) {
-        events.push_back({(*it)[1], std::stod((*it)[2]),
-                          std::stod((*it)[3]), std::stoi((*it)[4])});
-    }
+    const std::vector<Event> events = traceEvents(trace);
 
     const Event *outer = nullptr;
     const Event *inner = nullptr;
@@ -291,6 +303,100 @@ TEST(TelemetryTest, MetricsSnapshotLookupAndNaming)
     }
 
     EXPECT_NE(snap.str().find("ark.test.lookup"), std::string::npos);
+}
+
+/** Sample count of histogram `name` (0 when never registered). */
+std::uint64_t
+histogramCount(const telemetry::MetricsSnapshot &snap,
+               const std::string &name)
+{
+    for (const telemetry::MetricsSnapshot::Entry &entry : snap.entries)
+        if (entry.name == name)
+            return entry.count;
+    return 0;
+}
+
+/** RC ladder of `sections` nodes driven by a current source at its
+ *  far end; the structure depends on `sections` only. */
+spice::Netlist
+rcLadder(int sections, double ohms)
+{
+    spice::Netlist netlist;
+    int previous = spice::kGround;
+    for (int k = 0; k < sections; ++k) {
+        const std::string id = std::to_string(k);
+        int node = netlist.addNode("v" + id);
+        netlist.resistor("R" + id, node, previous, ohms);
+        netlist.capacitor("C" + id, node, spice::kGround, 1e-9);
+        previous = node;
+    }
+    netlist.currentSource("I", spice::kGround, previous, 1e-3);
+    return netlist;
+}
+
+TEST(TelemetryTest, CachedSessionSweepRecordsSpiceFamily)
+{
+    TelemetryGuard guard;
+    // N = 5 netlists in G = 2 structure groups, all values distinct.
+    std::vector<spice::Netlist> cells;
+    for (double ohms : {0.5e3, 1.0e3, 2.0e3})
+        cells.push_back(rcLadder(1, ohms));
+    for (double ohms : {0.5e3, 1.0e3})
+        cells.push_back(rcLadder(2, ohms));
+    std::vector<const spice::Netlist *> netlists;
+    for (const spice::Netlist &cell : cells)
+        netlists.push_back(&cell);
+    const std::size_t groups = 2;
+
+    engine::ArtifactCache cache;
+    engine::Session session(
+        engine::SessionOptions{.caching = true, .cache = &cache});
+    telemetry::clearTrace();
+    telemetry::setMetricsEnabled(true);
+    telemetry::setTracingEnabled(true);
+    const telemetry::MetricsSnapshot before = Registry::shared().snapshot();
+    engine::SweepStats stats;
+    std::vector<spice::TransientResult> results =
+        session.runSweep(netlists, 0.0, 5e-6, 1e-8,
+                         spice::TransientBatchOptions{}, &stats);
+    const telemetry::MetricsSnapshot after = Registry::shared().snapshot();
+    telemetry::setMetricsEnabled(false);
+    telemetry::setTracingEnabled(false);
+
+    for (const spice::TransientResult &result : results)
+        ASSERT_TRUE(result.ok());
+    EXPECT_EQ(stats.structureGroups, groups);
+    EXPECT_EQ(stats.factorMisses, netlists.size()); // cold cache
+
+    const auto delta = [&](const char *name) {
+        return after.value(name) - before.value(name);
+    };
+    EXPECT_EQ(delta("ark.spice.sweeps"), 1.0);
+    EXPECT_EQ(delta("ark.spice.sweep_instances"),
+              static_cast<double>(netlists.size()));
+    EXPECT_EQ(delta("ark.spice.groups"), static_cast<double>(groups));
+    EXPECT_EQ(histogramCount(after, "ark.spice.group_size") -
+                  histogramCount(before, "ark.spice.group_size"),
+              groups);
+
+    // Exactly one engine sweep span, nested in the session's.
+    std::ostringstream out;
+    telemetry::writeChromeTrace(out);
+    const std::vector<Event> events = traceEvents(out.str());
+    std::vector<const Event *> sessionSweeps, engineSweeps;
+    for (const Event &event : events) {
+        if (event.name == "ark.session.sweep")
+            sessionSweeps.push_back(&event);
+        else if (event.name == "ark.spice.sweep")
+            engineSweeps.push_back(&event);
+    }
+    ASSERT_EQ(sessionSweeps.size(), 1u);
+    ASSERT_EQ(engineSweeps.size(), 1u);
+    const Event &outer = *sessionSweeps.front();
+    const Event &inner = *engineSweeps.front();
+    EXPECT_EQ(inner.tid, outer.tid);
+    EXPECT_GE(inner.ts, outer.ts);
+    EXPECT_LE(inner.ts + inner.dur, outer.ts + outer.dur + 1e-3);
 }
 
 /** dx/dt = -k x through the full pipeline (ensemble_test's system). */
