@@ -13,7 +13,7 @@
  * parallelism). The BM_EnsembleDopri5{Scalar,Lanes} pair does the
  * same for the adaptive default: one one-lane Dopri5 block per
  * instance vs 8-lane step-voting blocks on one voted grid.
- * BM_PufBatteryRhsJit and BM_EnsembleDopri5Jit are the tier-5 twins:
+ * BM_PufBatteryRhsJit and BM_EnsembleDopri5Jit are the JIT twins:
  * the same RHS blocks served by runtime-compiled native kernels, and
  * the same adaptive battery with SimOptions::jit on — each reads
  * against its interpreted counterpart above.
@@ -233,7 +233,7 @@ BENCHMARK(BM_EnsembleDopri5Lanes)
     ->UseRealTime();
 
 /**
- * RHS throughput through tier-5 native kernels: the same battery and
+ * RHS throughput through JIT native kernels: the same battery and
  * block shapes as BM_PufBatteryRhsLanes, with each block's program
  * compiled to a native kernel and evaluated through its function
  * pointer. The ratio to the same-width interpreted run is the JIT
@@ -292,10 +292,10 @@ BM_PufBatteryRhsJit(benchmark::State &state)
 BENCHMARK(BM_PufBatteryRhsJit)->Arg(1)->Arg(8);
 
 /**
- * Adaptive battery with tier-5 kernels serving the step-voting
+ * Adaptive battery with JIT kernels serving the step-voting
  * driver's RHS (SimOptions::jit on, lane batching on). Compare with
  * BM_EnsembleDopri5Lanes for the kernel win and with
- * BM_EnsembleDopri5Scalar for the full tier-3 -> tier-5 climb; falls
+ * BM_EnsembleDopri5Scalar for the full interpreter -> JIT climb; falls
  * back to the interpreted driver (and measures it) without a
  * toolchain.
  */

@@ -1,9 +1,8 @@
 /**
  * @file
- * Ablation: compiled evaluation tapes versus the tree-walking
- * interpreter on real ODE right-hand sides (the Kuramoto coupling
- * expression and a full TLN system RHS), and the fused whole-system
- * tape versus the per-variable tape loop.
+ * Ablation: the tree-walking interpreter on real ODE right-hand sides
+ * (the Kuramoto coupling expression and a full TLN system RHS) versus
+ * the fused whole-system tape.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,7 +11,6 @@
 #include "expr/eval.h"
 #include "expr/fold.h"
 #include "expr/fusedtape.h"
-#include "expr/tape.h"
 #include "lang/parser.h"
 #include "paradigms/standard.h"
 #include "paradigms/tln.h"
@@ -57,19 +55,6 @@ BM_ExprInterpreted(benchmark::State &state)
 BENCHMARK(BM_ExprInterpreted);
 
 void
-BM_ExprTape(benchmark::State &state)
-{
-    expr::Tape tape = expr::Tape::compile(kuramotoTerm());
-    std::vector<double> stateVec{0.3, 1.7};
-    std::vector<double> regs;
-    for (auto _ : state) {
-        double v = tape.eval(stateVec.data(), 0.0, regs);
-        benchmark::DoNotOptimize(v);
-    }
-}
-BENCHMARK(BM_ExprTape);
-
-void
 BM_SystemRhsInterpreted(benchmark::State &state)
 {
     lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
@@ -97,20 +82,6 @@ tln32System()
     spec.sections = 32;
     return compiler::compile(paradigms::tln::buildLine(tln, spec), tln);
 }
-
-void
-BM_SystemRhsTape(benchmark::State &state)
-{
-    compiler::OdeSystem system = tln32System();
-    std::vector<double> x = system.initialState();
-    std::vector<double> dx(system.size());
-    std::vector<double> scratch = system.makeScratch();
-    for (auto _ : state) {
-        system.evalRhsPerTape(x.data(), 1e-9, dx.data(), scratch);
-        benchmark::DoNotOptimize(dx[0]);
-    }
-}
-BENCHMARK(BM_SystemRhsTape);
 
 void
 BM_SystemRhsFused(benchmark::State &state)

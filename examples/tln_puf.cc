@@ -13,7 +13,7 @@
  * stderr afterwards; `--ledger [out.json]` records per-instance
  * flight-recorder provenance (tier, lane width, block, steps) for
  * every ensemble the battery dispatches, written to the given file
- * or dumped to stderr; `--jit` serves the battery RHS from tier-5
+ * or dumped to stderr; `--jit` serves the battery RHS from JIT
  * native kernels (bit-identical responses; silently interpreted when
  * the host has no C toolchain).
  */

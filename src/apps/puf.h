@@ -63,7 +63,7 @@ struct PufDesign
     double simDt = 0.0;
 
     /**
-     * Serve battery RHS evaluations from tier-5 native kernels
+     * Serve battery RHS evaluations from JIT native kernels
      * (sim::SimOptions::jit). Bit-identical to the interpreted tiers
      * and falls back to them silently when no host toolchain exists,
      * so response bits never depend on this knob.

@@ -1,6 +1,5 @@
 #include "compiler/odesystem.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "expr/eval.h"
@@ -122,24 +121,6 @@ OdeSystem::reassocStats() const
     return lazy_->reassocStats;
 }
 
-const std::vector<expr::Tape> &
-OdeSystem::tapes() const
-{
-    std::call_once(lazy_->perVarOnce, [this] {
-        std::vector<expr::Tape> tapes;
-        tapes.reserve(rhs_.size());
-        std::size_t regs = 0;
-        for (const auto &e : rhs_) {
-            tapes.push_back(expr::Tape::compile(e));
-            regs = std::max(
-                regs, static_cast<std::size_t>(tapes.back().numRegs()));
-        }
-        raiseScratch(lazy_->scratch, regs);
-        lazy_->perVar = std::move(tapes);
-    });
-    return lazy_->perVar;
-}
-
 void
 OdeSystem::evalRhs(const double *state, double t, double *dstate,
                    std::vector<double> &scratch) const
@@ -147,18 +128,6 @@ OdeSystem::evalRhs(const double *state, double t, double *dstate,
     if (scratch.size() < scratchSize())
         scratch.resize(scratchSize());
     fused_.evalInto(state, t, dstate, scratch.data());
-}
-
-void
-OdeSystem::evalRhsPerTape(const double *state, double t, double *dstate,
-                          std::vector<double> &scratch) const
-{
-    const std::vector<expr::Tape> &perVar = tapes();
-    if (scratch.size() < scratchSize())
-        scratch.resize(scratchSize());
-    double *regs = scratch.data();
-    for (std::size_t i = 0; i < perVar.size(); ++i)
-        dstate[i] = perVar[i].eval(state, t, regs);
 }
 
 void

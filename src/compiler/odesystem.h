@@ -4,7 +4,7 @@
 /**
  * @file
  * The compiled dynamical system: state variables, initial values, and
- * right-hand-side expressions (as trees and evaluation tapes).
+ * right-hand-side expressions (as trees and fused tapes).
  *
  * A node of order p contributes p state variables q_0..q_{p-1}
  * (LowOrdEqs chain dq_i/dt = q_{i+1}); order-0 nodes are inlined as
@@ -13,12 +13,10 @@
  * Construction compiles exactly one program: the fused whole-system
  * expr::FusedTape (the default RHS program — cross-equation common
  * subexpressions are computed once and one pass fills all of dstate).
- * The other programs are compiled lazily on first request, so the
- * cold compile path (218 distinct structures in the §4.5 sweep) never
- * pays for variants it doesn't run:
+ * The two rounding variants are compiled lazily on first request, so
+ * the cold compile path (218 distinct structures in the §4.5 sweep)
+ * never pays for a variant it doesn't run:
  *
- *  - per-variable expr::Tapes (reference path for ablation benchmarks
- *    and equivalence tests);
  *  - the FMA-contracted variant (SimOptions::tapeFma);
  *  - the reassociated variant (SimOptions::tapeReassoc — the
  *    expr/rewrite.h pass over the RHS, then FMA contraction).
@@ -28,16 +26,16 @@
  * scratchSize() is an atomic high-water mark that each newly built
  * variant raises before it is ever evaluated. Integration drivers
  * size their scratch after selecting the tape, so a lazily built
- * variant can never see an undersized buffer; evalRhs* additionally
- * grow an undersized caller buffer on first call, keeping resizes out
- * of the integration loop.
+ * variant can never see an undersized buffer; evalRhs additionally
+ * grows an undersized caller buffer on first call.
  *
  * The fused program is also the unit of ensemble batching: rhsTape()
  * exposes the compiled layout so sim::BatchRunner can merge
  * structurally identical systems (same stream, different constants —
  * e.g. per-chip mismatch) into one expr::LaneTape and integrate many
- * instances per instruction dispatch. See sim/sim.h for the full
- * five-tier execution ladder.
+ * instances per instruction dispatch. evalRhs and evalRhsInterpreted
+ * are the two reference evaluators; see sim/sim.h for the full
+ * four-tier execution ladder.
  */
 
 #include <atomic>
@@ -49,7 +47,6 @@
 #include "expr/expr.h"
 #include "expr/fusedtape.h"
 #include "expr/rewrite.h"
-#include "expr/tape.h"
 
 namespace ark::compiler {
 
@@ -102,29 +99,21 @@ class OdeSystem
     void evalRhs(const double *state, double t, double *dstate,
                  std::vector<double> &scratch) const;
 
-    /**
-     * Per-variable tape evaluation (the pre-fusion hot path); kept
-     * for ablation benchmarks and equivalence tests. Compiles the
-     * per-variable tapes on first call.
-     */
-    void evalRhsPerTape(const double *state, double t, double *dstate,
-                        std::vector<double> &scratch) const;
-
     /** Reference tree-walking evaluation (tests, perf ablation). */
     void evalRhsInterpreted(const double *state, double t,
                             double *dstate) const;
 
     /**
-     * Scratch doubles evalRhs/evalRhsPerTape require. A lazily
-     * compiled variant raises this before it can be selected, so
-     * sizing scratch after picking a tape is always sufficient.
+     * Scratch doubles evalRhs requires. A lazily compiled variant
+     * raises this before it can be selected, so sizing scratch after
+     * picking a tape is always sufficient.
      */
     std::size_t scratchSize() const
     {
         return lazy_->scratch.load(std::memory_order_acquire);
     }
 
-    /** A correctly sized scratch buffer for evalRhs*. */
+    /** A correctly sized scratch buffer for evalRhs. */
     std::vector<double> makeScratch() const
     {
         return std::vector<double>(scratchSize());
@@ -168,10 +157,6 @@ class OdeSystem
         return fma ? fusedTapeFma() : fused_;
     }
 
-    /** The per-variable tapes (introspection, benchmarks); compiled
-     *  on first call. */
-    const std::vector<expr::Tape> &tapes() const;
-
     /** Pretty-printed equations, one per line ("d name/dt = ..."). */
     std::string equationsStr() const;
 
@@ -185,10 +170,8 @@ class OdeSystem
     struct LazyTapes
     {
         std::once_flag fmaOnce;
-        std::once_flag perVarOnce;
         std::once_flag reassocOnce;
         expr::FusedTape fma;
-        std::vector<expr::Tape> perVar;
         expr::FusedTape reassoc;
         expr::RewriteStats reassocStats;
         std::atomic<std::size_t> scratch{0};

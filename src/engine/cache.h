@@ -19,7 +19,7 @@
  *    thread counts).
  *
  *  - kernelKey(laneTape) -> shared_ptr<const expr::JitKernel>: a
- *    tier-5 native kernel (expr/cjit.h). Keyed by tape structure
+ *    JIT native kernel (expr/cjit.h). Keyed by tape structure
  *    only — per-lane constants are call-time data — so one compiled
  *    kernel serves every parameter draw of a structure class, and a
  *    PUF battery's worth of chips share a single compilation.
@@ -75,7 +75,7 @@ struct CacheConfig
      *  vectors — far smaller than a compiled system). */
     std::size_t maxSteppers = 1024;
 
-    /** Loaded tier-5 JIT kernels kept (each pins one small dlopened
+    /** Loaded JIT kernels kept (each pins one small dlopened
      *  object). Distinct (structure, width) pairs are few even in
      *  large batteries, so this rarely evicts. */
     std::size_t maxKernels = 256;
@@ -107,7 +107,7 @@ using SystemPtr = std::shared_ptr<const compiler::OdeSystem>;
 /** Shared immutable factored companion operator. */
 using StepperPtr = std::shared_ptr<const spice::TransientStepper>;
 
-/** Shared immutable loaded tier-5 kernel (expr/cjit.h). */
+/** Shared immutable loaded JIT kernel (expr/cjit.h). */
 using KernelPtr = std::shared_ptr<const expr::JitKernel>;
 
 class ArtifactCache
@@ -152,7 +152,7 @@ class ArtifactCache
                        bool *hit = nullptr);
 
     /**
-     * The loaded tier-5 kernel for `key` (see engine::kernelKey). On
+     * The loaded JIT kernel for `key` (see engine::kernelKey). On
      * miss, invokes `build` outside the cache lock. Unlike the other
      * kinds, `build` may return null — kernel compilation fails
      * gracefully (no toolchain, forced fault) — in which case nothing

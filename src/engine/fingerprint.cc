@@ -416,11 +416,12 @@ stepperKey(const MnaFingerprint &pattern,
 Fingerprint
 kernelKey(const expr::LaneTape &tape)
 {
-    // Bump on any change to the emitted C (expr::emitKernelC), the
-    // kernel ABI, or the compile flags: the version is hashed into
-    // every key, so old disk-cache entries become unreachable rather
-    // than stale.
-    constexpr std::uint64_t kEmitterVersion = 2;
+    // Bump on any change to the emitted C (expr::emitKernelC, an
+    // ARK_TAPE_OPS row, a builtin's C name or helper), the kernel
+    // ABI, or the compile flags: the version is hashed into every
+    // key, so old disk-cache entries become unreachable rather than
+    // stale.
+    constexpr std::uint64_t kEmitterVersion = 3;
 
     const auto index = [](std::int32_t i) {
         return static_cast<std::uint64_t>(static_cast<std::uint32_t>(i));

@@ -3,7 +3,7 @@
 
 /**
  * @file
- * Engine front door for tier-5 kernels: resolves a LaneTape to its
+ * Engine front door for JIT kernels: resolves a LaneTape to its
  * compiled native kernel through the ArtifactCache.
  *
  * This is the one call sites use — it folds together the toolchain
@@ -11,7 +11,7 @@
  * (engine::kernelKey), the in-memory kernel shard, and the on-disk
  * object cache (expr::compileKernel). Null means "interpret": every
  * failure mode — jit disabled, no toolchain, compile failure, forced
- * FaultSite::JitCompile — degrades to the tier-4 interpreter with
+ * FaultSite::JitCompile — degrades to the LaneTape interpreter with
  * bit-identical results.
  */
 

@@ -8,23 +8,42 @@ namespace ark::expr {
 
 namespace {
 
+/** In Builtin order, so builtinInfo() indexes it by id. */
 const std::vector<BuiltinInfo> builtinTable = {
-    {Builtin::Sin, "sin", 1},
-    {Builtin::Cos, "cos", 1},
-    {Builtin::Tan, "tan", 1},
-    {Builtin::Exp, "exp", 1},
-    {Builtin::Log, "log", 1},
-    {Builtin::Sqrt, "sqrt", 1},
-    {Builtin::Abs, "abs", 1},
-    {Builtin::Tanh, "tanh", 1},
-    {Builtin::Sgn, "sgn", 1},
-    {Builtin::Min, "min", 2},
-    {Builtin::Max, "max", 2},
-    {Builtin::Pow, "pow", 2},
-    {Builtin::Sat, "sat", 1},
-    {Builtin::SatNi, "sat_ni", 1},
-    {Builtin::Pulse, "pulse", 3},
+    {Builtin::Sin, "sin", 1, "sin"},
+    {Builtin::Cos, "cos", 1, "cos"},
+    {Builtin::Tan, "tan", 1, "tan"},
+    {Builtin::Exp, "exp", 1, "exp"},
+    {Builtin::Log, "log", 1, "log"},
+    {Builtin::Sqrt, "sqrt", 1, "sqrt"},
+    {Builtin::Abs, "abs", 1, "fabs"},
+    {Builtin::Tanh, "tanh", 1, "tanh"},
+    {Builtin::Sgn, "sgn", 1, "ark_sgn"},
+    {Builtin::Min, "min", 2, "ark_min"},
+    {Builtin::Max, "max", 2, "ark_max"},
+    {Builtin::Pow, "pow", 2, "pow"},
+    {Builtin::Sat, "sat", 1, "ark_sat"},
+    {Builtin::SatNi, "sat_ni", 1, "ark_sat_ni"},
+    {Builtin::Pulse, "pulse", 3, "ark_pulse"},
 };
+
+// min and max are spelled out rather than fmin/fmax: those may return
+// either operand of a (+0, -0) tie, and compilers treat them as
+// commutative, so the sign of a tie would depend on how each call
+// site compiled. These return x on a tie and the other operand when
+// one is NaN; the JIT emits the same bodies as ark_min/ark_max.
+
+double
+minFn(double x, double y)
+{
+    return (y < x || std::isnan(x)) ? y : x;
+}
+
+double
+maxFn(double x, double y)
+{
+    return (y > x || std::isnan(x)) ? y : x;
+}
 
 } // namespace
 
@@ -35,6 +54,15 @@ findBuiltin(const std::string &name)
         if (name == info.name)
             return &info;
     return nullptr;
+}
+
+const BuiltinInfo &
+builtinInfo(Builtin id)
+{
+    const auto index = static_cast<std::size_t>(id);
+    if (index >= builtinTable.size() || builtinTable[index].id != id)
+        support::panic(support::cat("unknown builtin id ", index));
+    return builtinTable[index];
 }
 
 const std::vector<BuiltinInfo> &
@@ -100,9 +128,9 @@ evalBuiltin(Builtin id, const double *args, int count)
       case Builtin::Sgn:
         return args[0] > 0.0 ? 1.0 : (args[0] < 0.0 ? -1.0 : 0.0);
       case Builtin::Min:
-        return std::fmin(args[0], args[1]);
+        return minFn(args[0], args[1]);
       case Builtin::Max:
-        return std::fmax(args[0], args[1]);
+        return maxFn(args[0], args[1]);
       case Builtin::Pow:
         return std::pow(args[0], args[1]);
       case Builtin::Sat:

@@ -33,10 +33,16 @@ struct BuiltinInfo
     Builtin id;
     const char *name;
     int arity;
+    /** The C function a JIT kernel calls (math.h or an emitted
+     *  ark_* helper), with the builtin's arguments in order. */
+    const char *cName;
 };
 
 /** Looks up a builtin by name; returns nullptr if unknown. */
 const BuiltinInfo *findBuiltin(const std::string &name);
+
+/** The descriptor of a builtin id. */
+const BuiltinInfo &builtinInfo(Builtin id);
 
 /** All registered builtins (for error hints and fuzz tests). */
 const std::vector<BuiltinInfo> &allBuiltins();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -231,44 +232,34 @@ loadKernel(const std::string &path, const LaneTape &tape)
         tape.width(), tape.numOutputs());
 }
 
-/** C spelling of one builtin call over already-formatted arguments. */
+/** The C spelling of register `index` in a kernel's register file. */
 std::string
-builtinCall(Builtin id, const std::vector<std::string> &args)
+regC(std::int32_t index)
 {
-    switch (id) {
-      case Builtin::Sin:
-        return "sin(" + args[0] + ")";
-      case Builtin::Cos:
-        return "cos(" + args[0] + ")";
-      case Builtin::Tan:
-        return "tan(" + args[0] + ")";
-      case Builtin::Exp:
-        return "exp(" + args[0] + ")";
-      case Builtin::Log:
-        return "log(" + args[0] + ")";
-      case Builtin::Sqrt:
-        return "sqrt(" + args[0] + ")";
-      case Builtin::Abs:
-        return "fabs(" + args[0] + ")";
-      case Builtin::Tanh:
-        return "tanh(" + args[0] + ")";
-      case Builtin::Sgn:
-        return "ark_sgn(" + args[0] + ")";
-      case Builtin::Min:
-        return "fmin(" + args[0] + ", " + args[1] + ")";
-      case Builtin::Max:
-        return "fmax(" + args[0] + ", " + args[1] + ")";
-      case Builtin::Pow:
-        return "pow(" + args[0] + ", " + args[1] + ")";
-      case Builtin::Sat:
-        return "ark_sat(" + args[0] + ")";
-      case Builtin::SatNi:
-        return "ark_sat_ni(" + args[0] + ")";
-      case Builtin::Pulse:
-        return "ark_pulse(" + args[0] + ", " + args[1] + ", " +
-               args[2] + ")";
+    return "r[" + std::to_string(index) + "]";
+}
+
+/**
+ * A PURE row's stringified expression with its operand names A, B
+ * and C spelled as the registers `op` reads.
+ */
+std::string
+rowC(const char *expr, const TapeOp &op)
+{
+    auto identChar = [](char ch) {
+        return std::isalnum(static_cast<unsigned char>(ch)) || ch == '_';
+    };
+    std::string out;
+    for (const char *p = expr; *p != '\0'; ++p) {
+        const bool operand = (*p == 'A' || *p == 'B' || *p == 'C') &&
+                             (p == expr || !identChar(p[-1])) &&
+                             !identChar(p[1]);
+        if (!operand)
+            out += *p;
+        else
+            out += regC(*p == 'A' ? op.a : *p == 'B' ? op.b : op.c);
     }
-    return {};
+    return out;
 }
 
 } // namespace
@@ -301,6 +292,12 @@ jitToolchainAvailable()
     return !jitCompilerPath().empty();
 }
 
+// One case per PURE row of the table: the row's expression as C.
+#define ARK_EMIT_ROW(Name, Arity, Expr)                                 \
+          case OpCode::Name:                                            \
+            stmt = regC(op.dst) + " = " + rowC(#Expr, op);              \
+            break;
+
 std::string
 emitKernelC(const LaneTape &tape)
 {
@@ -308,10 +305,12 @@ emitKernelC(const LaneTape &tape)
     std::string src;
     src.reserve(256 + tape.size() * 64);
 
-    // Helpers mirror expr/builtins.cc line for line; the sat_ni scale
-    // is the host-computed std::tanh(1.2) emitted exactly, so the
-    // division matches the interpreter's cached divisor bit-for-bit
-    // (a compile-time tanh() fold could round differently).
+    // Each builtin's C function is its BuiltinInfo::cName; the ark_*
+    // helpers below carry the bodies of their expr/builtins.cc
+    // definitions line for line. The sat_ni scale is the
+    // host-computed std::tanh(1.2) emitted exactly, so the division
+    // matches the interpreter's cached divisor bit-for-bit (a
+    // compile-time tanh() fold could round differently).
     src += "/* ark tier-5 kernel: width ";
     src += std::to_string(w);
     src += ", ";
@@ -320,6 +319,10 @@ emitKernelC(const LaneTape &tape)
     src += "#include <math.h>\n\n";
     src += "static double ark_sgn(double x)\n"
            "{ return x > 0.0 ? 1.0 : (x < 0.0 ? -1.0 : 0.0); }\n\n";
+    src += "static double ark_min(double x, double y)\n"
+           "{ return (y < x || isnan(x)) ? y : x; }\n\n";
+    src += "static double ark_max(double x, double y)\n"
+           "{ return (y > x || isnan(x)) ? y : x; }\n\n";
     src += "static double ark_sat(double x)\n"
            "{ return 0.5 * (fabs(x + 1.0) - fabs(x - 1.0)); }\n\n";
     src += "static double ark_sat_ni(double x)\n{ return tanh(1.2 * x)"
@@ -364,100 +367,43 @@ emitKernelC(const LaneTape &tape)
                std::to_string(static_cast<std::size_t>(index) * w) +
                " + l]";
     };
-    auto reg = [&](std::int32_t index) {
-        return "r[" + std::to_string(index) + "]";
-    };
     for (const TapeOp &op : tape.ops()) {
         std::string stmt;
         switch (op.op) {
           case OpCode::Const:
-            stmt = reg(op.dst) + " = " + slot("consts", op.a);
+            stmt = regC(op.dst) + " = " + slot("consts", op.a);
             break;
           case OpCode::LoadTime:
-            stmt = reg(op.dst) + " = t";
+            stmt = regC(op.dst) + " = t";
             break;
           case OpCode::LoadState:
-            stmt = reg(op.dst) + " = " + slot("state", op.a);
-            break;
-          case OpCode::Neg:
-            stmt = reg(op.dst) + " = -" + reg(op.a);
-            break;
-          case OpCode::Add:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " + " + reg(op.b);
-            break;
-          case OpCode::Sub:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " - " + reg(op.b);
-            break;
-          case OpCode::Mul:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " * " + reg(op.b);
-            break;
-          case OpCode::Div:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " / " + reg(op.b);
-            break;
-          case OpCode::Lt:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " < " + reg(op.b) +
-                   " ? 1.0 : 0.0";
-            break;
-          case OpCode::Le:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " <= " +
-                   reg(op.b) + " ? 1.0 : 0.0";
-            break;
-          case OpCode::Gt:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " > " + reg(op.b) +
-                   " ? 1.0 : 0.0";
-            break;
-          case OpCode::Ge:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " >= " +
-                   reg(op.b) + " ? 1.0 : 0.0";
-            break;
-          case OpCode::EqOp:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " == " +
-                   reg(op.b) + " ? 1.0 : 0.0";
-            break;
-          case OpCode::NeOp:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " != " +
-                   reg(op.b) + " ? 1.0 : 0.0";
-            break;
-          case OpCode::AndOp:
-            stmt = reg(op.dst) + " = (" + reg(op.a) + " != 0.0 && " +
-                   reg(op.b) + " != 0.0) ? 1.0 : 0.0";
-            break;
-          case OpCode::OrOp:
-            stmt = reg(op.dst) + " = (" + reg(op.a) + " != 0.0 || " +
-                   reg(op.b) + " != 0.0) ? 1.0 : 0.0";
-            break;
-          case OpCode::NotOp:
-            stmt = reg(op.dst) + " = " + reg(op.a) +
-                   " == 0.0 ? 1.0 : 0.0";
-            break;
-          case OpCode::Select:
-            stmt = reg(op.dst) + " = " + reg(op.c) + " != 0.0 ? " +
-                   reg(op.a) + " : " + reg(op.b);
-            break;
-          case OpCode::FusedMulAdd:
-            stmt = reg(op.dst) + " = fma(" + reg(op.a) + ", " +
-                   reg(op.b) + ", " + reg(op.c) + ")";
+            stmt = regC(op.dst) + " = " + slot("state", op.a);
             break;
           case OpCode::CallB: {
-            std::vector<std::string> args;
-            if (op.a >= 0)
-                args.push_back(reg(op.a));
-            if (op.b >= 0)
-                args.push_back(reg(op.b));
-            if (op.c >= 0)
-                args.push_back(reg(op.c));
-            stmt = reg(op.dst) + " = " + builtinCall(op.builtin, args);
+            const BuiltinInfo &info = builtinInfo(op.builtin);
+            stmt = regC(op.dst) + " = " + info.cName + "(";
+            const char *sep = "";
+            for (std::int32_t operand : {op.a, op.b, op.c}) {
+                if (operand < 0)
+                    continue;
+                stmt += sep + regC(operand);
+                sep = ", ";
+            }
+            stmt += ")";
             break;
           }
           case OpCode::WriteOutput:
-            stmt = slot("out", op.dst) + " = " + reg(op.a);
+            stmt = slot("out", op.dst) + " = " + regC(op.a);
             break;
+          ARK_TAPE_OPS(ARK_TAPE_SKIP, ARK_EMIT_ROW)
         }
         src += "        " + stmt + ";\n";
     }
     src += "    }\n}\n";
     return src;
 }
+
+#undef ARK_EMIT_ROW
 
 JitKernelPtr
 compileKernel(const LaneTape &tape, const std::string &cacheKey)

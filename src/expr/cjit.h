@@ -3,13 +3,15 @@
 
 /**
  * @file
- * Tier-5 execution: native code generation for lane tape programs.
+ * JIT execution: native code generation for lane tape programs.
  *
- * The fifth rung of the execution ladder (interpreter -> Tape ->
- * FusedTape -> LaneTape -> JIT): a LaneTape program is lowered to
- * straight-line C — one outer loop over the independent lanes whose
- * body is one statement per tape instruction, in stream order, with
- * no reassociation, over a per-lane scalar register file — compiled
+ * The top rung of the execution ladder (interpreter -> FusedTape ->
+ * LaneTape -> JIT): a LaneTape program is lowered to straight-line
+ * C — one outer loop over the independent lanes whose body is one
+ * statement per tape instruction, in stream order, with no
+ * reassociation, over a per-lane scalar register file; a pure
+ * instruction's statement is its ARK_TAPE_OPS row (expr/tape.h), the
+ * same row the interpreters compile — compiled
  * to a shared object with `-O2 -fno-fast-math -ffp-contract=off`
  * (plus value-preserving vectorize/unroll/host-ISA flags), dlopened,
  * and called through one function pointer per step. This removes both

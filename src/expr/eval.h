@@ -7,8 +7,8 @@
  *
  * The interpreter serves semantic analysis (constant attribute
  * evaluation, set-switch conditions) and acts as the reference
- * implementation the compiled tape is tested against. Hot simulation
- * loops should use expr::Tape instead.
+ * implementation the compiled tapes are tested against. Hot loops
+ * compile their expressions to an expr::FusedTape instead.
  */
 
 #include <functional>

@@ -4,13 +4,11 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <unordered_map>
 
-#include "expr/tape_exec.h"
 #include "support/error.h"
-#include "support/faultinject.h"
 #include "support/logging.h"
 
 namespace ark::expr {
@@ -19,6 +17,51 @@ using support::cat;
 using support::CompileError;
 
 namespace {
+
+// One case per PURE row of the table. An operand slot the row does
+// not read holds -1, so it reads A's register instead.
+#define ARK_SCALAR_ROW(Name, Arity, Expr)                               \
+      case OpCode::Name: {                                              \
+        [[maybe_unused]] const double A = r[op.a],                      \
+                                      B = r[Arity > 1 ? op.b : op.a],   \
+                                      C = r[Arity > 2 ? op.c : op.a];   \
+        return Expr;                                                    \
+      }
+
+/**
+ * Executes one compute instruction against registers `r`, returning
+ * the produced value: the scalar oracle and the constant folder.
+ * `WriteOutput` is not a compute instruction and must be handled by
+ * the caller's loop.
+ */
+double
+execCompute(const TapeOp &op, const double *state, double t,
+            const double *r)
+{
+    using std::fma; // spelled bare in the FusedMulAdd row
+    switch (op.op) {
+      case OpCode::Const:
+        return op.imm;
+      case OpCode::LoadTime:
+        return t;
+      case OpCode::LoadState:
+        return state[op.a];
+      case OpCode::CallB: {
+        double argv[3];
+        int n = 0;
+        for (std::int32_t operand : {op.a, op.b, op.c})
+            if (operand >= 0)
+                argv[n++] = r[operand];
+        return evalBuiltin(op.builtin, argv, n);
+      }
+      case OpCode::WriteOutput:
+        break;
+      ARK_TAPE_OPS(ARK_TAPE_SKIP, ARK_SCALAR_ROW)
+    }
+    support::panic("tape exec: bad opcode");
+}
+
+#undef ARK_SCALAR_ROW
 
 /** Structural identity of an SSA value (operands are value ids). */
 struct ValKey
@@ -213,7 +256,7 @@ class Fuser
         // Select reads (a, b, c) positionally rather than packed.
         if (op == OpCode::Select)
             probe = TapeOp{op, builtin, 0, 0, 1, 2, 0.0};
-        double value = detail::execCompute(probe, nullptr, 0.0, operands);
+        double value = execCompute(probe, nullptr, 0.0, operands);
         return intern(OpCode::Const, Builtin::Sin, -1, -1, -1, value);
     }
 
@@ -496,14 +539,8 @@ FusedTape::evalInto(const double *state, double t, double *out,
             out[op.dst] = regs[op.a];
             continue;
         }
-        regs[op.dst] = detail::execCompute(op, state, t, regs);
+        regs[op.dst] = execCompute(op, state, t, regs);
     }
-    // Deterministic fault injection: poison the first output, as a
-    // numerical fault in the RHS would (tests of divergence handling
-    // and the retry supervisor arm this; zero cost disarmed).
-    if (support::FaultInjector::shouldFire(support::FaultSite::TapeNan) &&
-        numOutputs_ > 0)
-        out[0] = std::numeric_limits<double>::quiet_NaN();
 }
 
 std::vector<double>

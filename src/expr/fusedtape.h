@@ -6,10 +6,11 @@
  * Fused multi-output evaluation tape for whole-system ODE right-hand
  * sides.
  *
- * Where expr::Tape compiles one expression into one register program,
  * FusedTape lowers *all* RHS expressions of a dynamical system into a
- * single program that fills the whole dstate vector in one pass
- * (WriteOutput instructions). Lowering performs:
+ * single program of the tape ISA (expr/tape.h) that fills the whole
+ * dstate vector in one pass (WriteOutput instructions); a one-output
+ * compile serves a single expression, e.g. a SPICE input waveform.
+ * Lowering performs:
  *
  *  - global value numbering: structurally identical subexpressions
  *    across equations (Const, LoadTime, LoadState, every operator and
@@ -25,10 +26,9 @@
  *    small reusable register file via last-use linear scan, keeping
  *    the working set cache-resident even for large systems.
  *
- * The instruction set, TapeOp encoding, and per-op semantics are
- * shared with expr::Tape (see tape_exec.h), so fused evaluation is
- * numerically identical to running the per-variable tapes (up to the
- * sign of zero under the x+0 identity).
+ * Each op evaluates by its ARK_TAPE_OPS row, so fused evaluation is
+ * numerically identical to evaluating each expression on its own (up
+ * to the sign of zero under the x+0 identity).
  *
  * compile(outputs, fuseMulAdd = true) derives an FMA variant of
  * the program: a value-graph pass contracts each single-use Mul
@@ -38,11 +38,11 @@
  * operands stay live to the fused site. It is a guarded opt-in,
  * never applied by default: the default program keeps
  * one-IEEE-rounding-per-arithmetic-step semantics and therefore
- * stays bit-identical to the per-variable tapes and the interpreter;
- * the FMA variant agrees with them only to rounding (~1 ulp per
- * contracted pair) but shortens the stream by one instruction per
- * contraction. SimOptions::tapeFma selects the variant on the
- * simulation hot paths.
+ * stays bit-identical to the tree interpreter; the FMA variant
+ * agrees with it only to rounding (~1 ulp per contracted pair) but
+ * shortens the stream by one instruction per contraction.
+ * SimOptions::tapeFma selects the variant on the simulation hot
+ * paths.
  *
  * FusedTape has two roles (see sim/sim.h for the full execution
  * ladder). It is the compiler: the compiled program (ops()) is what
@@ -55,7 +55,8 @@
  * compiles that LaneTape program to native code. And its own
  * evaluator, evalInto, is the scalar test oracle the bit-identity
  * suites compare the lane interpreter and the kernels against; no
- * integrator calls it.
+ * integrator calls it (SPICE input waveforms, one-output programs,
+ * are its only production use).
  */
 
 #include <cstddef>
@@ -94,9 +95,9 @@ class FusedTape
     std::size_t size() const { return ops_.size(); }
 
     /**
-     * Compute instructions eliminated by fusion relative to compiling
-     * each output into its own Tape (CSE hits + folds); perf
-     * instrumentation for tests and benchmarks.
+     * Compute instructions eliminated by fusion relative to lowering
+     * each output's expression tree node by node (CSE hits + folds);
+     * perf instrumentation for tests and benchmarks.
      */
     std::size_t fusionSavings() const { return fusionSavings_; }
 

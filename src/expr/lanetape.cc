@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "expr/builtins.h"
 #include "expr/fusedtape.h"
-#include "support/faultinject.h"
 #include "support/logging.h"
 
 namespace ark::expr {
@@ -161,6 +159,23 @@ LaneTape::broadcast(const FusedTape &tape, std::size_t lanes)
     return *std::move(merged);
 }
 
+// One case per PURE row of the table: the row's expression, once per
+// lane. An operand slot the row does not read holds -1, so it reads
+// A's row instead and no pointer is formed from -1.
+#define ARK_LANE_ROW(Name, Arity, Expr)                                 \
+          case OpCode::Name: {                                          \
+            double *d = row(op.dst);                                    \
+            const double *a = row(op.a);                                \
+            const double *b = Arity > 1 ? row(op.b) : a;                \
+            const double *c = Arity > 2 ? row(op.c) : a;                \
+            for (int l = 0; l < W; ++l) {                               \
+                [[maybe_unused]] const double A = a[l], B = b[l],       \
+                                              C = c[l];                 \
+                d[l] = Expr;                                            \
+            }                                                           \
+            break;                                                      \
+          }
+
 template <int W>
 void
 LaneTape::evalIntoT(const double *state, double t, double *out,
@@ -174,6 +189,7 @@ LaneTape::evalIntoT(const double *state, double t, double *out,
     auto row = [file](std::int32_t i) {
         return file + static_cast<std::size_t>(i) * W;
     };
+    using std::fma; // spelled bare in the FusedMulAdd row
     for (const FileOp &op : stream_) {
         switch (op.op) {
           case OpCode::WriteOutput: {
@@ -187,122 +203,6 @@ LaneTape::evalIntoT(const double *state, double t, double *out,
             double *d = row(op.dst);
             for (int l = 0; l < W; ++l)
                 d[l] = t;
-            break;
-          }
-          case OpCode::Neg: {
-            double *d = row(op.dst);
-            const double *a = row(op.a);
-            for (int l = 0; l < W; ++l)
-                d[l] = -a[l];
-            break;
-          }
-          case OpCode::Add: {
-            double *d = row(op.dst);
-            const double *a = row(op.a), *b = row(op.b);
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] + b[l];
-            break;
-          }
-          case OpCode::Sub: {
-            double *d = row(op.dst);
-            const double *a = row(op.a), *b = row(op.b);
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] - b[l];
-            break;
-          }
-          case OpCode::Mul: {
-            double *d = row(op.dst);
-            const double *a = row(op.a), *b = row(op.b);
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] * b[l];
-            break;
-          }
-          case OpCode::Div: {
-            double *d = row(op.dst);
-            const double *a = row(op.a), *b = row(op.b);
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] / b[l];
-            break;
-          }
-          case OpCode::Lt: {
-            double *d = row(op.dst);
-            const double *a = row(op.a), *b = row(op.b);
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] < b[l] ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::Le: {
-            double *d = row(op.dst);
-            const double *a = row(op.a), *b = row(op.b);
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] <= b[l] ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::Gt: {
-            double *d = row(op.dst);
-            const double *a = row(op.a), *b = row(op.b);
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] > b[l] ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::Ge: {
-            double *d = row(op.dst);
-            const double *a = row(op.a), *b = row(op.b);
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] >= b[l] ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::EqOp: {
-            double *d = row(op.dst);
-            const double *a = row(op.a), *b = row(op.b);
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] == b[l] ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::NeOp: {
-            double *d = row(op.dst);
-            const double *a = row(op.a), *b = row(op.b);
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] != b[l] ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::AndOp: {
-            double *d = row(op.dst);
-            const double *a = row(op.a), *b = row(op.b);
-            for (int l = 0; l < W; ++l)
-                d[l] = (a[l] != 0.0 && b[l] != 0.0) ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::OrOp: {
-            double *d = row(op.dst);
-            const double *a = row(op.a), *b = row(op.b);
-            for (int l = 0; l < W; ++l)
-                d[l] = (a[l] != 0.0 || b[l] != 0.0) ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::NotOp: {
-            double *d = row(op.dst);
-            const double *a = row(op.a);
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] == 0.0 ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::Select: {
-            double *d = row(op.dst);
-            const double *a = row(op.a), *b = row(op.b), *c = row(op.c);
-            for (int l = 0; l < W; ++l)
-                d[l] = c[l] != 0.0 ? a[l] : b[l];
-            break;
-          }
-          case OpCode::FusedMulAdd: {
-            // Same std::fma the scalar executor uses: one rounding per
-            // lane, bit-identical to scalar FusedTape evaluation. On
-            // FMA hosts (ARK_ENABLE_NATIVE) this lowers to the fused
-            // instruction; baseline ISAs call libm's soft-fma.
-            double *d = row(op.dst);
-            const double *a = row(op.a), *b = row(op.b), *c = row(op.c);
-            for (int l = 0; l < W; ++l)
-                d[l] = std::fma(a[l], b[l], c[l]);
             break;
           }
           case OpCode::CallB: {
@@ -322,9 +222,12 @@ LaneTape::evalIntoT(const double *state, double t, double *out,
           case OpCode::Const:
           case OpCode::LoadState:
             break; // never in the stream: deriveStream() folds loads
+          ARK_TAPE_OPS(ARK_TAPE_SKIP, ARK_LANE_ROW)
         }
     }
 }
+
+#undef ARK_LANE_ROW
 
 void
 LaneTape::evalInto(const double *state, double t, double *out,
@@ -348,13 +251,6 @@ LaneTape::evalInto(const double *state, double t, double *out,
       default:
         support::panic("LaneTape: bad width");
     }
-    // Deterministic fault injection: poison output 0 of lane 0 (the
-    // lane-minor layout puts it at out[0]) — a single-lane numerical
-    // fault, so tests can watch one lane retire while its block-mates
-    // keep integrating. Zero cost disarmed.
-    if (support::FaultInjector::shouldFire(support::FaultSite::TapeNan) &&
-        numOutputs_ > 0)
-        out[0] = std::numeric_limits<double>::quiet_NaN();
 }
 
 } // namespace ark::expr

@@ -46,7 +46,10 @@
  * FusedTape with the same IEEE operations in the same order (loads
  * only move values), so lane results are bit-identical to
  * FusedTape::evalInto, the test oracle, on the same state (builtin
- * calls included; they evaluate per lane).
+ * calls included; they evaluate per lane). Each pure op's lane loop
+ * is its ARK_TAPE_OPS row (expr/tape.h), the row the oracle and the
+ * JIT emitter expand too. evalInto is a pure function of its inputs:
+ * the TapeNan fault drill fires in the caller (sim/batch.cc).
  */
 
 #include <cstddef>
@@ -111,7 +114,7 @@ class LaneTape
     std::size_t size() const { return ops_.size(); }
 
     /** The program; Const ops hold a constant-table slot in `a`.
-     *  Exposed for the tier-5 JIT emitter and its cache key. */
+     *  Exposed for the JIT emitter and its cache key. */
     const std::vector<TapeOp> &ops() const { return ops_; }
 
     /** Per-lane constant table, slot-major (slot * width() + lane);

@@ -3,53 +3,89 @@
 
 /**
  * @file
- * Flat evaluation tapes for ODE right-hand sides.
+ * The tape ISA: the register instruction set every compiled ODE
+ * right-hand side runs on.
  *
- * The compiler lowers each fully-resolved dynamics expression (only
- * literals, `time`, state-vector slots, operators, and builtins remain)
- * into a postorder register program. The simulator evaluates tapes with
- * zero allocation per step; benchmarks show an order-of-magnitude win
- * over tree walking (see bench/perf_expr).
+ * expr::FusedTape (fusedtape.h) lowers a system's fully resolved RHS
+ * expressions (only literals, `time`, state-vector slots, operators
+ * and builtins remain) into one program of these instructions. Three
+ * evaluators run it and must agree bit for bit: FusedTape's scalar
+ * oracle (which also folds constants at compile time), the
+ * expr::LaneTape interpreter, and the JIT's C emitter (expr/cjit.h).
  *
- * Tape compiles one expression into one program; simulation runs
- * expr::FusedTape programs (fusedtape.h), which lower a whole
- * system's RHS vector into a single program with cross-equation CSE
- * and fill every dstate slot in one pass, through expr::LaneTape.
- * Tape and FusedTape share this instruction set (TapeOp/OpCode) and
- * the scalar executor in tape_exec.h.
+ * ARK_TAPE_OPS is the single declaration of the ISA; each evaluator
+ * expands it. A row is one opcode:
+ *
+ *   SPECIAL(Name)            an instruction with its own operand
+ *                            convention, hand-written in each
+ *                            evaluator;
+ *   PURE(Name, Arity, Expr)  dst = Expr, a side-effect-free expression
+ *                            over the registers A = r[a], B = r[b] and
+ *                            C = r[c]. The op reads its first Arity
+ *                            operands; the other slots hold -1.
+ *
+ * The contract of the table:
+ *
+ *  - Row order is the OpCode numbering, which the JIT kernel cache
+ *    key (engine::kernelKey) hashes: moving or inserting a row
+ *    re-keys kernels and needs a kEmitterVersion bump.
+ *  - A PURE row's Expr is compiled into the oracle and the lane
+ *    interpreter and emitted, operands renamed, into every JIT
+ *    kernel. It must mean the same in C++ and in C, and changing it
+ *    needs a kEmitterVersion bump (JitKeyTest.SampleProgramKeyIsPinned).
+ *
+ * The special rows:
+ *
+ *   Const       dst = imm (LaneTape: constant-table slot a)
+ *   LoadTime    dst = t
+ *   LoadState   dst = state[a]
+ *   CallB       dst = builtin(r[a], r[b], r[c]), operands >= 0 only
+ *   WriteOutput out[dst] = r[a]
+ *
+ * FusedMulAdd rounds once for the whole a*b+c (fma(), so the result
+ * is deterministic across hosts and compilers). No base compile
+ * emits it: only the guarded Mul+Add contraction in
+ * FusedTape::compile(outputs, fuseMulAdd = true) produces it, so
+ * default-compiled programs never contain it.
  */
 
 #include <cstdint>
-#include <vector>
 
 #include "expr/builtins.h"
-#include "expr/expr.h"
+
+#define ARK_TAPE_OPS(SPECIAL, PURE)                                    \
+    SPECIAL(Const)                                                     \
+    SPECIAL(LoadTime)                                                  \
+    SPECIAL(LoadState)                                                 \
+    PURE(Neg, 1, -A)                                                   \
+    PURE(Add, 2, A + B)                                                \
+    PURE(Sub, 2, A - B)                                                \
+    PURE(Mul, 2, A * B)                                                \
+    PURE(Div, 2, A / B)                                                \
+    PURE(Lt, 2, A < B ? 1.0 : 0.0)                                     \
+    PURE(Le, 2, A <= B ? 1.0 : 0.0)                                    \
+    PURE(Gt, 2, A > B ? 1.0 : 0.0)                                     \
+    PURE(Ge, 2, A >= B ? 1.0 : 0.0)                                    \
+    PURE(EqOp, 2, A == B ? 1.0 : 0.0)                                  \
+    PURE(NeOp, 2, A != B ? 1.0 : 0.0)                                  \
+    PURE(AndOp, 2, (A != 0.0 && B != 0.0) ? 1.0 : 0.0)                 \
+    PURE(OrOp, 2, (A != 0.0 || B != 0.0) ? 1.0 : 0.0)                  \
+    PURE(NotOp, 1, A == 0.0 ? 1.0 : 0.0)                               \
+    PURE(Select, 3, C != 0.0 ? A : B)                                  \
+    SPECIAL(CallB)                                                     \
+    SPECIAL(WriteOutput)                                               \
+    PURE(FusedMulAdd, 3, fma(A, B, C))
+
+/** Expands a row to nothing (for the row kind an expansion skips). */
+#define ARK_TAPE_SKIP(...)
 
 namespace ark::expr {
 
-/** Tape instruction opcodes. */
+/** Tape instruction opcodes, in ARK_TAPE_OPS row order. */
 enum class OpCode : std::uint8_t {
-    Const,     ///< dst = imm
-    LoadTime,  ///< dst = t
-    LoadState, ///< dst = state[a]
-    Neg,       ///< dst = -r[a]
-    Add, Sub, Mul, Div,           ///< dst = r[a] op r[b]
-    Lt, Le, Gt, Ge, EqOp, NeOp,   ///< dst = r[a] cmp r[b] ? 1 : 0
-    AndOp, OrOp,                  ///< dst = bool(r[a]) op bool(r[b])
-    NotOp,     ///< dst = r[a] == 0 ? 1 : 0
-    Select,    ///< dst = r[c] != 0 ? r[a] : r[b]
-    CallB,     ///< dst = builtin(r[a], r[b], r[c])
-    WriteOutput, ///< out[dst] = r[a] (FusedTape only)
-    /**
-     * dst = fma(r[a], r[b], r[c]) — the product is not rounded before
-     * the add (one rounding for the whole instruction, via std::fma,
-     * so the result is deterministic across hosts and compilers).
-     * Never emitted by the base compilers; produced only by the
-     * guarded Mul+Add contraction in FusedTape::compile(outputs,
-     * fuseMulAdd=true), so default-compiled tape streams never
-     * contain it.
-     */
-    FusedMulAdd,
+#define ARK_TAPE_ENUMERATOR(Name, ...) Name,
+    ARK_TAPE_OPS(ARK_TAPE_ENUMERATOR, ARK_TAPE_ENUMERATOR)
+#undef ARK_TAPE_ENUMERATOR
 };
 
 /** One tape instruction; unused operand slots hold -1. */
@@ -62,57 +98,6 @@ struct TapeOp
     std::int32_t b;
     std::int32_t c;
     double imm;
-};
-
-/**
- * A compiled expression: a register program returning one double.
- */
-class Tape
-{
-  public:
-    /**
-     * Compiles a resolved expression.
-     * @throws ark::support::CompileError if the tree still contains
-     *         Var, Attr, NodeVar, or lambda-callee nodes.
-     */
-    static Tape compile(const ExprPtr &e);
-
-    /** Number of scratch registers evaluation requires. */
-    int numRegs() const { return numRegs_; }
-
-    /** Number of instructions (for tests and benchmarks). */
-    std::size_t size() const { return ops_.size(); }
-
-    /**
-     * Evaluates against a state vector and time. `regs` is caller
-     * scratch, resized as needed (pass the same buffer across calls to
-     * avoid reallocation).
-     */
-    double eval(const double *state, double t,
-                std::vector<double> &regs) const;
-
-    /**
-     * Hot-path evaluation against caller scratch of at least
-     * numRegs() doubles; no size check beyond a debug assertion.
-     * OdeSystem sizes one scratch block per system and reuses it for
-     * every call, keeping the resize branch out of the inner loop.
-     */
-    double eval(const double *state, double t, double *regs) const;
-
-    /** Convenience wrapper that owns its scratch (slower; tests). */
-    double evalAlloc(const std::vector<double> &state, double t) const;
-
-    /** Largest state index referenced, or -1 when stateless. */
-    int maxStateIndex() const { return maxStateIndex_; }
-
-  private:
-    std::vector<TapeOp> ops_;
-    int numRegs_ = 0;
-    int maxStateIndex_ = -1;
-
-    int emit(const ExprPtr &e);
-    int newReg();
-    int addOp(TapeOp op);
 };
 
 } // namespace ark::expr

@@ -191,14 +191,14 @@ firstNonfinite(const double *column, std::size_t n, std::size_t stride)
 /**
  * One lane block's RHS: the members' programs merged into one
  * LaneTape (a single member merges to the width-1 program), routed
- * through the tier-5 native kernel when one resolves and the LaneTape
+ * through the JIT native kernel when one resolves and the LaneTape
  * interpreter otherwise. Resolution happens once, at construction (a
  * cache hit after the first compile); every failure mode — jit off, no
  * toolchain, compile failure — leaves the kernel null and the block
- * runs interpreted with identical results. Both tiers fire the
- * deterministic TapeNan poison site exactly once per evaluation. Owns
- * the interpreter's scratch file, so an evaluator serves one thread at
- * a time.
+ * runs interpreted with identical results. eval() holds the one
+ * deterministic TapeNan poison site, which fires alike after either
+ * tier. Owns the interpreter's scratch file, so an evaluator serves
+ * one thread at a time.
  */
 class BlockEvaluator
 {
@@ -219,13 +219,14 @@ class BlockEvaluator
     void
     eval(const double *state, double t, double *out)
     {
-        if (kernel_ == nullptr) {
+        if (kernel_ == nullptr)
             tape_.evalInto(state, t, out, file_.data());
-            return;
-        }
-        kernel_->call(state, t, out, tape_.constants().data());
-        // The interpreter's poison site, replayed so fault drills see
-        // one behaviour on both tiers.
+        else
+            kernel_->call(state, t, out, tape_.constants().data());
+        // Deterministic fault injection: poison output 0 of lane 0
+        // (the lane-minor layout puts it at out[0]) — a single-lane
+        // numerical fault, so tests can watch one lane retire while
+        // its block-mates keep integrating. Zero cost disarmed.
         if (support::FaultInjector::shouldFire(
                 support::FaultSite::TapeNan) &&
             tape_.numOutputs() > 0)
@@ -530,7 +531,7 @@ class LaneDopri5
         // stats_'s own destructor flushes to the registry.
     }
 
-    /** True when any block ran a tier-5 kernel — drives the run
+    /** True when any block ran a JIT kernel — drives the run
      *  ledger's tier attribution. */
     bool usedJit() const { return usedJit_; }
 
@@ -853,7 +854,7 @@ class LaneDopri5
     const std::stop_token &stop_;
     const Deadline &deadline_;
     const std::function<void(std::size_t)> &laneDone_;
-    const bool jitOn_;     ///< Try tier-5 kernels per block.
+    const bool jitOn_;     ///< Try JIT kernels per block.
     bool usedJit_ = false; ///< Any block actually ran one.
 
     const std::size_t n_;  ///< State variables per instance.
@@ -1245,7 +1246,7 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
 
     std::vector<SimResult> results(count);
     std::vector<std::exception_ptr> errors(count);
-    // Per-job tier-5 provenance for the ledger flush below: a job is
+    // Per-job JIT provenance for the ledger flush below: a job is
     // "jit" only when a kernel actually ran (not merely requested).
     std::vector<char> jitUsed(jobs.size(), 0);
     std::mutex progressMutex;

@@ -5,10 +5,10 @@
  * @file
  * Lane-parallel batch execution engine for ensemble simulation.
  *
- * BatchRunner is the ensemble tier of the execution stack (tier 4 in
- * sim.h's ladder): it partitions an N-instance batch into lane blocks
- * of up to expr::LaneTape::kMaxLanes instances that share one fused
- * program structure and integrates each block over a
+ * BatchRunner is the ensemble tier of the execution stack (tiers 3
+ * and 4 in sim.h's ladder): it partitions an N-instance batch into
+ * lane blocks of up to expr::LaneTape::kMaxLanes instances that share
+ * one fused program structure and integrates each block over a
  * structure-of-arrays state block — one instruction stream, all
  * lanes per dispatch. Each method has exactly one integrator, and it
  * runs every block at whatever width the block needs, from 1 to 8:
@@ -154,7 +154,7 @@ namespace detail {
  * (one to expr::LaneTape::kMaxLanes instances of one program
  * structure). Picks the tape variant `options` select, merges the
  * members' programs into one LaneTape (width 1 for a single member),
- * and runs the driver for options.method. A tier-5 kernel serves the
+ * and runs the driver for options.method. A JIT kernel serves the
  * RHS when `jitOn` and one resolves; `usedJit`, when given, reports
  * whether one did. `laneDone` ticks once per finished instance. The
  * engine behind simulate() and every BatchRunner job; not part of the

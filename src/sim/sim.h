@@ -11,26 +11,29 @@
  * control (default; handles the nanosecond-scale TLN/OBC dynamics and
  * the CNN's piecewise-linear saturations efficiently).
  *
- * RHS evaluation has five execution tiers at identical semantics.
- * The first three are references; every integrator runs tier 4 or 5:
+ * RHS evaluation has four execution tiers at identical semantics.
+ * The first two are references; every integrator runs tier 3 or 4:
  *
  *  1. tree interpreter (OdeSystem::evalRhsInterpreted) — ground truth
  *     for equivalence tests;
- *  2. per-variable tapes (evalRhsPerTape) — one register program per
- *     equation, kept as the ablation path;
- *  3. fused whole-system tape (expr::FusedTape) — the compiler: one
- *     program with cross-equation CSE fills all of dstate per pass.
- *     Its own evaluator (evalRhs / FusedTape::evalInto) is the oracle
- *     the bit-identity suites compare against; no integrator calls it;
- *  4. LaneTape interpreter (expr::LaneTape) — the fused programs of
+ *  2. fused whole-system tape (expr::FusedTape) — the compiler: one
+ *     program of the tape ISA (expr/tape.h) with cross-equation CSE
+ *     fills all of dstate per pass. Its own evaluator (evalRhs /
+ *     FusedTape::evalInto) is the oracle the bit-identity suites
+ *     compare against; no integrator calls it;
+ *  3. LaneTape interpreter (expr::LaneTape) — the fused programs of
  *     one to eight instances merged over a structure-of-arrays block,
  *     amortizing instruction dispatch and autovectorizing the lane
  *     loops;
- *  5. JIT native kernels (expr/cjit.h, SimOptions::jit) — the lane
+ *  4. JIT native kernels (expr/cjit.h, SimOptions::jit) — the lane
  *     program lowered to straight-line C, compiled at runtime, and
  *     called through one function pointer per evaluation. Results are
- *     bit-identical to tiers 3/4 (same IEEE ops in the same order);
+ *     bit-identical to tiers 2/3 (same IEEE ops in the same order);
  *     any compile problem silently falls back to the interpreted tier.
+ *
+ * Tiers 2-4 evaluate each pure instruction by the same row of one op
+ * table (ARK_TAPE_OPS), which the oracle and the interpreter compile
+ * and the JIT emits as C.
  *
  * Each method has ONE integrator (sim/batch.h), and every run is a
  * lane block of it, 1 to 8 lanes wide. simulate() is a one-lane
@@ -134,7 +137,7 @@ struct SimOptions
     bool tapeReassoc = false;
 
     /**
-     * Serve RHS evaluation from tier-5 JIT-compiled native kernels
+     * Serve RHS evaluation from JIT-compiled native kernels
      * (expr/cjit.h): the ensemble engine lowers each lane block's
      * program, one-lane blocks included, to C,
      * compiles it once per structure through the engine's

@@ -2,7 +2,7 @@
 
 #include "expr/eval.h"
 #include "expr/fold.h"
-#include "expr/tape.h"
+#include "expr/fusedtape.h"
 #include "support/error.h"
 #include "support/logging.h"
 
@@ -45,10 +45,12 @@ waveformOf(const expr::Value &fnValue)
     if (fn.params.size() != 1)
         throw SemaError("TLN input functions take one argument (time)");
     expr::ExprPtr body = expr::applyLambda(fn, {expr::Expr::time()});
-    expr::Tape tape = expr::Tape::compile(expr::fold(body));
+    expr::FusedTape tape = expr::FusedTape::compile({expr::fold(body)});
     return [tape](double t) {
-        std::vector<double> regs;
-        return tape.eval(nullptr, t, regs);
+        double out = 0.0;
+        std::vector<double> regs(static_cast<std::size_t>(tape.numRegs()));
+        tape.evalInto(nullptr, t, &out, regs.data());
+        return out;
     };
 }
 

@@ -4,7 +4,7 @@
 /**
  * @file
  * RAII wrappers around POSIX dynamic loading and temporary
- * directories, for the tier-5 JIT (expr/cjit.h).
+ * directories, for the JIT (expr/cjit.h).
  *
  * DynamicLibrary owns a dlopen handle: the library stays mapped for
  * the wrapper's lifetime and is dlclosed exactly once. On Linux the

@@ -36,12 +36,14 @@ namespace ark::support {
 /** Addressable injection points, one per recovery path under test. */
 enum class FaultSite : std::uint8_t
 {
-    TapeNan = 0,   ///< Tape execution poisons output 0 with NaN.
+    TapeNan = 0,   ///< A lane block's RHS evaluation poisons output
+                   ///< 0 of lane 0 with NaN (sim/batch.cc, after the
+                   ///< interpreter or the JIT kernel alike).
     SparseLuPivot, ///< Sparse LU factor/refactor fails as singular.
     CacheMiss,     ///< ArtifactCache lookup reports a miss.
     CacheEvict,    ///< ArtifactCache evicts an entry right after insert.
     WorkerTask,    ///< BatchRunner worker task throws mid-job.
-    JitCompile,    ///< Tier-5 kernel compilation fails (forces the
+    JitCompile,    ///< JIT kernel compilation fails (forces the
                    ///< interpreted-tier fallback path).
     kSiteCount_,   ///< Sentinel; not a site.
 };

@@ -41,7 +41,7 @@ public:
   enum class Workload : std::uint8_t { Ode, Spice };
 
   // Execution tier that actually ran the instance. Scalar/Lane/Jit
-  // are the ODE ensemble tiers (Jit = a tier-5 native kernel served
+  // are the ODE ensemble tiers (Jit = a JIT native kernel served
   // the RHS, at any lane width); Dense/Sparse are the SPICE solve
   // paths.
   enum class Tier : std::uint8_t { Scalar, Lane, Dense, Sparse, Jit };

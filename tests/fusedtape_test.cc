@@ -3,8 +3,8 @@
  * Tests for the fused whole-system tape: multi-output correctness,
  * cross-equation CSE, constant folding, register reuse, error
  * handling, and a randomized equivalence property against the
- * tree-walking interpreter and the per-variable tapes across real
- * TLN/OBC/CNN systems.
+ * tree-walking interpreter and one-output tapes per equation across
+ * real TLN/OBC/CNN systems.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 
 #include "compiler/compiler.h"
 #include "expr/fusedtape.h"
-#include "expr/tape.h"
 #include "paradigms/cnn.h"
 #include "paradigms/obc.h"
 #include "paradigms/standard.h"
@@ -30,7 +29,13 @@ using expr::BinOp;
 using expr::Expr;
 using expr::ExprPtr;
 using expr::FusedTape;
-using expr::Tape;
+
+/** One output's expression compiled and evaluated on its own. */
+double
+evalOne(const ExprPtr &e, const std::vector<double> &state, double t)
+{
+    return FusedTape::compile({e}).evalAlloc(state, t)[0];
+}
 
 TEST(FusedTapeTest, MultiOutputMatchesPerExpressionTapes)
 {
@@ -51,8 +56,7 @@ TEST(FusedTapeTest, MultiOutputMatchesPerExpressionTapes)
     std::vector<double> got = fused.evalAlloc(state, 1.5);
     ASSERT_EQ(got.size(), 3u);
     for (std::size_t k = 0; k < outputs.size(); ++k) {
-        EXPECT_DOUBLE_EQ(got[k],
-                         Tape::compile(outputs[k]).evalAlloc(state, 1.5))
+        EXPECT_DOUBLE_EQ(got[k], evalOne(outputs[k], state, 1.5))
             << "output " << k;
     }
 }
@@ -70,8 +74,8 @@ TEST(FusedTapeTest, SharedSubexpressionsCompiledOnce)
         Expr::binary(BinOp::Add, coupling, Expr::stateVar(1)),
     };
     FusedTape fused = FusedTape::compile(outputs);
-    std::size_t perTape = Tape::compile(outputs[0]).size() +
-                          Tape::compile(outputs[1]).size();
+    std::size_t perTape = FusedTape::compile({outputs[0]}).size() +
+                          FusedTape::compile({outputs[1]}).size();
     EXPECT_LT(fused.size(), perTape);
     EXPECT_GT(fused.fusionSavings(), 0u);
 }
@@ -127,9 +131,7 @@ TEST(FusedTapeTest, RegisterReuseKeepsFileSmall)
     std::vector<double> state{0.1, -0.2, 0.3, -0.4, 0.5, -0.6, 0.7, 1.8};
     std::vector<double> got = fused.evalAlloc(state, 0.0);
     for (std::size_t k = 0; k < outputs.size(); ++k) {
-        EXPECT_NEAR(got[k],
-                    Tape::compile(outputs[k]).evalAlloc(state, 0.0),
-                    1e-12)
+        EXPECT_NEAR(got[k], evalOne(outputs[k], state, 0.0), 1e-12)
             << "output " << k;
     }
 }
@@ -157,8 +159,8 @@ TEST(FusedTapeTest, UnresolvedNodesRejected)
 /**
  * Property: on real compiled systems (TLN lines, OBC max-cut
  * networks, CNN grids) with randomized parameters and random states,
- * the fused tape, the per-variable tapes, and the tree-walking
- * interpreter agree within floating-point tolerance.
+ * the fused tape, a one-output tape per equation, and the
+ * tree-walking interpreter agree within floating-point tolerance.
  */
 class FusedEquivalence : public ::testing::TestWithParam<int>
 {
@@ -185,12 +187,16 @@ expectRhsAgreement(const compiler::OdeSystem &system, support::Rng &rng)
     const std::size_t n = system.size();
     std::vector<double> state(n), fused(n), perTape(n), interpreted(n);
     std::vector<double> scratch = system.makeScratch();
+    std::vector<FusedTape> perEquation;
+    for (const ExprPtr &e : system.rhsExprs())
+        perEquation.push_back(FusedTape::compile({e}));
     for (int trial = 0; trial < 8; ++trial) {
         for (std::size_t i = 0; i < n; ++i)
             state[i] = rng.uniform(-2.0, 2.0);
         double t = rng.uniform(0.0, 1e-7);
         system.evalRhs(state.data(), t, fused.data(), scratch);
-        system.evalRhsPerTape(state.data(), t, perTape.data(), scratch);
+        for (std::size_t i = 0; i < n; ++i)
+            perTape[i] = perEquation[i].evalAlloc(state, t)[0];
         system.evalRhsInterpreted(state.data(), t, interpreted.data());
         for (std::size_t i = 0; i < n; ++i) {
             double scale = 1.0 + std::fabs(interpreted[i]);

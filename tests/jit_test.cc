@@ -1,7 +1,9 @@
 /**
  * @file
- * Tests for tier-5 native kernel execution (expr/cjit.h +
- * engine/jit.h): the C emitter, the kernel-vs-interpreter bit-identity
+ * Tests for JIT native kernel execution (expr/cjit.h +
+ * engine/jit.h): the C emitter, every tape opcode and builtin on
+ * special values through the oracle, the lane interpreter and the
+ * kernel, the kernel-vs-interpreter bit-identity
  * property across random TLN/OBC/CNN programs at every lane width
  * (with and without FMA contraction), per-lane constant delivery
  * through merged tapes, ensemble-level bit-identity with the JIT on
@@ -24,10 +26,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numbers>
 #include <string>
 #include <vector>
@@ -170,9 +176,9 @@ TEST(JitKeyTest, SampleProgramKeyIsPinned)
     // must bump kEmitterVersion, never silently re-key old entries.
     FusedTape fused = sampleTape();
     EXPECT_EQ(engine::kernelKey(LaneTape::broadcast(fused, 1)).str(),
-              "4d106c4ef49a68e353343e5644f8dff2");
+              "221f0de6ee2e2ed36baefdeec3e7ff6b");
     EXPECT_EQ(engine::kernelKey(LaneTape::broadcast(fused, 8)).str(),
-              "4505fe4f930e6167f409f1bd0b1ba01d");
+              "2017e7e48be8dc7623af8413da558388");
 }
 
 TEST_F(JitTest, KernelMatchesInterpreterOnSampleProgram)
@@ -201,6 +207,159 @@ TEST_F(JitTest, MergedConstantsTravelThroughConstsArgument)
     ASSERT_TRUE(lane.has_value());
     support::Rng rng(23);
     expectKernelMatchesTape(*lane, rng, 0.0);
+}
+
+/** One row of the tape ISA, listed from the table itself. */
+struct IsaRow
+{
+    expr::OpCode op;
+    const char *name;
+};
+
+#define ARK_TEST_ISA_ROW(Name, ...) {expr::OpCode::Name, #Name},
+const std::vector<IsaRow> kIsaRows = {
+    ARK_TAPE_OPS(ARK_TEST_ISA_ROW, ARK_TEST_ISA_ROW)};
+#undef ARK_TEST_ISA_ROW
+
+/**
+ * One output per operator and per builtin over x = q0, y = q1,
+ * z = q2 and t. The product y*z feeds only one Add, so the
+ * fuseMulAdd compile contracts it into a FusedMulAdd.
+ */
+std::vector<ExprPtr>
+everyOpProgram()
+{
+    const ExprPtr x = Expr::stateVar(0), y = Expr::stateVar(1),
+                  z = Expr::stateVar(2);
+    std::vector<ExprPtr> outputs{
+        Expr::unary(expr::UnOp::Neg, x),
+        Expr::unary(expr::UnOp::Not, x),
+        Expr::ifThenElse(z, x, y),
+        Expr::binary(BinOp::Add, Expr::binary(BinOp::Mul, y, z), x),
+        Expr::binary(BinOp::Mul, Expr::time(), Expr::real(0.5)),
+    };
+    for (BinOp op : {BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div,
+                     BinOp::Pow, BinOp::Lt, BinOp::Le, BinOp::Gt,
+                     BinOp::Ge, BinOp::Eq, BinOp::Ne, BinOp::And,
+                     BinOp::Or})
+        outputs.push_back(Expr::binary(op, x, y));
+    for (const expr::BuiltinInfo &info : expr::allBuiltins()) {
+        std::vector<ExprPtr> args{x, y, z};
+        args.resize(static_cast<std::size_t>(info.arity));
+        outputs.push_back(Expr::call(info.name, args));
+    }
+    return outputs;
+}
+
+/** Bitwise equality, except that any NaN matches any NaN. */
+bool
+sameBits(double a, double b)
+{
+    return (std::isnan(a) && std::isnan(b)) ||
+           std::bit_cast<std::uint64_t>(a) ==
+               std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(TapeIsaTest, EveryOpcodeAndBuiltinAgreesOnSpecialValues)
+{
+    // Every opcode and builtin, on every evaluator — the FusedTape
+    // oracle, the LaneTape interpreter and (given a toolchain) the JIT
+    // kernel at W = 1, 2, 4, 8 — over every (x, y, z) triple of a
+    // grid of special values, where min/max ties, signed zeros,
+    // infinities, NaNs and subnormals live.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const std::vector<double> grid{0.0,  -0.0,  1.0,   -1.0, 0.5,
+                                   -2.5, inf,   -inf,  nan,  -nan,
+                                   tiny, -tiny, 1e-320, 1e300, -1e300};
+    const std::size_t g = grid.size();
+    const std::size_t points = g * g * g;
+    // Point p: x, y, z index the grid in base g; t is shared by each
+    // aligned group of 8 points, so every lane block sees one time.
+    auto input = [&](std::size_t p, std::size_t var) {
+        for (std::size_t i = 0; i < var; ++i)
+            p /= g;
+        return grid[p % g];
+    };
+    auto timeOf = [&](std::size_t p) { return grid[(p / 8) % g]; };
+
+    const std::vector<ExprPtr> outputs = everyOpProgram();
+    std::vector<bool> opSeen(kIsaRows.size(), false);
+    std::vector<bool> builtinSeen(expr::allBuiltins().size(), false);
+    for (bool fma : {false, true}) {
+        const FusedTape fused = FusedTape::compile(outputs, fma);
+        for (const expr::TapeOp &op : fused.ops()) {
+            opSeen[static_cast<std::size_t>(op.op)] = true;
+            if (op.op == expr::OpCode::CallB)
+                builtinSeen[static_cast<std::size_t>(op.builtin)] = true;
+        }
+        const std::size_t n = fused.numOutputs();
+
+        // The oracle, one point at a time.
+        std::vector<double> expected(points * n);
+        for (std::size_t p = 0; p < points; ++p) {
+            const std::vector<double> state{input(p, 0), input(p, 1),
+                                            input(p, 2)};
+            const std::vector<double> out =
+                fused.evalAlloc(state, timeOf(p));
+            std::copy(out.begin(), out.end(), expected.begin() + p * n);
+        }
+
+        std::size_t mismatches = 0;
+        for (std::size_t lanes : {1u, 2u, 4u, 8u}) {
+            const LaneTape tape = LaneTape::broadcast(fused, lanes);
+            expr::JitKernelPtr kernel;
+            if (expr::jitToolchainAvailable()) {
+                kernel = expr::compileKernel(tape, "");
+                ASSERT_NE(kernel, nullptr) << "width " << lanes;
+            }
+            std::vector<double> state(3 * lanes), out(n * lanes),
+                regs(tape.scratchSize());
+            auto check = [&](const char *tier, std::size_t first) {
+                for (std::size_t l = 0; l < lanes && first + l < points;
+                     ++l)
+                    for (std::size_t k = 0; k < n; ++k) {
+                        const double want = expected[(first + l) * n + k];
+                        const double got = out[k * lanes + l];
+                        if (sameBits(want, got) || ++mismatches > 10)
+                            continue;
+                        ADD_FAILURE()
+                            << tier << " W=" << lanes << " fma=" << fma
+                            << " " << outputs[k]->str() << " at x="
+                            << input(first + l, 0) << " y="
+                            << input(first + l, 1) << " z="
+                            << input(first + l, 2)
+                            << " t=" << timeOf(first)
+                            << ": oracle " << want << ", got " << got;
+                    }
+            };
+            for (std::size_t first = 0; first < points; first += lanes) {
+                // The last block's padding lanes repeat its first point.
+                for (std::size_t l = 0; l < lanes; ++l)
+                    for (std::size_t var = 0; var < 3; ++var)
+                        state[var * lanes + l] = input(
+                            first + l < points ? first + l : first, var);
+                tape.evalInto(state.data(), timeOf(first), out.data(),
+                              regs.data());
+                check("interpreter", first);
+                if (kernel == nullptr)
+                    continue;
+                kernel->call(state.data(), timeOf(first), out.data(),
+                             tape.constants().data());
+                check("kernel", first);
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << "fma=" << fma;
+    }
+    // A new ARK_TAPE_OPS row or builtin fails here until the program
+    // above exercises it.
+    for (const IsaRow &row : kIsaRows)
+        EXPECT_TRUE(opSeen[static_cast<std::size_t>(row.op)])
+            << row.name << " is not exercised";
+    for (const expr::BuiltinInfo &info : expr::allBuiltins())
+        EXPECT_TRUE(builtinSeen[static_cast<std::size_t>(info.id)])
+            << info.name << " is not exercised";
 }
 
 /**

@@ -42,7 +42,7 @@ namespace ptln = paradigms::tln;
 /**
  * The tier an ODE record should carry given its interpreted baseline:
  * under ARK_JIT_FORCE=1 (the CI jit lane) every RHS that compiles is
- * served by a tier-5 kernel, so provenance legitimately reads "jit".
+ * served by a JIT kernel, so provenance legitimately reads "jit".
  */
 RunLedger::Tier
 expectedTier(RunLedger::Tier interpreted)

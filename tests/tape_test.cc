@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the tape compiler: opcode coverage, error handling, and
- * a randomized equivalence property against the interpreter.
+ * Tests for the tape compiler on single expressions (one-output
+ * FusedTapes): opcode coverage, error handling, and a randomized
+ * equivalence property against the interpreter.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,7 @@
 #include "expr/eval.h"
 #include "expr/expr.h"
 #include "expr/fold.h"
-#include "expr/tape.h"
+#include "expr/fusedtape.h"
 #include "support/error.h"
 #include "support/rng.h"
 
@@ -21,14 +22,14 @@ using namespace ark;
 using expr::BinOp;
 using expr::Expr;
 using expr::ExprPtr;
-using expr::Tape;
+using expr::FusedTape;
 using expr::UnOp;
 
 double
 tapeEval(const ExprPtr &e, const std::vector<double> &state, double t)
 {
-    Tape tape = Tape::compile(e);
-    return tape.evalAlloc(state, t);
+    FusedTape tape = FusedTape::compile({e});
+    return tape.evalAlloc(state, t)[0];
 }
 
 TEST(TapeTest, ConstantsAndState)
@@ -96,34 +97,23 @@ TEST(TapeTest, Builtins)
 
 TEST(TapeTest, MaxStateIndexTracksLoads)
 {
-    Tape t = Tape::compile(
-        Expr::binary(BinOp::Add, Expr::stateVar(3), Expr::stateVar(7)));
+    FusedTape t = FusedTape::compile(
+        {Expr::binary(BinOp::Add, Expr::stateVar(3), Expr::stateVar(7))});
     EXPECT_EQ(t.maxStateIndex(), 7);
-    Tape stateless = Tape::compile(Expr::real(1));
+    FusedTape stateless = FusedTape::compile({Expr::real(1)});
     EXPECT_EQ(stateless.maxStateIndex(), -1);
 }
 
 TEST(TapeTest, RejectsUnresolvedNames)
 {
-    EXPECT_THROW(Tape::compile(Expr::var("x")), support::CompileError);
-    EXPECT_THROW(Tape::compile(Expr::attr("s", "c")),
+    EXPECT_THROW(FusedTape::compile({Expr::var("x")}),
                  support::CompileError);
-    EXPECT_THROW(Tape::compile(Expr::nodeVar("n")),
+    EXPECT_THROW(FusedTape::compile({Expr::attr("s", "c")}),
                  support::CompileError);
-    EXPECT_THROW(Tape::compile(Expr::call("whoami", {})),
+    EXPECT_THROW(FusedTape::compile({Expr::nodeVar("n")}),
                  support::CompileError);
-}
-
-TEST(TapeTest, ScratchBufferReuse)
-{
-    Tape t = Tape::compile(Expr::binary(BinOp::Mul, Expr::stateVar(0),
-                                        Expr::stateVar(0)));
-    std::vector<double> regs;
-    double s = 3.0;
-    EXPECT_DOUBLE_EQ(t.eval(&s, 0, regs), 9.0);
-    s = 4.0;
-    EXPECT_DOUBLE_EQ(t.eval(&s, 0, regs), 16.0); // same buffer
-    EXPECT_GE(static_cast<int>(regs.size()), t.numRegs());
+    EXPECT_THROW(FusedTape::compile({Expr::call("whoami", {})}),
+                 support::CompileError);
 }
 
 /**
@@ -189,11 +179,11 @@ TEST_P(RandomExprProperty, TapeMatchesInterpreter)
             return state[static_cast<std::size_t>(i)];
         };
         double interpreted = expr::evalReal(e, ctx);
-        double taped = Tape::compile(e).evalAlloc(state, t);
+        double taped = tapeEval(e, state, t);
         EXPECT_DOUBLE_EQ(interpreted, taped) << e->str();
 
         // Folding must preserve semantics too.
-        double folded = Tape::compile(expr::fold(e)).evalAlloc(state, t);
+        double folded = tapeEval(expr::fold(e), state, t);
         EXPECT_NEAR(folded, interpreted,
                     1e-12 * std::max(1.0, std::fabs(interpreted)))
             << e->str();

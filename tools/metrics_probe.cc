@@ -7,7 +7,7 @@
  * ensemble + artifact cache, twice so the second pass hits warm
  * artifacts), a small SPICE parameter sweep (structure grouping +
  * factor/refactor + stepper cache, also cold then warm), and — when a
- * host toolchain is available — a tier-5 JIT ensemble (cold kernel
+ * host toolchain is available — a JIT ensemble (cold kernel
  * compile, then warm kernel-cache serves) with metric collection
  * enabled, then emits a JSON summary:
  *
@@ -82,7 +82,7 @@ runPufWorkload(const lang::LanguageRegistry &registry,
 }
 
 /**
- * The tier-5 JIT: a lane-batched mismatch ensemble with native
+ * The JIT: a lane-batched mismatch ensemble with native
  * kernels requested, twice — the first pass pays the kernel compiles,
  * the second is served from the warm kernel cache. Skipped (the
  * summary reports zero JIT coverage) when the host has no toolchain.
@@ -262,7 +262,7 @@ main(int argc, char **argv)
     const double factors = snap.value("ark.spice.factors");
     const double refactors = snap.value("ark.spice.refactors");
     const double refactorShare = ratio(refactors, factors + refactors);
-    // Tier-5 coverage: kernel-cache hit rate, compiles paid, and the
+    // JIT coverage: kernel-cache hit rate, compiles paid, and the
     // p95 compile latency (all zero on hosts without a toolchain).
     const double jitHits = snap.value("ark.cache.kernel_hits");
     const double jitMisses = snap.value("ark.cache.kernel_misses");
