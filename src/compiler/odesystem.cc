@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "expr/eval.h"
+#include "expr/fold.h"
 #include "support/error.h"
 #include "support/logging.h"
 #include "support/telemetry.h"
@@ -37,6 +38,24 @@ StateVar::label() const
     return out;
 }
 
+expr::FusedTape
+compileRhsTape(const std::vector<expr::ExprPtr> &rhs,
+               const std::vector<expr::ExprPtr> &slots)
+{
+    static telemetry::Histogram &tapesNs =
+        telemetry::Registry::shared().histogram("ark.compile.tapes_ns");
+    static telemetry::Counter &tapeOps =
+        telemetry::Registry::shared().counter("ark.compile.tape_ops");
+    static telemetry::Counter &tapeRegs =
+        telemetry::Registry::shared().counter("ark.compile.tape_regs");
+    telemetry::ScopedSpan span("ark.compile.tapes", rhs.size());
+    telemetry::ScopedTimer timer(tapesNs);
+    expr::FusedTape tape = expr::FusedTape::compile(rhs, false, slots);
+    tapeOps.add(tape.size());
+    tapeRegs.add(static_cast<std::uint64_t>(tape.numRegs()));
+    return tape;
+}
+
 OdeSystem::OdeSystem(std::vector<StateVar> vars,
                      std::vector<double> initial,
                      std::vector<expr::ExprPtr> rhs)
@@ -46,28 +65,48 @@ OdeSystem::OdeSystem(std::vector<StateVar> vars,
     support::panicIf(vars_.size() != initial_.size() ||
                      vars_.size() != rhs_.size(),
                      "OdeSystem: inconsistent component sizes");
-    static telemetry::Histogram &tapesNs =
-        telemetry::Registry::shared().histogram("ark.compile.tapes_ns");
-    static telemetry::Counter &tapeOps =
-        telemetry::Registry::shared().counter("ark.compile.tape_ops");
-    static telemetry::Counter &tapeRegs =
-        telemetry::Registry::shared().counter("ark.compile.tape_regs");
-    telemetry::ScopedSpan span("ark.compile.tapes", rhs_.size());
-    telemetry::ScopedTimer timer(tapesNs);
-    fused_ = expr::FusedTape::compile(rhs_);
+    fused_ = compileRhsTape(rhs_);
     lazy_->scratch.store(static_cast<std::size_t>(fused_.numRegs()),
                          std::memory_order_release);
+}
 
-    tapeOps.add(fused_.size());
-    tapeRegs.add(static_cast<std::uint64_t>(fused_.numRegs()));
+OdeSystem::OdeSystem(
+    std::vector<StateVar> vars, std::vector<double> initial,
+    expr::FusedTape tape,
+    std::shared_ptr<const std::vector<expr::ExprPtr>> templateRhs,
+    std::vector<double> params)
+    : vars_(std::move(vars)), initial_(std::move(initial)),
+      fused_(std::move(tape)), templateRhs_(std::move(templateRhs)),
+      params_(std::move(params)), lazy_(std::make_unique<LazyTapes>())
+{
+    support::panicIf(templateRhs_ == nullptr ||
+                         vars_.size() != initial_.size() ||
+                         vars_.size() != templateRhs_->size() ||
+                         vars_.size() != fused_.numOutputs(),
+                     "OdeSystem: inconsistent component sizes");
+    lazy_->scratch.store(static_cast<std::size_t>(fused_.numRegs()),
+                         std::memory_order_release);
 }
 
 OdeSystem::OdeSystem(const OdeSystem &other)
-    : vars_(other.vars_), initial_(other.initial_), rhs_(other.rhs_),
-      fused_(other.fused_), lazy_(std::make_unique<LazyTapes>())
+    : vars_(other.vars_), initial_(other.initial_),
+      rhs_(other.templateRhs_ ? std::vector<expr::ExprPtr>{} : other.rhs_),
+      fused_(other.fused_), templateRhs_(other.templateRhs_),
+      params_(other.params_), lazy_(std::make_unique<LazyTapes>())
 {
     lazy_->scratch.store(static_cast<std::size_t>(fused_.numRegs()),
                          std::memory_order_release);
+}
+
+const std::vector<expr::ExprPtr> &
+OdeSystem::rhsExprs() const
+{
+    if (templateRhs_) {
+        std::call_once(lazy_->rhsOnce, [this] {
+            rhs_ = expr::bindParams(*templateRhs_, params_);
+        });
+    }
+    return rhs_;
 }
 
 OdeSystem &
@@ -93,7 +132,8 @@ const expr::FusedTape &
 OdeSystem::fusedTapeFma() const
 {
     std::call_once(lazy_->fmaOnce, [this] {
-        lazy_->fma = expr::FusedTape::compile(rhs_, /*fuseMulAdd=*/true);
+        lazy_->fma =
+            expr::FusedTape::compile(rhsExprs(), /*fuseMulAdd=*/true);
         raiseScratch(lazy_->scratch,
                      static_cast<std::size_t>(lazy_->fma.numRegs()));
     });
@@ -105,7 +145,7 @@ OdeSystem::fusedTapeReassoc() const
 {
     std::call_once(lazy_->reassocOnce, [this] {
         std::vector<expr::ExprPtr> rewritten =
-            expr::reassociate(rhs_, &lazy_->reassocStats);
+            expr::reassociate(rhsExprs(), &lazy_->reassocStats);
         lazy_->reassoc =
             expr::FusedTape::compile(rewritten, /*fuseMulAdd=*/true);
         raiseScratch(lazy_->scratch,
@@ -137,8 +177,9 @@ OdeSystem::evalRhsInterpreted(const double *state, double t,
     expr::EvalContext ctx;
     ctx.time = t;
     ctx.lookupState = [state](int index) { return state[index]; };
-    for (std::size_t i = 0; i < rhs_.size(); ++i)
-        dstate[i] = expr::evalReal(rhs_[i], ctx);
+    const std::vector<expr::ExprPtr> &rhs = rhsExprs();
+    for (std::size_t i = 0; i < rhs.size(); ++i)
+        dstate[i] = expr::evalReal(rhs[i], ctx);
 }
 
 std::string
@@ -146,7 +187,7 @@ OdeSystem::equationsStr() const
 {
     std::ostringstream oss;
     for (std::size_t i = 0; i < vars_.size(); ++i) {
-        oss << "d " << vars_[i].label() << "/dt = " << rhs_[i]->str()
+        oss << "d " << vars_[i].label() << "/dt = " << rhsExprs()[i]->str()
             << "\n";
     }
     return oss.str();

@@ -10,12 +10,21 @@
  * (LowOrdEqs chain dq_i/dt = q_{i+1}); order-0 nodes are inlined as
  * pure functions and own no state.
  *
- * Construction compiles exactly one program: the fused whole-system
+ * Construction compiles at most one program: the fused whole-system
  * expr::FusedTape (the default RHS program — cross-equation common
  * subexpressions are computed once and one pass fills all of dstate).
- * The two rounding variants are compiled lazily on first request, so
- * the cold compile path (218 distinct structures in the §4.5 sweep)
- * never pays for a variant it doesn't run:
+ * A *bound* system (compiler::bind) compiles none: it takes its
+ * structure template's program with this instance's slot values
+ * patched in, and builds its RHS trees, rhsExprs(), only on first
+ * request — by substituting its parameter vector into the template's
+ * trees and folding (expr::bindParams), which yields the trees the
+ * value-specialised lowering builds. Its program may carry more Const
+ * instructions than FusedTape::compile(rhsExprs()) (equal values in
+ * distinct slots are not merged) but evaluates bit-identically.
+ *
+ * The two rounding variants are compiled lazily on first request from
+ * rhsExprs(), so the cold compile path never pays for a variant it
+ * doesn't run:
  *
  *  - the FMA-contracted variant (SimOptions::tapeFma);
  *  - the reassociated variant (SimOptions::tapeReassoc — the
@@ -72,8 +81,19 @@ class OdeSystem
     OdeSystem(std::vector<StateVar> vars, std::vector<double> initial,
               std::vector<expr::ExprPtr> rhs);
 
+    /**
+     * A bound system: `tape` is the template's program bound to this
+     * instance's slot values; rhsExprs() is built on first request
+     * from `templateRhs`, whose Param leaves index `params`.
+     */
+    OdeSystem(std::vector<StateVar> vars, std::vector<double> initial,
+              expr::FusedTape tape,
+              std::shared_ptr<const std::vector<expr::ExprPtr>> templateRhs,
+              std::vector<double> params);
+
     /** Copies share the (interned) RHS and fused tape; the lazy
-     *  variant cache starts empty in the copy. */
+     *  variant cache (and a bound system's RHS trees) starts empty in
+     *  the copy. */
     OdeSystem(const OdeSystem &other);
     OdeSystem &operator=(const OdeSystem &other);
     OdeSystem(OdeSystem &&) noexcept = default;
@@ -82,7 +102,10 @@ class OdeSystem
     std::size_t size() const { return vars_.size(); }
     const std::vector<StateVar> &vars() const { return vars_; }
     const std::vector<double> &initialState() const { return initial_; }
-    const std::vector<expr::ExprPtr> &rhsExprs() const { return rhs_; }
+
+    /** The RHS expression trees (a bound system builds them on the
+     *  first call; thread-safe). */
+    const std::vector<expr::ExprPtr> &rhsExprs() const;
 
     /**
      * State index of a node's derivative.
@@ -169,6 +192,7 @@ class OdeSystem
      */
     struct LazyTapes
     {
+        std::once_flag rhsOnce;
         std::once_flag fmaOnce;
         std::once_flag reassocOnce;
         expr::FusedTape fma;
@@ -179,10 +203,24 @@ class OdeSystem
 
     std::vector<StateVar> vars_;
     std::vector<double> initial_;
-    std::vector<expr::ExprPtr> rhs_;
+    /** Built by a bound system's first rhsExprs() call (under
+     *  rhsOnce), set at construction otherwise. */
+    mutable std::vector<expr::ExprPtr> rhs_;
     expr::FusedTape fused_;
+    /** Bound systems only: the template trees and parameter vector
+     *  rhs_ is built from. */
+    std::shared_ptr<const std::vector<expr::ExprPtr>> templateRhs_;
+    std::vector<double> params_;
     std::unique_ptr<LazyTapes> lazy_;
 };
+
+/**
+ * Compiles an RHS program (expr::FusedTape::compile, optionally a
+ * template over `slots`) under the ark.compile.tapes span and tape
+ * counters.
+ */
+expr::FusedTape compileRhsTape(const std::vector<expr::ExprPtr> &rhs,
+                               const std::vector<expr::ExprPtr> &slots = {});
 
 } // namespace ark::compiler
 

@@ -28,7 +28,7 @@ namespace ark::dg {
  * (Vm.c mm(0,0.1) described as "10% mismatch"; Cpl_ofs.offset
  * mm(0.02,0) producing non-zero offsets around a nominal 0) is only
  * consistent with s0 = absolute sigma and s1 = relative sigma, so
- * that is the semantics implemented here (see DESIGN.md).
+ * that is the semantics implemented here.
  */
 struct Mismatch
 {

@@ -104,7 +104,7 @@ class Graph
      * Writes a node attribute. Range/type-checks the nominal value
      * against the attribute's datatype; if the datatype carries
      * mm(s0,s1) and `rng` is non-null, stores a sample from
-     * N(x, |x|*s0 + s1) as the effective value.
+     * N(x, s0 + s1*|x|) as the effective value (see dg::Mismatch).
      */
     void setNodeAttr(NodeId node, const std::string &attr,
                      const expr::Value &nominal,

@@ -20,6 +20,9 @@ CacheStats::str() const
 {
     return cat("systems ", systemHits, " hit / ", systemMisses,
                " miss / ", systemEvictions, " evicted (", systemsCached,
+               " cached); templates ", templateHits, " hit / ",
+               templateMisses, " miss / ", templateEvictions,
+               " evicted (", templatesCached,
                " cached); steppers ", stepperHits, " hit / ",
                stepperMisses, " miss / ", stepperEvictions, " evicted (",
                steppersCached, " cached); kernels ", kernelHits,
@@ -158,6 +161,13 @@ struct ArtifactCache::Impl
                       "ark.cache.system_misses"),
                   telemetry::Registry::shared().counter(
                       "ark.cache.system_evictions")),
+          templates(config.maxSystems,
+                    telemetry::Registry::shared().counter(
+                        "ark.cache.template_hits"),
+                    telemetry::Registry::shared().counter(
+                        "ark.cache.template_misses"),
+                    telemetry::Registry::shared().counter(
+                        "ark.cache.template_evictions")),
           steppers(config.maxSteppers,
                    telemetry::Registry::shared().counter(
                        "ark.cache.stepper_hits"),
@@ -177,6 +187,7 @@ struct ArtifactCache::Impl
 
     mutable std::mutex mutex;
     Shard systems;
+    Shard templates;
     Shard steppers;
     Shard kernels;
 };
@@ -214,8 +225,23 @@ ArtifactCache::system(const GraphFingerprint &fp, const dg::Graph &graph,
     // *different* graphs. A race on the same graph builds twice;
     // both results are bit-identical and the first insert wins.
     validator::validateOrThrow(graph, lang);
+    compiler::TemplatePtr tmpl;
+    {
+        std::lock_guard lock(impl_->mutex);
+        tmpl = std::static_pointer_cast<const compiler::SystemTemplate>(
+            impl_->templates.get(fp.structure));
+    }
+    if (!tmpl) {
+        // Structure seen for the first time (or evicted): lower it.
+        // Racing lowerings of one structure keep the first template;
+        // a graph that does not fit it binds its own (compiler::bind).
+        compiler::TemplatePtr lowered = compiler::lowerTemplate(graph, lang);
+        std::lock_guard lock(impl_->mutex);
+        tmpl = std::static_pointer_cast<const compiler::SystemTemplate>(
+            impl_->templates.put(fp.structure, lowered));
+    }
     auto built = std::make_shared<const compiler::OdeSystem>(
-        compiler::compile(graph, lang));
+        compiler::bind(tmpl, graph, lang));
     std::lock_guard lock(impl_->mutex);
     return std::static_pointer_cast<const compiler::OdeSystem>(
         impl_->systems.put(fp.combined, built));
@@ -287,6 +313,9 @@ ArtifactCache::stats() const
     stats.systemHits = impl_->systems.hits;
     stats.systemMisses = impl_->systems.misses;
     stats.systemEvictions = impl_->systems.evictions;
+    stats.templateHits = impl_->templates.hits;
+    stats.templateMisses = impl_->templates.misses;
+    stats.templateEvictions = impl_->templates.evictions;
     stats.stepperHits = impl_->steppers.hits;
     stats.stepperMisses = impl_->steppers.misses;
     stats.stepperEvictions = impl_->steppers.evictions;
@@ -294,6 +323,7 @@ ArtifactCache::stats() const
     stats.kernelMisses = impl_->kernels.misses;
     stats.kernelEvictions = impl_->kernels.evictions;
     stats.systemsCached = impl_->systems.size();
+    stats.templatesCached = impl_->templates.size();
     stats.steppersCached = impl_->steppers.size();
     stats.kernelsCached = impl_->kernels.size();
     return stats;
@@ -304,6 +334,7 @@ ArtifactCache::clear()
 {
     std::lock_guard lock(impl_->mutex);
     impl_->systems.clear();
+    impl_->templates.clear();
     impl_->steppers.clear();
     impl_->kernels.clear();
 }

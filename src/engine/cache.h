@@ -8,15 +8,24 @@
  * ArtifactCache maps fingerprints (engine/fingerprint.h) to shared,
  * immutable, ready-to-run artifacts:
  *
- *  - dg::Graph + language -> shared_ptr<const compiler::OdeSystem>.
- *    A hit skips ILP validation and compiler lowering entirely; the
- *    cached system already carries both precompiled tape variants
- *    (plain and FMA-contracted), so every SimOptions::tapeFma setting
- *    is served by one artifact. Because compilation is deterministic,
- *    a cached system is bit-identical to a freshly compiled one —
+ *  - dg::Graph + language -> shared_ptr<const compiler::OdeSystem>,
+ *    keyed by the graph's combined fingerprint. A hit skips ILP
+ *    validation, lowering and binding entirely; the cached system
+ *    serves every SimOptions::tapeFma setting (its rounding variants
+ *    build lazily, once). Because compilation is deterministic, a
+ *    cached system is bit-identical to a freshly compiled one —
  *    ensembles mixing cached and cold systems produce bit-identical
  *    trajectories (engine_test regression-tests this at several
  *    thread counts).
+ *
+ *  - GraphFingerprint::structure -> compiler::SystemTemplate: the
+ *    template shard behind the system shard. A system miss whose
+ *    structure was seen before validates and binds the cached
+ *    template (compiler::bind, about a microsecond) instead of
+ *    lowering the graph (20-600 us); only a template miss lowers.
+ *    compiler::compile, the uncached path, lowers a template and
+ *    binds it the same way, so cached and uncached compiles build
+ *    identical programs.
  *
  *  - kernelKey(laneTape) -> shared_ptr<const expr::JitKernel>: a
  *    JIT native kernel (expr/cjit.h). Keyed by tape structure
@@ -64,10 +73,14 @@ namespace ark::engine {
 struct CacheConfig
 {
     /**
-     * Compiled OdeSystems kept. Sized for structure-reuse workloads
-     * (a 16-challenge x 8-chip CRP battery is 144 artifacts), not for
-     * sweeps of unique random structures, which simply churn the tail
-     * of the LRU list at negligible cost.
+     * Compiled OdeSystems kept, and structure templates kept (each
+     * shard holds up to this many). Sized for structure-reuse
+     * workloads (a 16-challenge x 8-chip CRP battery is 144
+     * artifacts). A sweep of more parameter draws than this churns
+     * the system shard's LRU tail, which is cheap as long as its
+     * structures fit the template shard: each system miss then costs
+     * a fingerprint, validation and a ~1 us bind (max-cut's 2000
+     * draws per pass over 128 structures re-bind, not re-lower).
      */
     std::size_t maxSystems = 256;
 
@@ -87,6 +100,9 @@ struct CacheStats
     std::uint64_t systemHits = 0;
     std::uint64_t systemMisses = 0;
     std::uint64_t systemEvictions = 0;
+    std::uint64_t templateHits = 0;
+    std::uint64_t templateMisses = 0;
+    std::uint64_t templateEvictions = 0;
     std::uint64_t stepperHits = 0;
     std::uint64_t stepperMisses = 0;
     std::uint64_t stepperEvictions = 0;
@@ -94,6 +110,7 @@ struct CacheStats
     std::uint64_t kernelMisses = 0;
     std::uint64_t kernelEvictions = 0;
     std::size_t systemsCached = 0;
+    std::size_t templatesCached = 0;
     std::size_t steppersCached = 0;
     std::size_t kernelsCached = 0;
 
@@ -123,9 +140,10 @@ class ArtifactCache
 
     /**
      * The compiled system for `graph` in `lang`. On miss, validates
-     * (validator::validateOrThrow) and compiles, then caches under
-     * the graph's combined content fingerprint; on hit, both steps
-     * are skipped — sound because validation and compilation are
+     * (validator::validateOrThrow), binds the structure's template
+     * (lowering it first on a template miss) and caches under the
+     * graph's combined content fingerprint; on hit, every step is
+     * skipped — sound because validation and compilation are
      * deterministic functions of the fingerprinted content.
      * @throws ark::support::SemaError / CompileError exactly as the
      *         uncached validate+compile path would (nothing is cached

@@ -1,9 +1,9 @@
 #include "engine/fingerprint.h"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 
+#include "compiler/compiler.h"
 #include "expr/expr.h"
 #include "expr/lanetape.h"
 #include "expr/tape.h"
@@ -123,41 +123,28 @@ Hasher::finish() const
 
 namespace {
 
-/** Sorted attribute names of one element (canonical iteration). */
-std::vector<const std::string *>
-sortedAttrNames(const std::unordered_map<std::string, dg::AttrValue> &attrs)
-{
-    std::vector<const std::string *> names;
-    names.reserve(attrs.size());
-    for (const auto &[name, value] : attrs)
-        names.push_back(&name);
-    std::sort(names.begin(), names.end(),
-              [](const std::string *x, const std::string *y) {
-                  return *x < *y;
-              });
-    return names;
-}
-
 /**
- * Splits one attribute map between the lanes: names, kinds, and
- * lambda bodies are structure; numeric/bool payloads are values.
+ * The structure-lane word of one attribute value: its kind, plus what
+ * of it a template is specialised on — a real's RealClass, an int's or
+ * bool's value, a lambda's template form (its ordinary literals
+ * lifted to parameters).
  */
 void
-absorbAttrs(Hasher &structure, Hasher &values,
-            const std::unordered_map<std::string, dg::AttrValue> &attrs)
+absorbAttr(Hasher &structure, const std::string &name,
+           const expr::Value &value, const expr::Lambda *lifted)
 {
-    structure.absorb(static_cast<std::uint64_t>(attrs.size()));
-    for (const std::string *name : sortedAttrNames(attrs)) {
-        const expr::Value &effective = attrs.at(*name).effective;
-        structure.absorb(*name);
-        structure.absorb(static_cast<std::uint64_t>(effective.kind()));
-        if (effective.isFunction()) {
-            // Lambda bodies shape the compiled program beyond Const
-            // immediates, so they live in the structure lane.
-            structure.absorb(effective);
-        } else {
-            values.absorb(effective);
-        }
+    structure.absorb(name);
+    structure.absorb(static_cast<std::uint64_t>(value.kind()));
+    if (lifted) {
+        structure.absorb(static_cast<std::uint64_t>(lifted->params.size()));
+        for (const std::string &param : lifted->params)
+            structure.absorb(param);
+        structure.absorb(*lifted->body);
+    } else if (value.isReal()) {
+        structure.absorb(static_cast<std::uint64_t>(
+            compiler::classifyReal(value.asReal())));
+    } else {
+        structure.absorb(value);
     }
 }
 
@@ -316,13 +303,10 @@ fingerprintGraph(const dg::Graph &graph, const lang::Language &lang)
             graph.node(dg::NodeId{static_cast<std::int32_t>(i)});
         structure.absorb(node.name);
         structure.absorb(node.type);
-        absorbAttrs(structure, values, node.attrs);
+        structure.absorb(static_cast<std::uint64_t>(node.attrs.size()));
         structure.absorb(static_cast<std::uint64_t>(node.inits.size()));
-        for (const std::optional<expr::Value> &init : node.inits) {
+        for (const std::optional<expr::Value> &init : node.inits)
             structure.absorb(init.has_value());
-            if (init.has_value())
-                values.absorb(*init);
-        }
     }
 
     structure.absorb(static_cast<std::uint64_t>(graph.numEdges()));
@@ -335,7 +319,27 @@ fingerprintGraph(const dg::Graph &graph, const lang::Language &lang)
         structure.absorb(static_cast<std::uint64_t>(edge.dst.index));
         structure.absorb(edge.enabled);
         structure.absorb(edge.switchable);
-        absorbAttrs(structure, values, edge.attrs);
+        structure.absorb(static_cast<std::uint64_t>(edge.attrs.size()));
+    }
+
+    // Attribute values split between the lanes in the compiler's
+    // canonical order: the values lane is the parameter vector, then
+    // the initial values.
+    std::vector<double> params;
+    compiler::forEachAttr(
+        graph, params,
+        [&structure](const std::string &name, const expr::Value &value,
+                     const expr::Lambda *lifted) {
+            absorbAttr(structure, name, value, lifted);
+        });
+    for (double param : params)
+        values.absorb(param);
+    for (std::size_t i = 0; i < graph.numNodes(); ++i) {
+        const dg::Node &node =
+            graph.node(dg::NodeId{static_cast<std::int32_t>(i)});
+        for (const std::optional<expr::Value> &init : node.inits)
+            if (init.has_value())
+                values.absorb(*init);
     }
 
     GraphFingerprint fp;

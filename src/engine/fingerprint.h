@@ -13,16 +13,27 @@
  * artifact with a canonical content hash of its inputs:
  *
  *  - a dynamical graph (plus the language it is written in) hashes to
- *    a GraphFingerprint. The hash is split into a *structure* lane
- *    (language, node/edge names, types, wiring, switch states,
- *    attribute names and kinds, lambda bodies) and a *values* lane
- *    (every numeric/bool attribute and initial value, bit-exact).
- *    Graphs with equal structure lanes compile to fused programs that
- *    differ at most in Const immediates — the lane-batching
- *    compatibility class; graphs with equal *combined* fingerprints
- *    compile to bit-identical OdeSystems (equal equations, tapes, and
- *    initial states), which is the ArtifactCache key contract,
- *    property-tested in engine_test.
+ *    a GraphFingerprint, split the way compiler templates split a
+ *    graph (compiler/compiler.h). The *structure* lane covers what a
+ *    template is lowered from: the language, node/edge names, types,
+ *    wiring, switch states, attribute names and kinds, the
+ *    compiler::RealClass of every real attribute (ordinary, or one of
+ *    ±0, ±1, which fold identities rewrite on), int and bool values,
+ *    and lambda shapes (bodies with their ordinary real literals
+ *    lifted to parameters). The *values* lane is the graph's
+ *    parameter vector (compiler::parameterVector: the ordinary real
+ *    attribute values and lambda literals, in canonical order)
+ *    followed by the initial values, bit-exact.
+ *
+ *    Graphs with equal structure lanes compile to programs that
+ *    differ only in Const immediates (one template, bound per
+ *    instance) — unless a parameter-only subexpression takes a value
+ *    the folder acts on (±0, ±1, a branch decision) in one graph and
+ *    not in the other, which makes compiler::bind fall back to a
+ *    template of the graph's own. Graphs with equal *combined*
+ *    fingerprints compile to bit-identical OdeSystems (equal
+ *    equations, tapes, and initial states), which is the
+ *    ArtifactCache key contract, property-tested in engine_test.
  *
  *  - an assembled SparseMnaSystem hashes to an MnaFingerprint: a
  *    *pattern* lane covering what SparseMnaSystem::sharesStructure
@@ -105,9 +116,10 @@ class Hasher
 struct GraphFingerprint
 {
     /** Language + topology + switch states + attribute names/kinds +
-     *  lambda bodies: the lane-batching compatibility class. */
+     *  real classes, int/bool values and lambda shapes: the template
+     *  (compiler::lowerTemplate) key. */
     Fingerprint structure;
-    /** Every numeric/bool attribute and initial value, bit-exact. */
+    /** The parameter vector, then every initial value, bit-exact. */
     Fingerprint values;
     /** Mix of the two lanes: the compiled-artifact cache key. */
     Fingerprint combined;

@@ -142,10 +142,13 @@ Session::metricsSnapshot() const
     // its own lock on every mutation).
     static telemetry::Gauge &systemsCached =
         registry.gauge("ark.cache.systems_cached");
+    static telemetry::Gauge &templatesCached =
+        registry.gauge("ark.cache.templates_cached");
     static telemetry::Gauge &steppersCached =
         registry.gauge("ark.cache.steppers_cached");
     const CacheStats cacheStats = cache().stats();
     systemsCached.set(static_cast<double>(cacheStats.systemsCached));
+    templatesCached.set(static_cast<double>(cacheStats.templatesCached));
     steppersCached.set(static_cast<double>(cacheStats.steppersCached));
     return registry.snapshot();
 }

@@ -10,8 +10,9 @@
  * artifacts (engine/cache.h):
  *
  *  - ODE side: compile() resolves a dynamical graph to a shared
- *    immutable OdeSystem through the ArtifactCache (ILP validation +
- *    compiler lowering run once per distinct content), and
+ *    immutable OdeSystem through the ArtifactCache (ILP validation
+ *    and binding run once per distinct content, compiler lowering
+ *    once per distinct structure), and
  *    runEnsemble() integrates a batch of such systems on
  *    sim::BatchRunner::shared() — lane batching, step voting, and
  *    thread-pool reuse all apply as documented in sim/batch.h.

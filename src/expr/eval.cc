@@ -148,6 +148,11 @@ eval(const ExprPtr &e, const EvalContext &ctx)
             return Value::real(ctx.lookupState(e->stateIndex()));
         throw TypeError("state variable reference without state context");
       }
+      case ExprKind::Param: {
+        if (ctx.lookupParam)
+            return Value::real(ctx.lookupParam(e->paramIndex()));
+        throw TypeError("parameter reference without parameter context");
+      }
     }
     throw TypeError("unreachable expression kind");
 }
@@ -319,6 +324,7 @@ checkType(const ExprPtr &e, const TypeScope &scope)
         return StaticType::Real;
       }
       case ExprKind::StateVar:
+      case ExprKind::Param:
         return StaticType::Real;
     }
     throw TypeError("unreachable expression kind");

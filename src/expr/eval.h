@@ -41,6 +41,9 @@ struct EvalContext
 
     /** Resolves a StateVar slot (post-compilation trees). */
     std::function<double(int)> lookupState;
+
+    /** Resolves a Param slot (compiler template trees). */
+    std::function<double(int)> lookupParam;
 };
 
 /**

@@ -617,12 +617,34 @@ Expr::stateVar(int index)
         hi, lo,
         [&](const Expr &e) {
             return e.kind_ == ExprKind::StateVar &&
-                   e.stateIndex_ == index;
+                   e.index_ == index;
         },
         [&](std::uint64_t id) {
             auto n = makeNode();
             n->kind_ = ExprKind::StateVar;
-            n->stateIndex_ = index;
+            n->index_ = index;
+            stamp(*n, id, hi, lo);
+            return n;
+        });
+}
+
+ExprPtr
+Expr::param(int index)
+{
+    panicIf(index < 0, "param with negative index");
+    Digester d = kindDigester(ExprKind::Param);
+    d.word(static_cast<std::uint64_t>(index));
+    auto [hi, lo] = d.finish();
+    return InternTable::instance().intern(
+        hi, lo,
+        [&](const Expr &e) {
+            return e.kind_ == ExprKind::Param &&
+                   e.index_ == index;
+        },
+        [&](std::uint64_t id) {
+            auto n = makeNode();
+            n->kind_ = ExprKind::Param;
+            n->index_ = index;
             stamp(*n, id, hi, lo);
             return n;
         });
@@ -744,7 +766,14 @@ int
 Expr::stateIndex() const
 {
     panicIf(kind_ != ExprKind::StateVar, "stateIndex on non-statevar");
-    return stateIndex_;
+    return index_;
+}
+
+int
+Expr::paramIndex() const
+{
+    panicIf(kind_ != ExprKind::Param, "paramIndex on non-param");
+    return index_;
 }
 
 std::string
@@ -784,7 +813,9 @@ Expr::str() const
       case ExprKind::NodeVar:
         return cat("var(", name_, ")");
       case ExprKind::StateVar:
-        return cat("q[", stateIndex_, "]");
+        return cat("q[", index_, "]");
+      case ExprKind::Param:
+        return cat("p[", index_, "]");
     }
     return "<?>";
 }
@@ -833,7 +864,8 @@ Expr::equals(const Expr &other) const
         return c_->equals(*other.c_) && a_->equals(*other.a_) &&
                b_->equals(*other.b_);
       case ExprKind::StateVar:
-        return stateIndex_ == other.stateIndex_;
+      case ExprKind::Param:
+        return index_ == other.index_;
     }
     return false;
 }
@@ -894,6 +926,7 @@ rewrite(const ExprPtr &e,
       case ExprKind::Literal:
       case ExprKind::Time:
       case ExprKind::StateVar:
+      case ExprKind::Param:
         return e;
       case ExprKind::Var:
       case ExprKind::Attr:

@@ -16,7 +16,9 @@
  * and/or/not, if-then-else, calls to builtin functions and to
  * lambda-valued variables/attributes, and var(n) node-state references.
  * StateVar is a post-compilation form: an index into the flattened
- * simulation state vector.
+ * simulation state vector. Param is the compiler's template form of a
+ * parameter: an index into a per-instance value table that binding
+ * fills in (compiler/compiler.h).
  *
  * ## Hash-consing
  *
@@ -107,6 +109,7 @@ enum class ExprKind : std::uint8_t {
     If,       ///< if b then e else e'.
     NodeVar,  ///< var(n): state variable of a graph node, by name.
     StateVar, ///< Resolved state-vector slot (post-compilation).
+    Param,    ///< Parameter-vector slot (compiler templates).
 };
 
 class Expr;
@@ -136,6 +139,7 @@ class Expr : public std::enable_shared_from_this<Expr>
     static ExprPtr ifThenElse(ExprPtr cond, ExprPtr then, ExprPtr other);
     static ExprPtr nodeVar(std::string node);
     static ExprPtr stateVar(int index);
+    static ExprPtr param(int index);
 
     ExprKind kind() const { return kind_; }
 
@@ -177,6 +181,7 @@ class Expr : public std::enable_shared_from_this<Expr>
     const ExprPtr &elseBranch() const;
     const std::string &nodeName() const;
     int stateIndex() const;
+    int paramIndex() const;
     /// @}
 
     /** Parenthesized source-like rendering. */
@@ -224,7 +229,7 @@ class Expr : public std::enable_shared_from_this<Expr>
     ExprPtr a_, b_, c_;      // operands / cond-then-else
     ExprPtr calleeExpr_;
     std::vector<ExprPtr> args_;
-    int stateIndex_ = -1;
+    int index_ = -1;         // StateVar / Param slot
     std::uint64_t id_ = 0;
     std::uint64_t digestHi_ = 0;
     std::uint64_t digestLo_ = 0;

@@ -1,6 +1,8 @@
 #include "expr/fold.h"
 
 #include <cmath>
+#include <functional>
+#include <unordered_map>
 
 #include "expr/builtins.h"
 #include "expr/eval.h"
@@ -139,6 +141,7 @@ fold(const ExprPtr &e)
       case ExprKind::Time:
       case ExprKind::NodeVar:
       case ExprKind::StateVar:
+      case ExprKind::Param:
         return e;
       case ExprKind::Unary:
         return foldUnaryOf(e->unOp(), fold(e->operand()));
@@ -166,6 +169,66 @@ fold(const ExprPtr &e)
       }
     }
     return e;
+}
+
+std::vector<ExprPtr>
+bindParams(const std::vector<ExprPtr> &templates,
+           const std::vector<double> &params)
+{
+    std::unordered_map<const Expr *, ExprPtr> memo;
+    std::function<ExprPtr(const ExprPtr &)> walk =
+        [&](const ExprPtr &e) -> ExprPtr {
+        switch (e->kind()) {
+          case ExprKind::Param:
+            return Expr::real(
+                params.at(static_cast<std::size_t>(e->paramIndex())));
+          case ExprKind::Literal:
+          case ExprKind::Var:
+          case ExprKind::Attr:
+          case ExprKind::Time:
+          case ExprKind::NodeVar:
+          case ExprKind::StateVar:
+            return e;
+          default:
+            break;
+        }
+        if (auto it = memo.find(e.get()); it != memo.end())
+            return it->second;
+        ExprPtr out;
+        switch (e->kind()) {
+          case ExprKind::Unary:
+            out = foldUnaryOf(e->unOp(), walk(e->operand()));
+            break;
+          case ExprKind::Binary: {
+            ExprPtr a = walk(e->lhs());
+            out = foldBinaryOf(e->binOp(), a, walk(e->rhs()));
+            break;
+          }
+          case ExprKind::If: {
+            ExprPtr c = walk(e->cond());
+            ExprPtr a = walk(e->thenBranch());
+            out = foldIfOf(c, a, walk(e->elseBranch()));
+            break;
+          }
+          default: {
+            std::vector<ExprPtr> args;
+            args.reserve(e->args().size());
+            for (const ExprPtr &arg : e->args())
+                args.push_back(walk(arg));
+            out = e->calleeExpr()
+                      ? Expr::callExpr(e->calleeExpr(), std::move(args))
+                      : foldCallOf(e->callee(), std::move(args));
+            break;
+          }
+        }
+        memo.emplace(e.get(), out);
+        return out;
+    };
+    std::vector<ExprPtr> out;
+    out.reserve(templates.size());
+    for (const ExprPtr &e : templates)
+        out.push_back(walk(e));
+    return out;
 }
 
 } // namespace ark::expr

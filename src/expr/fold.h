@@ -67,6 +67,15 @@ ExprPtr foldIfOf(const ExprPtr &c, const ExprPtr &a, const ExprPtr &b);
 
 /// @}
 
+/**
+ * Replaces every Param(i) leaf of `templates` by the real literal
+ * params[i] and folds bottom-up with the constructors above (one walk,
+ * memoized across the shared subtrees). For a compiler template this
+ * yields the trees the value-specialised lowering builds.
+ */
+std::vector<ExprPtr> bindParams(const std::vector<ExprPtr> &templates,
+                                const std::vector<double> &params);
+
 /** True if the expression is a literal with the given real value. */
 bool isRealLiteral(const ExprPtr &e, double v);
 

@@ -6,6 +6,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 
 #include "support/error.h"
@@ -63,6 +64,51 @@ execCompute(const TapeOp &op, const double *state, double t,
 
 #undef ARK_SCALAR_ROW
 
+/** splitmix64 finalizer: the per-word diffusion step. */
+std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/**
+ * The shape key: output and register counts, length, and per
+ * instruction everything but a Const's immediate (a builtin only
+ * where CallB reads it) — exactly what LaneTape::merge needs lanes
+ * to share.
+ */
+TapeShape
+shapeOf(const std::vector<TapeOp> &ops, std::size_t outputs, int regs)
+{
+    std::uint64_t a = 0x9e3779b97f4a7c15ull, b = 0x6a09e667f3bcc909ull;
+    auto word = [&a, &b](std::uint64_t x) {
+        a = mix64(a ^ x);
+        b = mix64(b + std::rotl(x, 29) + 0xff51afd7ed558ccdull);
+    };
+    auto index = [](std::int32_t i) {
+        return static_cast<std::uint64_t>(static_cast<std::uint32_t>(i));
+    };
+    word(outputs);
+    word(index(regs));
+    word(ops.size());
+    for (const TapeOp &op : ops) {
+        word(static_cast<std::uint64_t>(op.op) |
+             (op.op == OpCode::CallB
+                  ? static_cast<std::uint64_t>(op.builtin) << 8
+                  : 0));
+        word(index(op.dst));
+        if (op.op != OpCode::Const) {
+            word(index(op.a));
+            word(index(op.b));
+            word(index(op.c));
+        }
+    }
+    return TapeShape{mix64(a ^ std::rotl(b, 32)), mix64(b ^ a)};
+}
+
 /** Structural identity of an SSA value (operands are value ids). */
 struct ValKey
 {
@@ -70,6 +116,7 @@ struct ValKey
     Builtin builtin;
     int a, b, c;
     std::uint64_t immBits; ///< Const payload, bit-exact (-0.0 != 0.0).
+    int slot;              ///< Template slot of a Const, or -1.
 
     bool operator==(const ValKey &) const = default;
 };
@@ -90,6 +137,7 @@ struct ValKeyHash
         mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(k.b)));
         mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(k.c)));
         mix(k.immBits);
+        mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(k.slot)));
         return static_cast<std::size_t>(h);
     }
 };
@@ -138,7 +186,14 @@ class Fuser
         Builtin builtin;
         int a, b, c;   ///< Value-id operands (LoadState: a = state slot).
         double imm;
+        int slot = -1; ///< Template slot of a Const (imm is a placeholder).
     };
+
+    explicit Fuser(const std::vector<ExprPtr> &slots)
+    {
+        for (std::size_t j = 0; j < slots.size(); ++j)
+            slotOf_.emplace(slots[j].get(), static_cast<int>(j));
+    }
 
     std::vector<Val> vals;
     std::vector<int> outputVals; ///< Value id producing each output.
@@ -161,21 +216,27 @@ class Fuser
   private:
     std::unordered_map<const Expr *, int> memo_;
     std::unordered_map<ValKey, int, ValKeyHash> interned_;
+    std::unordered_map<const Expr *, int> slotOf_;
 
+    /** True for a literal Const; a slot's value is unknown here. */
     bool
     isConst(int id, double *value = nullptr) const
     {
         const Val &v = vals[static_cast<std::size_t>(id)];
-        if (v.op != OpCode::Const)
+        if (v.op != OpCode::Const || v.slot >= 0)
             return false;
         if (value)
             *value = v.imm;
         return true;
     }
 
-    /** Interns a value, folding constants and exact identities. */
+    /**
+     * Interns a value, folding constants and exact identities. A
+     * template slot (`slot` >= 0) is a Const keyed by its index alone.
+     */
     int
-    intern(OpCode op, Builtin builtin, int a, int b, int c, double imm)
+    intern(OpCode op, Builtin builtin, int a, int b, int c, double imm,
+           int slot = -1)
     {
         if (isCommutative(op) && a > b)
             std::swap(a, b);
@@ -186,15 +247,17 @@ class Fuser
         }
 
         ValKey key{op, builtin, a, b, c,
-                   op == OpCode::Const ? std::bit_cast<std::uint64_t>(imm)
-                                       : 0};
+                   op == OpCode::Const && slot < 0
+                       ? std::bit_cast<std::uint64_t>(imm)
+                       : 0,
+                   slot};
         auto it = interned_.find(key);
         if (it != interned_.end()) {
             ++hits;
             return it->second;
         }
         int id = static_cast<int>(vals.size());
-        vals.push_back(Val{op, builtin, a, b, c, imm});
+        vals.push_back(Val{op, builtin, a, b, c, imm, slot});
         interned_.emplace(key, id);
         return id;
     }
@@ -263,6 +326,10 @@ class Fuser
     int
     lowerUncached(const ExprPtr &e)
     {
+        if (auto slot = slotOf_.find(e.get()); slot != slotOf_.end())
+            return intern(OpCode::Const, Builtin::Sin, -1, -1, -1,
+                          std::numeric_limits<double>::quiet_NaN(),
+                          slot->second);
         switch (e->kind()) {
           case ExprKind::Literal: {
             const Value &v = e->literalValue();
@@ -334,6 +401,9 @@ class Fuser
           case ExprKind::NodeVar:
             throw CompileError(cat("cannot compile unresolved var(",
                                    e->nodeName(), ") to a tape"));
+          case ExprKind::Param:
+            throw CompileError(cat("cannot compile unbound parameter ",
+                                   e->str(), " to a tape"));
         }
         throw CompileError("unreachable expression kind in tape compile");
     }
@@ -342,9 +412,10 @@ class Fuser
 } // namespace
 
 FusedTape
-FusedTape::compile(const std::vector<ExprPtr> &outputs, bool fuseMulAdd)
+FusedTape::compile(const std::vector<ExprPtr> &outputs, bool fuseMulAdd,
+                   const std::vector<ExprPtr> &slots)
 {
-    Fuser fuser;
+    Fuser fuser(slots);
     fuser.outputVals.reserve(outputs.size());
     for (const ExprPtr &e : outputs)
         fuser.outputVals.push_back(fuser.lower(e));
@@ -462,6 +533,7 @@ FusedTape::compile(const std::vector<ExprPtr> &outputs, bool fuseMulAdd)
     fused.numOutputs_ = outputs.size();
     fused.maxStateIndex_ = fuser.maxStateIndex;
     fused.ops_.reserve(scheduled.size());
+    fused.slotRows_.assign(slots.size(), -1);
     std::vector<int> regOfVal(numVals, -1);
     // FIFO recycling: freed registers go to the back of the queue and
     // the oldest free register is reused first. LIFO reuse puts the
@@ -516,6 +588,10 @@ FusedTape::compile(const std::vector<ExprPtr> &outputs, bool fuseMulAdd)
         }
         regOfVal[static_cast<std::size_t>(dstVal)] = reg;
         op.dst = reg;
+        if (int slot = fuser.vals[static_cast<std::size_t>(dstVal)].slot;
+            slot >= 0)
+            fused.slotRows_[static_cast<std::size_t>(slot)] =
+                static_cast<std::int32_t>(fused.ops_.size());
         // A value nothing reads (an output written and retired by the
         // WriteOutput that follows) keeps its register until then.
         fused.ops_.push_back(op);
@@ -525,7 +601,21 @@ FusedTape::compile(const std::vector<ExprPtr> &outputs, bool fuseMulAdd)
     fused.numRegs_ = nextReg;
     fused.fusionSavings_ = fuser.hits;
     fused.fmaContractions_ = fmaContractions;
+    fused.shape_ = shapeOf(fused.ops_, fused.numOutputs_, fused.numRegs_);
     return fused;
+}
+
+FusedTape
+FusedTape::bind(const std::vector<double> &values) const
+{
+    support::panicIf(values.size() != slotRows_.size(),
+                     "FusedTape::bind: one value per slot expected");
+    FusedTape bound = *this;
+    for (std::size_t j = 0; j < values.size(); ++j)
+        if (slotRows_[j] >= 0)
+            bound.ops_[static_cast<std::size_t>(slotRows_[j])].imm =
+                values[j];
+    return bound;
 }
 
 void

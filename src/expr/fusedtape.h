@@ -30,6 +30,24 @@
  * numerically identical to evaluating each expression on its own (up
  * to the sign of zero under the x+0 identity).
  *
+ * compile(outputs, false, slots) compiles a *template*: each subtree
+ * slots[j] (a parameter-only subtree the compiler hoisted, see
+ * compiler/compiler.h) lowers to one Const instruction whose
+ * immediate is a placeholder until bind() sets it. Slot Consts take
+ * part in no constant folding or identity rewrite and are shared only
+ * by equal slot index, so one template serves every value the slots
+ * may take; a bound program performs the IEEE operations the
+ * value-specialised compile would perform on the same constants, but
+ * may carry more Const instructions (equal values in distinct slots
+ * are not merged). Where it does, a commutative instruction may see
+ * its operands in the other order, which shows only in which NaN
+ * payload it returns when both operands are NaN.
+ *
+ * Every compiled program records its shape(): a 128-bit key over what
+ * LaneTape::merge requires lanes to share (output and register
+ * counts, and every instruction but its Const immediate). A bound
+ * program inherits its template's shape.
+ *
  * compile(outputs, fuseMulAdd = true) derives an FMA variant of
  * the program: a value-graph pass contracts each single-use Mul
  * feeding an Add into one FusedMulAdd instruction (executed with
@@ -60,12 +78,31 @@
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "expr/expr.h"
 #include "expr/tape.h"
 
 namespace ark::expr {
+
+/** The shape key of a compiled program (see the file header). */
+struct TapeShape
+{
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
+
+    bool operator==(const TapeShape &) const = default;
+};
+
+/** Hash functor for unordered containers keyed by TapeShape. */
+struct TapeShapeHash
+{
+    std::size_t operator()(const TapeShape &k) const
+    {
+        return static_cast<std::size_t>(k.hi ^ (k.lo * 0x9e3779b97f4a7c15ull));
+    }
+};
 
 /**
  * A compiled multi-output register program. One evalInto call fills
@@ -79,11 +116,25 @@ class FusedTape
      * program writing `out[k]` for every k. With `fuseMulAdd` set,
      * single-use Mul+Add value pairs contract into FusedMulAdd
      * instructions (see the file header for the rounding contract).
+     * Non-empty `slots` compile a template whose Const for slots[j]
+     * bind() fills in; Param leaves may appear only inside slots.
      * @throws ark::support::CompileError if any tree still contains
-     *         Var, Attr, NodeVar, or lambda-callee nodes.
+     *         Var, Attr, NodeVar, unslotted Param, or lambda-callee
+     *         nodes.
      */
     static FusedTape compile(const std::vector<ExprPtr> &outputs,
-                             bool fuseMulAdd = false);
+                             bool fuseMulAdd = false,
+                             const std::vector<ExprPtr> &slots = {});
+
+    /**
+     * This template with slot j's Const immediate set to values[j]
+     * (one value per compile() slot). The result has this program's
+     * instructions, registers and shape().
+     */
+    FusedTape bind(const std::vector<double> &values) const;
+
+    /** The shape key LaneTape::compatible compares. */
+    const TapeShape &shape() const { return shape_; }
 
     /** Number of scratch registers evaluation requires. */
     int numRegs() const { return numRegs_; }
@@ -138,6 +189,10 @@ class FusedTape
 
   private:
     std::vector<TapeOp> ops_;
+    /** Per compile() slot: the index in ops_ of its Const, or -1 when
+     *  folding left the slot unused. */
+    std::vector<std::int32_t> slotRows_;
+    TapeShape shape_;
     int numRegs_ = 0;
     std::size_t numOutputs_ = 0;
     std::size_t fusionSavings_ = 0;

@@ -26,35 +26,12 @@ widthFor(std::size_t lanes)
     return 8;
 }
 
-/** Structural equality of two instructions, ignoring Const payloads. */
-bool
-sameShape(const TapeOp &x, const TapeOp &y)
-{
-    if (x.op != y.op || x.dst != y.dst)
-        return false;
-    if (x.op == OpCode::Const)
-        return true; // imm is the per-lane payload
-    if (x.a != y.a || x.b != y.b || x.c != y.c)
-        return false;
-    if (x.op == OpCode::CallB && x.builtin != y.builtin)
-        return false;
-    return true;
-}
-
 } // namespace
 
 bool
 LaneTape::compatible(const FusedTape &a, const FusedTape &b)
 {
-    if (a.numOutputs() != b.numOutputs() || a.numRegs() != b.numRegs() ||
-        a.size() != b.size())
-        return false;
-    const std::vector<TapeOp> &opsA = a.ops();
-    const std::vector<TapeOp> &opsB = b.ops();
-    for (std::size_t i = 0; i < opsA.size(); ++i)
-        if (!sameShape(opsA[i], opsB[i]))
-            return false;
-    return true;
+    return a.shape() == b.shape();
 }
 
 std::optional<LaneTape>

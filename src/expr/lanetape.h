@@ -137,9 +137,8 @@ class LaneTape
 
     /**
      * True when two fused programs would merge: identical instruction
-     * streams up to Const immediates. Cheap (one pass over the ops);
-     * used to group ensemble instances into lane blocks before paying
-     * for merge().
+     * streams up to Const immediates, i.e. equal FusedTape::shape()
+     * keys. O(1); merge() checks every member with it.
      */
     static bool compatible(const FusedTape &a, const FusedTape &b);
 

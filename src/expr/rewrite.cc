@@ -122,6 +122,7 @@ struct Reassociator
           case ExprKind::Time:
           case ExprKind::NodeVar:
           case ExprKind::StateVar:
+          case ExprKind::Param:
             return e;
           case ExprKind::Unary: {
             // Boolean subtrees are untouched: a rounding change under

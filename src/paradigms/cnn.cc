@@ -13,11 +13,11 @@ using support::SemaError;
 const std::string &
 cnnSource()
 {
-    // Figure 10a. Deviations (see DESIGN.md): the cell self edge is
-    // iE in both the production rule and the constraint; external
-    // inputs are carried by an Inp attribute `u` (the paper's listing
-    // reads var(s) of a stateless node); cstr V admits the B-template
-    // input edges the prod rules require.
+    // Figure 10a. Deviations: the cell self edge is iE in both the
+    // production rule and the constraint; external inputs are carried
+    // by an Inp attribute `u` (the paper's listing reads var(s) of a
+    // stateless node); cstr V admits the B-template input edges the
+    // prod rules require.
     static const std::string source = R"ARK(
 lang cnn {
     ntyp(1,sum) V {attr z=real[-10,10]};

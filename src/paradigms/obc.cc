@@ -32,8 +32,8 @@ lang obc {
 const std::string &
 ofsObcSource()
 {
-    // Figure 12b verbatim (offset sigma 0.02; see DESIGN.md on the
-    // mm(s0,s1) convention).
+    // Figure 12b verbatim (offset sigma 0.02; see dg/datatype.h on
+    // the mm(s0,s1) convention).
     static const std::string source = R"ARK(
 lang ofs-obc inherits obc {
     etyp Cpl_ofs inherit Cpl {attr k=real[-8,8],

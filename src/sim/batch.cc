@@ -12,6 +12,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "engine/jit.h"
@@ -1164,24 +1165,19 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
     // override. Kernel resolution itself stays per block (per merged
     // structure), so a mixed batch jits what it can.
     const bool jitOn = expr::jitEnabled(options.sim.jit);
+    // Classes are keyed by tape shape (the LaneTape::compatible
+    // relation), in order of first appearance.
     std::vector<std::vector<std::size_t>> classes;
+    std::unordered_map<expr::TapeShape, std::size_t, expr::TapeShapeHash>
+        classOf;
     for (std::size_t i = 0; i < count; ++i) {
         if (laneEligible) {
-            bool placed = false;
-            for (std::vector<std::size_t> &cls : classes) {
-                const compiler::OdeSystem &leader =
-                    systemOf(cls.front());
-                if (&systemOf(i) == &leader ||
-                    expr::LaneTape::compatible(
-                        leader.rhsTape(fma, reassoc),
-                        systemOf(i).rhsTape(fma, reassoc))) {
-                    cls.push_back(i);
-                    placed = true;
-                    break;
-                }
-            }
-            if (placed)
+            auto [it, added] = classOf.try_emplace(
+                systemOf(i).rhsTape(fma, reassoc).shape(), classes.size());
+            if (!added) {
+                classes[it->second].push_back(i);
                 continue;
+            }
         }
         classes.push_back({i});
     }

@@ -13,7 +13,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <numbers>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "apps/puf.h"
@@ -32,6 +36,7 @@
 #include "spice/mna.h"
 #include "support/error.h"
 #include "support/rng.h"
+#include "support/telemetry.h"
 #include "validator/validator.h"
 
 namespace {
@@ -598,6 +603,275 @@ TEST_F(EngineTest, ResponseMatrixMatchesPerChallengeBatches)
     // Same challenge, same chips, different noise seeds: occurrences
     // 0 and 2 both measure challenge 1.
     EXPECT_NE(noisy[0], noisy[2]);
+}
+
+/**
+ * Bitwise agreement of two programs over states where a wrongly bound
+ * constant shows: every state variable runs through ±0, ±inf and NaN
+ * beside ordinary values (x*0, x+0 and x*1 differ from their folds
+ * exactly there).
+ */
+::testing::AssertionResult
+sameOutputsOnEdgeStates(const expr::FusedTape &a, const expr::FusedTape &b,
+                        std::size_t dim)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double palette[] = {0.0,  -0.0, inf,  -inf,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              0.75, -1.5, 3e-9};
+    constexpr std::size_t n = std::size(palette);
+    for (std::size_t trial = 0; trial < n * n; ++trial) {
+        std::vector<double> state(dim);
+        for (std::size_t i = 0; i < dim; ++i)
+            state[i] = palette[(trial + i * (trial / n + 1)) % n];
+        for (double t : {0.0, 2.5e-9}) {
+            std::vector<double> x = a.evalAlloc(state, t);
+            std::vector<double> y = b.evalAlloc(state, t);
+            for (std::size_t k = 0; k < x.size(); ++k)
+                if (!sameBits(x[k], y[k]))
+                    return ::testing::AssertionFailure()
+                           << "output " << k << " differs on trial "
+                           << trial << " at t=" << t << ": " << x[k]
+                           << " vs " << y[k];
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST_F(EngineTest, BoundTemplatesMatchDirectCompileOnGuardedValues)
+{
+    // Each case compiles through a cache that already holds its
+    // topology's template. A value the folder rewrites on (±0, ±1)
+    // must come out exactly as a direct compile of the system's RHS
+    // trees: raw attribute values of that class are structure (a new
+    // template), a hoisted subtree that evaluates to one falls back.
+    const bool metricsWere = telemetry::metricsEnabled();
+    telemetry::setMetricsEnabled(true);
+    telemetry::Counter &fallbacks =
+        telemetry::Registry::shared().counter("ark.compile.bind_fallbacks");
+    const std::uint64_t fallbacks0 = fallbacks.value();
+    engine::ArtifactCache cache;
+    engine::ArtifactCache *target = &cache;
+
+    // The served program against a direct compile of its own RHS
+    // trees, and against the RHS trees an uncached compile of the
+    // graph builds (so a system served for another graph shows too).
+    auto check = [&](const dg::Graph &graph, const lang::Language &language,
+                     const char *what) {
+        engine::SystemPtr system = target->system(graph, language);
+        EXPECT_TRUE(sameOutputsOnEdgeStates(
+            system->fusedTape(),
+            expr::FusedTape::compile(system->rhsExprs()), system->size()))
+            << what;
+        EXPECT_TRUE(sameOutputsOnEdgeStates(
+            system->fusedTape(),
+            expr::FusedTape::compile(
+                compiler::compile(graph, language).rhsExprs()),
+            system->size()))
+            << what << " (uncached)";
+    };
+    auto templateMisses = [&] { return cache.stats().templateMisses; };
+
+    // ofs-obc: an offset of exactly +0.0 or -0.0 (x + offset folds).
+    const lang::Language &ofs = lang("ofs-obc");
+    paradigms::obc::MaxcutInstance square{4, {{0, 1}, {1, 2}, {2, 3},
+                                              {0, 3}, {0, 2}}};
+    auto ofsGraph = [&](std::uint64_t seed, std::optional<double> offset) {
+        paradigms::obc::MaxcutSpec spec;
+        spec.withOffset = true;
+        spec.seed = seed;
+        spec.initPhases = {0.1, 2.0, 4.0, 5.5};
+        dg::Graph graph = paradigms::obc::buildMaxcut(ofs, square, spec);
+        if (offset)
+            graph.setEdgeAttr(*graph.findEdge("CPL_1"), "offset",
+                              expr::Value::real(*offset));
+        return graph;
+    };
+    check(ofsGraph(1, std::nullopt), ofs, "ofs-obc first instance");
+    std::uint64_t misses = templateMisses();
+    check(ofsGraph(2, std::nullopt), ofs, "ofs-obc ordinary offsets");
+    EXPECT_EQ(templateMisses(), misses); // bound, not lowered
+    check(ofsGraph(3, 0.0), ofs, "ofs-obc offset +0");
+    check(ofsGraph(4, -0.0), ofs, "ofs-obc offset -0");
+    EXPECT_EQ(templateMisses(), misses + 2);
+
+    // obc: a coupling k of 1, -1 or 0 (x*k folds) beside ordinary ones.
+    const lang::Language &obc = lang("obc");
+    auto obcGraph = [&](double k) {
+        paradigms::obc::MaxcutSpec spec;
+        spec.coupling = -0.6;
+        spec.initPhases = {0.3, 1.0, 3.0, 6.0};
+        dg::Graph graph = paradigms::obc::buildMaxcut(obc, square, spec);
+        graph.setEdgeAttr(*graph.findEdge("CPL_1"), "k",
+                          expr::Value::real(0.45));
+        graph.setEdgeAttr(*graph.findEdge("CPL_3"), "k",
+                          expr::Value::real(k));
+        return graph;
+    };
+    check(obcGraph(-1.3), obc, "obc first instance");
+    misses = templateMisses();
+    for (double k : {1.0, -1.0, 0.0})
+        check(obcGraph(k), obc, "obc special coupling");
+    EXPECT_EQ(templateMisses(), misses + 3);
+
+    // gmc-tln: a termination g = 0 (the line's interior g = 0 terms
+    // vanish) where the template's first instance had g = 0.3.
+    const lang::Language &gmc = lang("gmc-tln");
+    ptln::LineSpec line;
+    line.sections = 3;
+    line.mismatchC = true;
+    line.mismatchGm = true;
+    line.termConductance = 0.3;
+    line.seed = 5;
+    check(ptln::buildLine(gmc, line), gmc, "gmc-tln g = 0.3");
+    misses = templateMisses();
+    line.termConductance = 0.0;
+    line.seed = 6;
+    check(ptln::buildLine(gmc, line), gmc, "gmc-tln g = 0");
+    EXPECT_EQ(templateMisses(), misses + 1);
+
+    // A test-local language whose rule multiplies the hoisted
+    // e.a - e.b by a state: drawn with a == b, the slot evaluates to
+    // +0 and bind must fall back.
+    lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
+    registry.addProgram(
+        "lang diffp {\n    ntyp(1,sum) X {attr c=real[-8,8]};\n"
+        "    etyp Ed {attr a=real[-8,8], attr b=real[-8,8]};\n"
+        "    prod(e:Ed,s:X->s:X) s <= (e.a-e.b)*var(s);\n"
+        "    prod(e:Ed,s:X->t:X) t <= s.c*var(s);\n}\n");
+    const lang::Language &diff = registry.language("diffp");
+    auto diffGraph = [&](double a, double b) {
+        lang::GraphBuilder builder(diff, 0);
+        builder.node("x", "X");
+        builder.attr("x", "c", 0.5);
+        builder.node("y", "X");
+        builder.attr("y", "c", 0.25);
+        for (const char *name : {"self_x", "x_y"}) {
+            builder.edge(name, "Ed", "x", name[0] == 's' ? "x" : "y");
+            builder.attr(name, "a", a);
+            builder.attr(name, "b", b);
+        }
+        return builder.take();
+    };
+    check(diffGraph(0.75, 0.5), diff, "diffp a != b");
+    misses = templateMisses();
+    check(diffGraph(0.625, 0.625), diff, "diffp a == b");
+    EXPECT_EQ(templateMisses(), misses);
+
+    // The reverse: a template lowered from a == b pins e.a - e.b to
+    // +0, and a draw with a != b must not bind to it.
+    engine::ArtifactCache pinned;
+    target = &pinned;
+    check(diffGraph(0.625, 0.625), diff, "diffp pinned a == b");
+    check(diffGraph(0.75, 0.5), diff, "diffp a != b on the pin");
+    EXPECT_EQ(pinned.stats().templateHits, 1u);
+
+    EXPECT_EQ(fallbacks.value() - fallbacks0, 2u);
+    telemetry::setMetricsEnabled(metricsWere);
+}
+
+/** Bitwise equality of two ensembles' trajectories. */
+::testing::AssertionResult
+sameEnsembles(const std::vector<sim::SimResult> &a,
+              const std::vector<sim::SimResult> &b)
+{
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure() << "result count differs";
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const sim::Trajectory &ta = a[i].trajectory;
+        const sim::Trajectory &tb = b[i].trajectory;
+        if (a[i].ok() != b[i].ok() || ta.size() != tb.size())
+            return ::testing::AssertionFailure()
+                   << "instance " << i << " shape differs";
+        for (std::size_t s = 0; s < ta.size(); ++s) {
+            if (!sameBits(ta.time(s), tb.time(s)))
+                return ::testing::AssertionFailure()
+                       << "instance " << i << " time " << s;
+            auto sa = ta.state(s);
+            auto sb = tb.state(s);
+            for (std::size_t k = 0; k < sa.size(); ++k)
+                if (!sameBits(sa[k], sb[k]))
+                    return ::testing::AssertionFailure()
+                           << "instance " << i << " sample " << s
+                           << " state " << k;
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST_F(EngineTest, TemplatesBindEveryDrawOfTheBenchmarkParadigms)
+{
+    // The Table 1 and §4.5 pattern: many parameter draws over few
+    // structures. Each structure lowers once; every draw binds.
+    engine::ArtifactCache cache;
+    const lang::Language &ofs = lang("ofs-obc");
+    const lang::Language &gmc = lang("gmc-tln");
+    support::Rng rng(2024);
+
+    std::set<std::vector<std::pair<int, int>>> subsets;
+    std::vector<engine::SystemPtr> maxcut;
+    for (int draw = 0; draw < 200; ++draw) {
+        paradigms::obc::MaxcutInstance instance;
+        instance.numVertices = 4;
+        for (int a = 0; a < 4; ++a)
+            for (int b = a + 1; b < 4; ++b)
+                if (rng.bernoulli(0.5))
+                    instance.edges.emplace_back(a, b);
+        subsets.insert(instance.edges);
+        paradigms::obc::MaxcutSpec spec;
+        spec.withOffset = true;
+        spec.seed = rng.deriveSeed();
+        for (int v = 0; v < 4; ++v)
+            spec.initPhases.push_back(
+                rng.uniform(0.0, 2.0 * std::numbers::pi));
+        maxcut.push_back(cache.system(
+            paradigms::obc::buildMaxcut(ofs, instance, spec), ofs));
+    }
+    std::vector<engine::SystemPtr> lines;
+    for (int draw = 0; draw < 40; ++draw) {
+        ptln::LineSpec spec;
+        spec.sections = 3 + draw % 4; // four topologies
+        spec.inductance = rng.uniform(0.5e-9, 2e-9);
+        spec.capacitance = rng.uniform(0.5e-9, 2e-9);
+        spec.sourceConductance = rng.uniform(0.5, 2.0);
+        spec.termConductance = rng.uniform(0.5, 2.0);
+        spec.pulseWidth = rng.uniform(0.5e-8, 2e-8);
+        spec.mismatchC = true;
+        spec.mismatchGm = true;
+        spec.seed = rng.deriveSeed();
+        lines.push_back(cache.system(ptln::buildLine(gmc, spec), gmc));
+    }
+    const engine::CacheStats stats = cache.stats();
+    EXPECT_EQ(stats.templateMisses, subsets.size() + 4);
+    EXPECT_EQ(stats.systemMisses, 240u);
+
+    // The bound systems integrate exactly as the same instances built
+    // from their RHS trees through a directly compiled FusedTape.
+    for (const auto &[systems, t1] :
+         {std::pair{&maxcut, 5e-9}, std::pair{&lines, 3e-9}}) {
+        std::vector<compiler::OdeSystem> direct;
+        direct.reserve(systems->size());
+        for (const engine::SystemPtr &system : *systems)
+            direct.emplace_back(system->vars(), system->initialState(),
+                                system->rhsExprs());
+        std::vector<const compiler::OdeSystem *> bound, reference;
+        for (std::size_t i = 0; i < direct.size(); ++i) {
+            bound.push_back((*systems)[i].get());
+            reference.push_back(&direct[i]);
+        }
+        sim::EnsembleOptions options;
+        options.sim.method = sim::Method::Dopri5;
+        options.sim.recordDt = t1 / 10;
+        options.numThreads = 1;
+        std::vector<sim::SimResult> expected =
+            sim::simulateEnsemble(reference, 0.0, t1, options);
+        for (unsigned threads : {1u, 2u, 4u}) {
+            options.numThreads = threads;
+            EXPECT_TRUE(sameEnsembles(
+                sim::simulateEnsemble(bound, 0.0, t1, options), expected))
+                << threads << " threads";
+        }
+    }
 }
 
 } // namespace

@@ -279,7 +279,7 @@ TEST_F(MismatchGraphTest, RelativeMismatchScalesWithNominal)
 TEST_F(MismatchGraphTest, AbsoluteMismatchOnZeroNominal)
 {
     // The ofs-obc pattern: nominal 0 with absolute sigma 0.02 must
-    // produce non-zero samples (see DESIGN.md on mm semantics).
+    // produce non-zero samples (see dg/datatype.h on mm semantics).
     support::Rng rng(7);
     Graph graph(&table_, "t");
     dg::NodeId a = graph.addNode("a", "Vm");
