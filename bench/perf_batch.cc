@@ -357,7 +357,8 @@ BM_MaxcutRhsFma(benchmark::State &state)
     const bool fma = state.range(0) != 0;
     const auto width = static_cast<std::size_t>(state.range(1));
     const compiler::OdeSystem &system = maxcutSystem();
-    const expr::FusedTape &tape = system.rhsTape(fma);
+    const expr::FusedTape &tape = system.rhsTape(
+        fma ? expr::RoundingMode::Fma : expr::RoundingMode::Exact);
     const std::size_t n = system.size();
 
     support::Rng rng(31);

@@ -129,35 +129,29 @@ OdeSystem::stateIndex(const std::string &node, int derivative) const
 }
 
 const expr::FusedTape &
-OdeSystem::fusedTapeFma() const
+OdeSystem::rhsTape(expr::RoundingMode mode) const
 {
-    std::call_once(lazy_->fmaOnce, [this] {
-        lazy_->fma =
-            expr::FusedTape::compile(rhsExprs(), /*fuseMulAdd=*/true);
+    if (mode == expr::RoundingMode::Exact)
+        return fused_;
+    LazyTapes::Variant &variant =
+        lazy_->variants[static_cast<std::size_t>(mode) - 1];
+    std::call_once(variant.once, [&] {
+        const bool reassoc = mode == expr::RoundingMode::Reassoc;
+        std::vector<expr::ExprPtr> rewritten;
+        if (reassoc)
+            rewritten = expr::reassociate(rhsExprs(), &lazy_->reassocStats);
+        variant.tape = expr::FusedTape::compile(
+            reassoc ? rewritten : rhsExprs(), /*fuseMulAdd=*/true);
         raiseScratch(lazy_->scratch,
-                     static_cast<std::size_t>(lazy_->fma.numRegs()));
+                     static_cast<std::size_t>(variant.tape.numRegs()));
     });
-    return lazy_->fma;
-}
-
-const expr::FusedTape &
-OdeSystem::fusedTapeReassoc() const
-{
-    std::call_once(lazy_->reassocOnce, [this] {
-        std::vector<expr::ExprPtr> rewritten =
-            expr::reassociate(rhsExprs(), &lazy_->reassocStats);
-        lazy_->reassoc =
-            expr::FusedTape::compile(rewritten, /*fuseMulAdd=*/true);
-        raiseScratch(lazy_->scratch,
-                     static_cast<std::size_t>(lazy_->reassoc.numRegs()));
-    });
-    return lazy_->reassoc;
+    return variant.tape;
 }
 
 const expr::RewriteStats &
 OdeSystem::reassocStats() const
 {
-    fusedTapeReassoc();
+    rhsTape(expr::RoundingMode::Reassoc);
     return lazy_->reassocStats;
 }
 

@@ -22,13 +22,14 @@
  * instructions than FusedTape::compile(rhsExprs()) (equal values in
  * distinct slots are not merged) but evaluates bit-identically.
  *
- * The two rounding variants are compiled lazily on first request from
- * rhsExprs(), so the cold compile path never pays for a variant it
- * doesn't run:
+ * The programs of the two non-Exact rounding modes
+ * (expr::RoundingMode, selected by SimOptions::rounding) are compiled
+ * lazily on first request from rhsExprs(), so the cold compile path
+ * never pays for a variant it doesn't run:
  *
- *  - the FMA-contracted variant (SimOptions::tapeFma);
- *  - the reassociated variant (SimOptions::tapeReassoc — the
- *    expr/rewrite.h pass over the RHS, then FMA contraction).
+ *  - Fma: the FMA-contracted fused tape;
+ *  - Reassoc: the expr/rewrite.h pass over the RHS, then FMA
+ *    contraction.
  *
  * Laziness is invisible to callers: variants build under
  * std::call_once (safe against concurrent ensemble workers), and
@@ -142,43 +143,22 @@ class OdeSystem
         return std::vector<double>(scratchSize());
     }
 
-    /** The fused whole-system tape (introspection, benchmarks). */
+    /** The fused whole-system tape: the Exact program
+     *  (introspection, benchmarks). */
     const expr::FusedTape &fusedTape() const { return fused_; }
 
     /**
-     * The FMA-contracted variant of the fused tape (single-use
-     * Mul+Add pairs folded into FusedMulAdd, one std::fma rounding
-     * per pair), compiled on first request. Same outputs; agrees with
-     * fusedTape() to rounding, not bitwise. Selected on the
-     * simulation hot paths by sim::SimOptions::tapeFma.
+     * The RHS program a simulation driver executes under `mode`:
+     * fusedTape() for Exact; for Fma and Reassoc a variant compiled
+     * on first request (see expr::RoundingMode), which agrees with
+     * fusedTape() to tolerance, not bitwise. Every tier executes the
+     * same program for a mode, so lane-vs-scalar bit identity holds.
      */
-    const expr::FusedTape &fusedTapeFma() const;
+    const expr::FusedTape &rhsTape(expr::RoundingMode mode) const;
 
-    /**
-     * The reassociated variant: the expr/rewrite.h pass over the RHS
-     * (Div-by-constant → reciprocal multiply, coefficient gathering)
-     * followed by FMA contraction, compiled on first request. Agrees
-     * with fusedTape() at tolerance level only; selected by
-     * sim::SimOptions::tapeReassoc. Every tier executes this same
-     * program under the flag, so lane-vs-scalar bit identity holds.
-     */
-    const expr::FusedTape &fusedTapeReassoc() const;
-
-    /** What the reassociation pass changed (builds the variant). */
+    /** What the reassociation pass changed (builds the Reassoc
+     *  program). */
     const expr::RewriteStats &reassocStats() const;
-
-    /**
-     * The RHS tape a simulation driver should execute. `reassoc`
-     * selects the reassociated (and FMA-contracted) variant
-     * regardless of `fma`; otherwise `fma` picks the contracted or
-     * plain fused tape.
-     */
-    const expr::FusedTape &rhsTape(bool fma, bool reassoc = false) const
-    {
-        if (reassoc)
-            return fusedTapeReassoc();
-        return fma ? fusedTapeFma() : fused_;
-    }
 
     /** Pretty-printed equations, one per line ("d name/dt = ..."). */
     std::string equationsStr() const;
@@ -192,11 +172,15 @@ class OdeSystem
      */
     struct LazyTapes
     {
+        /** One program per non-Exact mode, indexed by mode - 1. */
+        struct Variant
+        {
+            std::once_flag once;
+            expr::FusedTape tape;
+        };
+
         std::once_flag rhsOnce;
-        std::once_flag fmaOnce;
-        std::once_flag reassocOnce;
-        expr::FusedTape fma;
-        expr::FusedTape reassoc;
+        Variant variants[2];
         expr::RewriteStats reassocStats;
         std::atomic<std::size_t> scratch{0};
     };

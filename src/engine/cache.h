@@ -11,8 +11,8 @@
  *  - dg::Graph + language -> shared_ptr<const compiler::OdeSystem>,
  *    keyed by the graph's combined fingerprint. A hit skips ILP
  *    validation, lowering and binding entirely; the cached system
- *    serves every SimOptions::tapeFma setting (its rounding variants
- *    build lazily, once). Because compilation is deterministic, a
+ *    serves every SimOptions::rounding mode (its Fma and Reassoc
+ *    programs build lazily, once). Because compilation is deterministic, a
  *    cached system is bit-identical to a freshly compiled one —
  *    ensembles mixing cached and cold systems produce bit-identical
  *    trajectories (engine_test regression-tests this at several

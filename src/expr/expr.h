@@ -54,12 +54,14 @@
  *    lowering): constant folding and field identities (x+0, x*1,
  *    -(-x), literal branch pruning). These never change the IEEE
  *    value of any result and shrink every execution tier.
- *  - **Rounding-changing, opt-in only** (expr/rewrite.h,
- *    sim::SimOptions::tapeReassoc; same contract as tapeFma):
- *    reassociation/reciprocal rewrites that stay within tolerance but
- *    are not bit-identical to the tree. Never applied on the default
- *    path; lane-vs-scalar bit identity still holds under the flag
- *    because every tier executes the same rewritten program.
+ *  - **Rounding-changing, opt-in only** (expr/rewrite.h): the
+ *    RoundingMode::Reassoc reassociation/reciprocal rewrites and the
+ *    FMA contraction of RoundingMode::Fma, selected by
+ *    sim::SimOptions::rounding or the ARK_ROUNDING override. They
+ *    stay within tolerance but are not bit-identical to the tree.
+ *    Never applied under the default Exact mode; lane-vs-scalar bit
+ *    identity still holds in every mode because every tier executes
+ *    the same program.
  *
  * Factories themselves never simplify (`(0 * x)` prints as written —
  * parser and golden tests rely on source-shaped trees); all rewriting

@@ -58,8 +58,9 @@
  * one-IEEE-rounding-per-arithmetic-step semantics and therefore
  * stays bit-identical to the tree interpreter; the FMA variant
  * agrees with it only to rounding (~1 ulp per contracted pair) but
- * shortens the stream by one instruction per contraction.
- * SimOptions::tapeFma selects the variant on the simulation hot
+ * shortens the stream by one instruction per contraction. The Fma
+ * and Reassoc rounding modes (expr::RoundingMode, selected by
+ * SimOptions::rounding) run such variants on the simulation hot
  * paths.
  *
  * FusedTape has two roles (see sim/sim.h for the full execution

@@ -3,8 +3,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
+#include "support/logging.h"
 #include "support/telemetry.h"
 
 namespace ark::expr {
@@ -242,25 +244,28 @@ reassociate(const std::vector<ExprPtr> &outputs, RewriteStats *stats)
     return out;
 }
 
-bool
-reassocEnabled(bool optionValue)
+RoundingMode
+roundingMode(RoundingMode option)
 {
-    // -1 = no override, 0/1 = forced; memoized like jitEnabled — the
-    // CI job that forces the pass on sets the variable before launch.
-    static const int forced = [] {
-        const char *env = std::getenv("ARK_TAPE_REASSOC");
+    // Memoized like jitEnabled: the CI job that forces a mode sets the
+    // variable before launch, and the warning fires once per process.
+    static const std::optional<RoundingMode> forced =
+        []() -> std::optional<RoundingMode> {
+        const char *env = std::getenv("ARK_ROUNDING");
         if (env == nullptr)
-            return -1;
+            return std::nullopt;
         const std::string v(env);
-        if (v == "1" || v == "on" || v == "true")
-            return 1;
-        if (v == "0" || v == "off" || v == "false")
-            return 0;
-        return -1;
+        if (v == "exact")
+            return RoundingMode::Exact;
+        if (v == "fma")
+            return RoundingMode::Fma;
+        if (v == "reassoc")
+            return RoundingMode::Reassoc;
+        support::warn(support::cat("ignoring ARK_ROUNDING='", v,
+                                   "': expected exact, fma or reassoc"));
+        return std::nullopt;
     }();
-    if (forced >= 0)
-        return forced == 1;
-    return optionValue;
+    return forced.value_or(option);
 }
 
 } // namespace ark::expr

@@ -6,11 +6,12 @@
  * Opt-in reassociation/distribution rewrites — the *rounding-changing*
  * stage of the rewrite contract (see expr/expr.h). Everything here
  * changes where IEEE roundings happen (never the real-arithmetic
- * value), so the pass runs only behind sim::SimOptions::tapeReassoc
- * (or the ARK_TAPE_REASSOC override) — the same tolerance-level
- * contract as tapeFma, and in fact in service of it: the point of the
- * pass is to expose FusedMulAdd contractions that the single-use
- * Mul→Add matcher cannot see through intervening Div/Neg nodes.
+ * value), so the pass runs only under RoundingMode::Reassoc
+ * (sim::SimOptions::rounding or the ARK_ROUNDING override) — the same
+ * tolerance-level contract as RoundingMode::Fma, and in fact in
+ * service of it: the point of the pass is to expose FusedMulAdd
+ * contractions that the single-use Mul→Add matcher cannot see through
+ * intervening Div/Neg nodes.
  *
  * Rules (bottom-up, arithmetic value positions only):
  *
@@ -44,6 +45,22 @@
 
 namespace ark::expr {
 
+/**
+ * Which RHS program a simulation integrates. Each mode is one
+ * program of the compiled system (compiler::OdeSystem::rhsTape):
+ *
+ *  - Exact: the default fused tape, one IEEE rounding per arithmetic
+ *    step, bit-identical to the tree interpreter;
+ *  - Fma: the same tape with single-use Mul+Add pairs contracted into
+ *    FusedMulAdd (one std::fma rounding per pair);
+ *  - Reassoc: reassociate() over the RHS, then FMA contraction.
+ *
+ * Fma and Reassoc agree with Exact to tolerance, not bitwise (the
+ * expr/expr.h rewrite contract); every tier honors the mode
+ * identically, so lane-vs-scalar bit identity holds under each.
+ */
+enum class RoundingMode : std::uint8_t { Exact, Fma, Reassoc };
+
 /** What reassociate() changed (arkc --ir-stats, tests). */
 struct RewriteStats
 {
@@ -61,7 +78,7 @@ struct RewriteStats
  * Applies the reassociation rules to one expression. Returns the
  * rewritten (interned) tree; `stats`, when non-null, accumulates
  * counts across calls. Pure: never applied implicitly — callers gate
- * on reassocEnabled().
+ * on roundingMode().
  */
 ExprPtr reassociate(const ExprPtr &e, RewriteStats *stats = nullptr);
 
@@ -74,14 +91,14 @@ std::vector<ExprPtr> reassociate(const std::vector<ExprPtr> &outputs,
                                  RewriteStats *stats = nullptr);
 
 /**
- * Whether the reassociation tape variant should run, folding the
- * ARK_TAPE_REASSOC environment override into the option value:
- * "1"/"on"/"true" forces the pass on (the ASan CI job runs the expr
- * suites this way), "0"/"off"/"false" forces it off, anything else
- * defers to `optionValue` (sim::SimOptions::tapeReassoc). Mirrors
- * expr::jitEnabled / ARK_JIT_FORCE.
+ * The rounding mode a run uses, folding the ARK_ROUNDING environment
+ * override into the option value: "exact", "fma" or "reassoc" forces
+ * that mode (the sanitizer CI job runs the suites under "reassoc");
+ * an unset variable defers to `option` (sim::SimOptions::rounding);
+ * any other value logs one warning naming the accepted values, then
+ * defers. Mirrors expr::jitEnabled / ARK_JIT_FORCE.
  */
-bool reassocEnabled(bool optionValue);
+RoundingMode roundingMode(RoundingMode option);
 
 } // namespace ark::expr
 

@@ -24,7 +24,6 @@
 #include "support/ledger.h"
 #include "support/logging.h"
 #include "support/telemetry.h"
-#include "support/watchdog.h"
 
 namespace ark::sim {
 
@@ -70,6 +69,32 @@ struct VoteStats
 };
 
 using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
+/**
+ * When a driver records a sample. All lanes of a block share one time
+ * grid, so one gate serves the whole block. A time already recorded
+ * is never recorded again: the forced final record after a step that
+ * landed on t1 and recorded it would repeat the last sample.
+ * Otherwise a forced record, recordDt = 0 (every step) or a step at
+ * least recordDt past the last record passes. No record yet is -inf,
+ * so any t0 records its initial sample.
+ */
+struct RecordGate
+{
+    double recordDt;
+    double last = -std::numeric_limits<double>::infinity();
+
+    /** Whether to record a sample at `t`; a yes marks `t` recorded. */
+    bool
+    take(double t, bool force)
+    {
+        if (t == last || !(force || recordDt <= 0.0 ||
+                           t - last >= recordDt * (1.0 - 1e-12)))
+            return false;
+        last = t;
+        return true;
+    }
+};
 
 /** Lazily-grown pool cap; parked workers are cheap but not free. */
 constexpr unsigned kMaxPoolThreads = 64;
@@ -318,14 +343,11 @@ runLaneRk4(BlockEvaluator &rhs,
         if (alive[l])
             results[l].trajectory.reserve(estimate, n);
 
-    const double recordDt = options.recordDt;
-    double lastRecord = -1.0;
+    RecordGate gate{options.recordDt};
     std::vector<double> sample(n), slope(n);
-    // All lanes share the time grid, so one record gate serves the
-    // whole block; dead lanes are simply skipped.
+    // Dead lanes are simply skipped.
     auto record = [&](double t, bool force) {
-        if (!(force || recordDt <= 0.0 ||
-              t - lastRecord >= recordDt * (1.0 - 1e-12)))
+        if (!gate.take(t, force))
             return;
         for (std::size_t l = 0; l < lanes; ++l) {
             if (!alive[l])
@@ -336,7 +358,6 @@ runLaneRk4(BlockEvaluator &rhs,
             }
             results[l].trajectory.addSample(t, sample, &slope);
         }
-        lastRecord = t;
     };
 
     double t = t0;
@@ -500,7 +521,7 @@ class LaneDopri5
           end_(t1 - 1e-15 * std::max(1.0, std::fabs(t1))),
           hMax_(options.maxDt > 0 ? options.maxDt : (t1 - t0) / 10.0),
           t_(t0), h_(options.dt > 0 ? options.dt : (t1 - t0) / 1000.0),
-          recordDt_(options.recordDt), results_(tapes.size())
+          gate_{options.recordDt}, results_(tapes.size())
     {
         for (std::size_t member = 0; member < initials.size(); ++member) {
             const std::vector<double> &init = *initials[member];
@@ -517,8 +538,8 @@ class LaneDopri5
             active_.push_back(std::move(lane));
         }
         std::size_t estimate =
-            recordDt_ > 0
-                ? static_cast<std::size_t>((t1 - t0) / recordDt_) + 4
+            options.recordDt > 0
+                ? static_cast<std::size_t>((t1 - t0) / options.recordDt) + 4
                 : 256;
         estimate = std::min<std::size_t>(estimate, std::size_t{1} << 20);
         for (const Lane &lane : active_)
@@ -543,7 +564,8 @@ class LaneDopri5
         // the initial record; after a compaction the slopes carry
         // over and nothing is re-recorded. Even a range inside the
         // loop epsilon (t1 ~ t0) runs one block, which records the
-        // initial sample and the forced final one.
+        // initial sample; the forced final record finds that time
+        // already recorded, so the trajectory holds one sample.
         for (bool initial = true; !active_.empty(); initial = false) {
             // A multi-member job whose survivors dwindled to one
             // finishes at width 1: the ark.sim.spills tally.
@@ -570,13 +592,6 @@ class LaneDopri5
         double prevErr = 1.0;      ///< Last accepted error norm.
         std::size_t rejected = 0;  ///< Steps this lane voted down.
     };
-
-    bool
-    recordGateOpen(double t, bool force) const
-    {
-        return force || recordDt_ <= 0.0 ||
-               t - lastRecord_ >= recordDt_ * (1.0 - 1e-12);
-    }
 
     /** Integrates the current active set as one lane block. */
     Status
@@ -614,7 +629,7 @@ class LaneDopri5
 
         std::vector<double> sample(n_), slope(n_);
         auto record = [&](double t, bool force) {
-            if (!recordGateOpen(t, force))
+            if (!gate_.take(t, force))
                 return;
             for (std::size_t s = 0; s < L; ++s) {
                 if (!alive[s])
@@ -626,7 +641,6 @@ class LaneDopri5
                 results_[active_[s].member].trajectory.addSample(
                     t, sample, &slope);
             }
-            lastRecord_ = t;
         };
 
         // Ends lane s's run with `failure` at the current step.
@@ -865,8 +879,7 @@ class LaneDopri5
 
     double t_;             ///< Shared integration time.
     double h_;             ///< Shared (voted) step size.
-    double lastRecord_ = -1.0;
-    double recordDt_;
+    RecordGate gate_;
     std::size_t steps_ = 0;          ///< Shared accepted steps.
     std::size_t rejectedShared_ = 0; ///< Shared rejected block steps.
     VoteStats stats_;                ///< Registry tallies, flushed once.
@@ -880,17 +893,14 @@ std::vector<SimResult>
 detail::integrateBlock(
     const std::vector<const compiler::OdeSystem *> &systems,
     const std::vector<const std::vector<double> *> &initials, double t0,
-    double t1, const SimOptions &options, bool jitOn,
-    const std::stop_token &stop, const Deadline &deadline,
+    double t1, const SimOptions &options, expr::RoundingMode rounding,
+    bool jitOn, const std::stop_token &stop, const Deadline &deadline,
     const std::function<void(std::size_t)> &laneDone, bool *usedJit)
 {
-    // The tape variant the options select: reassociated (with its
-    // ARK_TAPE_REASSOC override), FMA-contracted, or plain.
-    const bool reassoc = expr::reassocEnabled(options.tapeReassoc);
     std::vector<const expr::FusedTape *> tapes;
     tapes.reserve(systems.size());
     for (const compiler::OdeSystem *system : systems)
-        tapes.push_back(&system->rhsTape(options.tapeFma, reassoc));
+        tapes.push_back(&system->rhsTape(rounding));
 
     std::vector<SimResult> results;
     bool jitted = false;
@@ -1157,10 +1167,10 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
     // job — singletons and laneBatching=false instances included — is
     // one lane block run by detail::integrateBlock.
     const bool laneEligible = options.laneBatching;
-    const bool fma = options.sim.tapeFma;
-    // Resolved once per batch (ARK_TAPE_REASSOC override folded in)
-    // so every member of a lane class selects the same tape variant.
-    const bool reassoc = expr::reassocEnabled(options.sim.tapeReassoc);
+    // Resolved once per batch (ARK_ROUNDING override folded in) so
+    // every member of a lane class runs the same mode's program.
+    const expr::RoundingMode rounding =
+        expr::roundingMode(options.sim.rounding);
     // Resolved once per batch: the option gated by the ARK_JIT_FORCE
     // override. Kernel resolution itself stays per block (per merged
     // structure), so a mixed batch jits what it can.
@@ -1173,7 +1183,7 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
     for (std::size_t i = 0; i < count; ++i) {
         if (laneEligible) {
             auto [it, added] = classOf.try_emplace(
-                systemOf(i).rhsTape(fma, reassoc).shape(), classes.size());
+                systemOf(i).rhsTape(rounding).shape(), classes.size());
             if (!added) {
                 classes[it->second].push_back(i);
                 continue;
@@ -1193,16 +1203,14 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
         }
     }
 
-    // Flight recorder and stall watchdog are observation-only: the
-    // ledger gets one record per instance after the pool drains, the
-    // watchdog a heartbeat per completed instance. Cost when off: one
-    // null-pointer check / one relaxed load.
+    // The flight recorder is observation-only: the ledger gets one
+    // record per instance after the pool drains. Cost when off: one
+    // null-pointer check.
     const std::uint64_t ledgerRun =
         options.ledger != nullptr
             ? options.ledger->beginRun(
                   telemetry::RunLedger::Workload::Ode, count)
             : 0;
-    telemetry::StallWatchdog::Run watchdogRun("ode_ensemble", count);
 
     telemetry::ScopedSpan ensembleSpan("ark.sim.ensemble", count);
     if (telemetry::metricsEnabled()) {
@@ -1253,7 +1261,6 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
     // cancellation), so `completed` ticks consistently at every block
     // width and stays strictly increasing under lane retirement.
     auto instanceDone = [&](std::size_t done) {
-        watchdogRun.heartbeat();
         if (done == 0 || !options.progress)
             return;
         std::lock_guard lock(progressMutex);
@@ -1300,8 +1307,9 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
                 }
                 bool jitted = false;
                 std::vector<SimResult> block = detail::integrateBlock(
-                    blockSystems, inits, t0, t1, options.sim, jitOn,
-                    options.stop, options.deadline, laneDone, &jitted);
+                    blockSystems, inits, t0, t1, options.sim, rounding,
+                    jitOn, options.stop, options.deadline, laneDone,
+                    &jitted);
                 jitUsed[jobIndex] = jitted;
                 for (std::size_t k = 0; k < members.size(); ++k)
                     results[members[k]] = std::move(block[k]);

@@ -56,9 +56,9 @@
  * results at any thread count equal the single-thread results on
  * every path. EnsembleOptions::progress ticks per completed instance
  * — including lanes that retire mid-block — strictly increasing to
- * the total. SimOptions::tapeFma routes every block through the
- * FMA-contracted tape variant uniformly, so the identity contracts
- * above hold for either setting.
+ * the total. SimOptions::rounding routes every block through the
+ * same program of the selected rounding mode, so the identity
+ * contracts above hold in every mode.
  *
  * Failure discipline (the arkd-prerequisite contract): divergence,
  * budget exhaustion, cancellation, and deadline expiry are always
@@ -152,19 +152,20 @@ namespace detail {
 /**
  * Integrates one block: instance k of `systems` from `initials[k]`
  * (one to expr::LaneTape::kMaxLanes instances of one program
- * structure). Picks the tape variant `options` select, merges the
- * members' programs into one LaneTape (width 1 for a single member),
- * and runs the driver for options.method. A JIT kernel serves the
- * RHS when `jitOn` and one resolves; `usedJit`, when given, reports
- * whether one did. `laneDone` ticks once per finished instance. The
+ * structure). Takes each member's program for `rounding`, merges
+ * them into one LaneTape (width 1 for a single member), and runs the
+ * driver for options.method. The caller resolves `rounding` and
+ * `jitOn` once per run (expr::roundingMode, expr::jitEnabled). A JIT
+ * kernel serves the RHS when `jitOn` and one resolves; `usedJit`,
+ * when given, reports whether one did. `laneDone` ticks once per finished instance. The
  * engine behind simulate() and every BatchRunner job; not part of the
  * public API.
  */
 std::vector<SimResult> integrateBlock(
     const std::vector<const compiler::OdeSystem *> &systems,
     const std::vector<const std::vector<double> *> &initials, double t0,
-    double t1, const SimOptions &options, bool jitOn,
-    const std::stop_token &stop,
+    double t1, const SimOptions &options, expr::RoundingMode rounding,
+    bool jitOn, const std::stop_token &stop,
     const std::optional<std::chrono::steady_clock::time_point> &deadline,
     const std::function<void(std::size_t)> &laneDone,
     bool *usedJit = nullptr);

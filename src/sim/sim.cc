@@ -150,7 +150,8 @@ simulate(const compiler::OdeSystem &system,
     // One interpreted one-lane block: the same driver every ensemble
     // job runs, without the ensemble's pool, span or ledger.
     std::vector<SimResult> results = detail::integrateBlock(
-        {&system}, {&initial}, t0, t1, options, /*jitOn=*/false,
+        {&system}, {&initial}, t0, t1, options,
+        expr::roundingMode(options.rounding), /*jitOn=*/false,
         std::stop_token{}, std::nullopt, [](std::size_t) {});
     return std::move(results.front());
 }

@@ -101,40 +101,22 @@ struct SimOptions
     std::size_t maxSteps = 50'000'000; ///< Hard stop against stalls.
 
     /**
-     * Evaluate the RHS through the FMA-contracted tape variant
-     * (expr::FusedTape::compile with fuseMulAdd): single-use Mul+Add pairs
-     * execute as one FusedMulAdd instruction via std::fma — exactly
-     * one rounding for a*b+c, deterministic across hosts. Off by
-     * default: the contracted program agrees with the plain tape only
-     * to rounding (~1 ulp per pair), so the default build keeps the
-     * tier-equivalence bit contract. Blocks of every width honor the
-     * flag identically, so lane-vs-serial bit identity holds for
-     * either setting. Perf note: the contraction removes one
+     * Which RHS program every block integrates (expr::RoundingMode):
+     * Exact (the default) keeps the tier-equivalence bit contract;
+     * Fma contracts single-use Mul+Add pairs into one std::fma
+     * rounding each; Reassoc runs the expr/rewrite.h pass first so
+     * GmC-TLN terms like `w*var(t)/c` contract too (0% without it).
+     * Fma and Reassoc agree with Exact only to tolerance, so they are
+     * opt-in; blocks of every width honor the mode identically, so
+     * lane-vs-serial bit identity holds under each. The ARK_ROUNDING
+     * environment variable overrides this field
+     * (expr::roundingMode). Perf note: a contraction removes one
      * instruction per pair but only pays off where std::fma is a
      * hardware instruction (ARK_ENABLE_NATIVE on FMA hosts);
      * baseline-ISA builds route through libm's soft fma, which is
      * slower than Mul+Add.
      */
-    bool tapeFma = false;
-
-    /**
-     * Evaluate the RHS through the reassociated tape variant
-     * (expr/rewrite.h then FMA contraction): division by a constant
-     * becomes multiplication by its reciprocal and literal
-     * coefficients gather at the head of each product, exposing
-     * FusedMulAdd contractions the plain matcher cannot see through
-     * intervening Div/Neg nodes (GmC-TLN terms like `w*var(t)/c`
-     * contract 0% without it). Same contract as tapeFma — the
-     * rewritten program agrees with the default tape only to
-     * tolerance level, never reorders sums, and never touches
-     * branch-deciding subtrees — so it is off by default and all
-     * tiers honor the flag identically (lane-vs-serial bit identity
-     * holds under the flag). Takes precedence over tapeFma when both
-     * are set (the reassociated variant is always FMA-contracted).
-     * The ARK_TAPE_REASSOC environment variable overrides this flag
-     * in both directions (expr::reassocEnabled).
-     */
-    bool tapeReassoc = false;
+    expr::RoundingMode rounding = expr::RoundingMode::Exact;
 
     /**
      * Serve RHS evaluation from JIT-compiled native kernels
@@ -430,8 +412,8 @@ std::vector<SimResult> simulateEnsemble(
 
 /**
  * Integrates until max |dq/dt| falls below `derivTol` (checked every
- * sample, on the slopes the run recorded — so under tapeFma or
- * tapeReassoc the check follows the program actually integrated) or
+ * sample, on the slopes the run recorded — so under a non-Exact
+ * rounding mode the check follows the program actually integrated) or
  * tMax is reached; `reachedSteadyState` reports which.
  */
 SimResult simulateToSteadyState(const compiler::OdeSystem &system,

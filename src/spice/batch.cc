@@ -11,7 +11,6 @@
 #include "support/ledger.h"
 #include "support/logging.h"
 #include "support/telemetry.h"
-#include "support/watchdog.h"
 
 namespace ark::spice {
 
@@ -74,16 +73,14 @@ class ProgressTicker
   public:
     ProgressTicker(
         const std::function<void(std::size_t, std::size_t)> &callback,
-        std::size_t total, telemetry::StallWatchdog::Run *watchdog)
-        : callback_(callback), total_(total), watchdog_(watchdog)
+        std::size_t total)
+        : callback_(callback), total_(total)
     {
     }
 
     void
     tick()
     {
-        if (watchdog_ != nullptr)
-            watchdog_->heartbeat();
         if (!callback_)
             return;
         std::lock_guard lock(mutex_);
@@ -93,7 +90,6 @@ class ProgressTicker
   private:
     const std::function<void(std::size_t, std::size_t)> &callback_;
     std::size_t total_;
-    telemetry::StallWatchdog::Run *watchdog_;
     std::mutex mutex_;
     std::size_t completed_ = 0;
 };
@@ -192,8 +188,7 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
                          "TransientBatch: null netlist");
 
     std::vector<std::exception_ptr> errors(count);
-    telemetry::StallWatchdog::Run watchdogRun("spice_sweep", count);
-    ProgressTicker progress(options_.progress, count, &watchdogRun);
+    ProgressTicker progress(options_.progress, count);
     const TransientControl control{options_.stop, options_.deadline};
     const std::uint64_t ledgerRun =
         options_.ledger != nullptr

@@ -1,39 +1,11 @@
 #include "support/ledger.h"
 
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
+#include "support/telemetry.h"
+
 namespace ark::telemetry {
-
-namespace {
-
-// Minimal JSON string escaping (mirrors telemetry.cc): ledger
-// payloads carry failure messages that may contain quotes/newlines.
-std::string escapeJson(const std::string &text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-    case '"': out += "\\\""; break;
-    case '\\': out += "\\\\"; break;
-    case '\n': out += "\\n"; break;
-    case '\r': out += "\\r"; break;
-    case '\t': out += "\\t"; break;
-    default:
-      if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-        out += buf;
-      } else {
-        out += c;
-      }
-    }
-  }
-  return out;
-}
-
-} // namespace
 
 RunLedger::RunLedger(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
@@ -147,9 +119,10 @@ std::string RunLedger::json() const {
         << ", \"cache\": \"" << name(r.cache) << "\""
         << ", \"ok\": " << (r.ok ? "true" : "false");
     if (!r.ok) {
-      out << ", \"failure_reason\": \"" << escapeJson(r.failureReason)
+      out << ", \"failure_reason\": \""
+          << detail::escapeJson(r.failureReason)
           << "\", \"failure_message\": \""
-          << escapeJson(r.failureMessage) << "\"";
+          << detail::escapeJson(r.failureMessage) << "\"";
     }
     out << "}";
   }

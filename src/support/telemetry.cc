@@ -216,8 +216,39 @@ formatNumber(double v)
     return buf;
 }
 
+/** Prometheus metric names allow [a-zA-Z0-9_:]; the dotted registry
+ *  scheme maps onto it by swapping every other character for '_'. */
 std::string
-escapeJson(const std::string &s)
+promName(const std::string &name)
+{
+    std::string out = name;
+    for (char &c : out) {
+        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                        (c >= '0' && c <= '9') || c == '_' || c == ':';
+        if (!ok)
+            c = '_';
+    }
+    if (!out.empty() && out[0] >= '0' && out[0] <= '9')
+        out.insert(out.begin(), '_');
+    return out;
+}
+
+/** Upper bound of power-of-two bucket b: bucket 0 holds {0}, bucket b
+ *  holds [2^(b-1), 2^b - 1]. */
+std::uint64_t
+bucketUpperBound(std::size_t b)
+{
+    if (b == 0)
+        return 0;
+    if (b >= 64)
+        return ~0ull;
+    return (1ull << b) - 1;
+}
+
+} // namespace
+
+std::string
+detail::escapeJson(const std::string &s)
 {
     std::string out;
     out.reserve(s.size() + 2);
@@ -250,8 +281,6 @@ escapeJson(const std::string &s)
     }
     return out;
 }
-
-} // namespace
 
 double
 histogramQuantile(const std::vector<std::uint64_t> &buckets, double q)
@@ -332,7 +361,7 @@ MetricsSnapshot::json() const
         if (!first)
             oss << ",";
         first = false;
-        oss << "\"" << escapeJson(entry.name) << "\":";
+        oss << "\"" << detail::escapeJson(entry.name) << "\":";
         switch (entry.kind) {
         case Kind::Counter:
         case Kind::Gauge:
@@ -361,6 +390,37 @@ MetricsSnapshot::json() const
         }
     }
     oss << "}";
+    return oss.str();
+}
+
+std::string
+MetricsSnapshot::prometheus() const
+{
+    std::ostringstream oss;
+    for (const auto &entry : entries) {
+        const std::string name = promName(entry.name);
+        switch (entry.kind) {
+        case Kind::Counter:
+        case Kind::Gauge:
+            oss << "# TYPE " << name
+                << (entry.kind == Kind::Counter ? " counter\n" : " gauge\n")
+                << name << " " << formatNumber(entry.value) << "\n";
+            break;
+        case Kind::Histogram: {
+            oss << "# TYPE " << name << " histogram\n";
+            std::uint64_t cumulative = 0;
+            for (std::size_t b = 0; b < entry.buckets.size(); ++b) {
+                cumulative += entry.buckets[b];
+                oss << name << "_bucket{le=\"" << bucketUpperBound(b)
+                    << "\"} " << cumulative << "\n";
+            }
+            oss << name << "_bucket{le=\"+Inf\"} " << entry.count << "\n"
+                << name << "_sum " << entry.sum << "\n"
+                << name << "_count " << entry.count << "\n";
+            break;
+        }
+        }
+    }
     return oss.str();
 }
 
@@ -499,7 +559,7 @@ writeChromeTrace(std::ostream &out)
         const double ts = static_cast<double>(e.startNs) / 1000.0;
         const double dur =
             static_cast<double>(e.endNs - e.startNs) / 1000.0;
-        out << "{\"name\":\"" << escapeJson(e.name)
+        out << "{\"name\":\"" << detail::escapeJson(e.name)
             << "\",\"cat\":\"ark\",\"ph\":\"X\",\"ts\":" << formatNumber(ts)
             << ",\"dur\":" << formatNumber(dur)
             << ",\"pid\":1,\"tid\":" << flat.tid;

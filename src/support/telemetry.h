@@ -8,9 +8,9 @@
  *
  * The engine computes rich internals on every run — lane occupancy,
  * step-vote rejections, cache hits, LU refactor ratios, retry-ladder
- * actions — and a scheduler (the planned `arkd` coalescing service)
- * needs them as load and health signals. This file makes that
- * accounting a first-class subsystem with two halves:
+ * actions — and a batch study needs them to explain where its time
+ * went. This file makes that accounting a first-class subsystem with
+ * two halves:
  *
  *  - **Metrics** (Counter / Gauge / Histogram, owned by Registry):
  *    monotonic counters, last-value gauges, and fixed-bucket
@@ -29,9 +29,9 @@
  * Metric names follow the `ark.<area>.<name>` scheme and every
  * instrumentation site costs one relaxed atomic load when collection
  * is off; docs/TELEMETRY.md is the authoritative reference for the
- * naming scheme, the exposition formats served by
- * telemetry::StatsServer, the RunLedger JSON schema, and the full
- * overhead contract. Telemetry never touches numerics: collection on
+ * naming scheme, the snapshot formats (MetricsSnapshot::json() and
+ * prometheus()), the RunLedger JSON schema, and the full overhead
+ * contract. Telemetry never touches numerics: collection on
  * vs. off is bit-identical by construction (regression-tested in
  * telemetry_test).
  */
@@ -55,6 +55,10 @@ std::uint64_t nowNs();
 /** Appends one finished span to the calling thread's ring buffer. */
 void recordSpan(const char *name, std::uint64_t startNs,
                 std::uint64_t endNs, std::uint64_t arg, bool hasArg);
+
+/** Escapes `s` for a JSON string literal (snapshots, traces, the
+ *  run ledger). */
+std::string escapeJson(const std::string &s);
 } // namespace detail
 
 /** @name Collection switches (both default off). @{ */
@@ -224,6 +228,16 @@ struct MetricsSnapshot
 
     /** Flat JSON object: name -> number, histograms -> object. */
     std::string json() const;
+
+    /**
+     * Prometheus text exposition (version 0.0.4): one `# TYPE` line
+     * per metric, names with every character outside
+     * [a-zA-Z0-9_:] mapped to '_' (a leading digit gains a '_'
+     * prefix), histograms as cumulative `_bucket{le="..."}` series
+     * over the power-of-two bounds plus `+Inf`, then `_sum` and
+     * `_count`.
+     */
+    std::string prometheus() const;
 };
 
 /**

@@ -562,7 +562,8 @@ TEST(Dopri5BatchTest, DegenerateRangeMatchesSerialBitForBit)
 {
     // t1 one ulp past t0 lies inside the loop epsilon: no step is
     // taken, and a lane block records what serial simulate() records —
-    // the initial sample plus the forced final one.
+    // the initial sample only. The forced final record lands on the
+    // same time and state, so it is not recorded again.
     lang::LanguageRegistry registry;
     OdeSystem system = oscillatorSystem(registry, 2.0);
     const std::vector<std::vector<double>> initials{{1.0, 0.0},
@@ -579,7 +580,7 @@ TEST(Dopri5BatchTest, DegenerateRangeMatchesSerialBitForBit)
         for (std::size_t i = 0; i < initials.size(); ++i) {
             SimResult serial =
                 sim::simulate(system, initials[i], t0, t1, options.sim);
-            EXPECT_EQ(serial.trajectory.size(), 2u);
+            EXPECT_EQ(serial.trajectory.size(), 1u);
             expectIdenticalResults(batch[i], serial);
         }
     }
@@ -659,10 +660,10 @@ TEST(Dopri5BatchTest, PufChipsVoteAndStayMoreAccurateThanScalar)
 
 TEST(Dopri5BatchTest, TapeFmaKeepsLaneScalarParity)
 {
-    // sim.tapeFma routes every driver (scalar, lane RK4, voting
-    // Dopri5) through the FMA-contracted tape. Both executors call
-    // std::fma per lane, so lane-vs-scalar bit identity must hold
-    // under the flag exactly as it does for the plain tape.
+    // The Fma rounding mode routes every driver (scalar, lane RK4,
+    // voting Dopri5) through the FMA-contracted tape. Both executors
+    // call std::fma per lane, so lane-vs-scalar bit identity must hold
+    // in that mode exactly as it does for the plain tape.
     lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
     paradigms::obc::MaxcutInstance instance;
     instance.numVertices = 5;
@@ -675,7 +676,8 @@ TEST(Dopri5BatchTest, TapeFmaKeepsLaneScalarParity)
     const lang::Language &obc = registry.language("obc");
     OdeSystem system = compiler::compile(
         paradigms::obc::buildMaxcut(obc, instance, spec), obc);
-    ASSERT_GT(system.fusedTapeFma().fmaContractions(), 0u);
+    ASSERT_GT(system.rhsTape(expr::RoundingMode::Fma).fmaContractions(),
+              0u);
 
     std::vector<std::vector<double>> initials;
     support::Rng rng(11);
@@ -690,7 +692,7 @@ TEST(Dopri5BatchTest, TapeFmaKeepsLaneScalarParity)
     options.numThreads = 2;
     options.sim.method = sim::Method::Rk4;
     options.sim.dt = 1e-10;
-    options.sim.tapeFma = true;
+    options.sim.rounding = expr::RoundingMode::Fma;
     EnsembleOptions scalar = options;
     scalar.laneBatching = false;
     std::vector<SimResult> lane =

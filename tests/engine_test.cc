@@ -92,8 +92,10 @@ samePrograms(const compiler::OdeSystem &a, const compiler::OdeSystem &b)
                    << "initial state " << i << " differs";
     }
     for (bool fma : {false, true}) {
-        const auto &ta = a.rhsTape(fma).ops();
-        const auto &tb = b.rhsTape(fma).ops();
+        const expr::RoundingMode mode =
+            fma ? expr::RoundingMode::Fma : expr::RoundingMode::Exact;
+        const auto &ta = a.rhsTape(mode).ops();
+        const auto &tb = b.rhsTape(mode).ops();
         if (ta.size() != tb.size())
             return ::testing::AssertionFailure()
                    << "tape length differs (fma=" << fma << ")";

@@ -346,7 +346,7 @@ TEST(FusedTapeFmaTest, FmaVariantMatchesPlainToRounding)
     compiler::OdeSystem system = compiler::compile(
         paradigms::obc::buildMaxcut(obc, instance, spec), obc);
     const FusedTape &plain = system.fusedTape();
-    const FusedTape &fma = system.fusedTapeFma();
+    const FusedTape &fma = system.rhsTape(expr::RoundingMode::Fma);
     EXPECT_EQ(plain.fmaContractions(), 0u);
     EXPECT_GT(fma.fmaContractions(), 0u);
     EXPECT_EQ(fma.size(), plain.size() - fma.fmaContractions());

@@ -398,8 +398,8 @@ void
 expectJitAgreement(const compiler::OdeSystem &system, support::Rng &rng)
 {
     for (bool fma : {false, true}) {
-        const FusedTape &fused =
-            fma ? system.fusedTapeFma() : system.fusedTape();
+        const FusedTape &fused = system.rhsTape(
+            fma ? expr::RoundingMode::Fma : expr::RoundingMode::Exact);
         for (std::size_t lanes : {1u, 2u, 4u, 8u}) {
             expectKernelMatchesTape(LaneTape::broadcast(fused, lanes),
                                     rng, rng.uniform(0.0, 1e-7));

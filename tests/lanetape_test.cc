@@ -422,7 +422,7 @@ TEST(LaneTapeTest, FusedMulAddExecutesLanewiseBitIdentical)
     const lang::Language &obc = registry.language("obc");
     compiler::OdeSystem system = compiler::compile(
         paradigms::obc::buildMaxcut(obc, instance, spec), obc);
-    const FusedTape &fma = system.fusedTapeFma();
+    const FusedTape &fma = system.rhsTape(expr::RoundingMode::Fma);
     ASSERT_GT(fma.fmaContractions(), 0u);
 
     for (std::size_t lanes : {2u, 4u, 8u}) {

@@ -1,19 +1,16 @@
 /**
  * @file
- * Tests for the per-run flight recorder (telemetry::RunLedger) and
- * the stall watchdog: bounded append semantics, JSON export, the
- * provenance records the ODE ensemble and SPICE sweep engines flush
- * (tier, lane width, block, structured failures), the cache outcomes
- * only the session's cache-backed sweep can report, the supervised
- * retry ladder's remapped records, and watchdog stall detection and
- * clearing.
+ * Tests for the per-run flight recorder (telemetry::RunLedger):
+ * bounded append semantics, JSON export, the provenance records the
+ * ODE ensemble and SPICE sweep engines flush (tier, lane width, block,
+ * structured failures), the cache outcomes only the session's
+ * cache-backed sweep can report, and the supervised retry ladder's
+ * remapped records.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "compiler/compiler.h"
@@ -27,7 +24,6 @@
 #include "spice/map_tln.h"
 #include "support/ledger.h"
 #include "support/telemetry.h"
-#include "support/watchdog.h"
 #include "validator/validator.h"
 
 #include "json_checker.h"
@@ -152,7 +148,7 @@ TEST(LedgerTest, JsonRoundTripsAndEscapes)
     bad.workload = RunLedger::Workload::Spice;
     bad.ok = false;
     bad.failureReason = "singular_matrix";
-    bad.failureMessage = "pivot \"G7\"\n\tcollapsed \\ here";
+    bad.failureMessage = "pivot \"G7\"\n\tcollapsed \\ here \x01";
     ledger.append(std::move(bad));
 
     const std::string json = ledger.json();
@@ -161,6 +157,7 @@ TEST(LedgerTest, JsonRoundTripsAndEscapes)
     EXPECT_NE(json.find("\"records\""), std::string::npos);
     EXPECT_NE(json.find("\"cache\": \"hit\""), std::string::npos);
     EXPECT_NE(json.find("singular_matrix"), std::string::npos);
+    EXPECT_NE(json.find("here \\u0001"), std::string::npos);
 }
 
 TEST(LedgerTest, OdeEnsembleLaneAndScalarProvenance)
@@ -371,33 +368,6 @@ TEST(LedgerTest, SupervisedEnsembleAttachesReportLedger)
     session.runEnsemble(systems, 0.0, 2.0, options, policy, &second);
     EXPECT_EQ(second.ledger, nullptr);
     EXPECT_EQ(external.records().size(), 4u);
-}
-
-TEST(LedgerTest, WatchdogFlagsAndClearsStalls)
-{
-    telemetry::StallWatchdog &watchdog =
-        telemetry::StallWatchdog::shared();
-    watchdog.setStallInterval(std::chrono::milliseconds(5));
-    ASSERT_TRUE(watchdog.enabled());
-    {
-        telemetry::StallWatchdog::Run run("ledger_test", 4);
-        EXPECT_TRUE(run.active());
-        EXPECT_EQ(watchdog.activeRuns(), 1u);
-        std::this_thread::sleep_for(std::chrono::milliseconds(25));
-        watchdog.pollNow();
-        EXPECT_EQ(watchdog.stalledRuns(), 1u);
-        run.heartbeat(); // progress resumes
-        watchdog.pollNow();
-        EXPECT_EQ(watchdog.stalledRuns(), 0u);
-    }
-    EXPECT_EQ(watchdog.activeRuns(), 0u);
-    watchdog.setStallInterval(std::chrono::milliseconds(0));
-    EXPECT_FALSE(watchdog.enabled());
-
-    // Disabled watchdog: Run scopes are inert.
-    telemetry::StallWatchdog::Run inert("ledger_test", 1);
-    EXPECT_FALSE(inert.active());
-    EXPECT_EQ(watchdog.activeRuns(), 0u);
 }
 
 } // namespace

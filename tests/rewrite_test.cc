@@ -3,7 +3,7 @@
  * Tests for the opt-in reassociation pass (expr/rewrite.h): rule-level
  * unit checks, tolerance-level equivalence on real paradigm systems,
  * the GmC-TLN FMA-contraction win the pass exists for, bit-identity of
- * the default path, lane-vs-scalar parity under the flag, and the
+ * the default path, lane-vs-scalar parity in the Reassoc mode, and the
  * digest/fingerprint property hash-consing guarantees.
  */
 
@@ -154,8 +154,10 @@ TEST(RewriteTest, GmcTlnContractsUnderReassocOnly)
     // whole sum-of-products (observed: 1 vs 22 on this seed).
     lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
     OdeSystem system = gmcTlnSystem(registry, 7);
-    std::uint64_t plainFma = system.fusedTapeFma().fmaContractions();
-    std::uint64_t reassoc = system.fusedTapeReassoc().fmaContractions();
+    std::uint64_t plainFma =
+        system.rhsTape(expr::RoundingMode::Fma).fmaContractions();
+    std::uint64_t reassoc =
+        system.rhsTape(expr::RoundingMode::Reassoc).fmaContractions();
     EXPECT_GE(reassoc, 5 * (plainFma + 1));
     const expr::RewriteStats &stats = system.reassocStats();
     EXPECT_GT(stats.divReciprocals, 0u);
@@ -177,7 +179,8 @@ TEST(RewriteTest, ToleranceEquivalenceOnParadigmSystems)
     for (std::size_t s = 0; s < systems.size(); ++s) {
         const OdeSystem &system = systems[s];
         const expr::FusedTape &plain = system.fusedTape();
-        const expr::FusedTape &reassoc = system.fusedTapeReassoc();
+        const expr::FusedTape &reassoc =
+            system.rhsTape(expr::RoundingMode::Reassoc);
         for (int trial = 0; trial < 8; ++trial) {
             std::vector<double> state;
             for (std::size_t i = 0; i < system.size(); ++i)
@@ -198,22 +201,26 @@ TEST(RewriteTest, ToleranceEquivalenceOnParadigmSystems)
 
 TEST(RewriteTest, DefaultPathUnaffected)
 {
-    // With the flag off, tape selection returns the exact same
-    // programs as before the pass existed - the reassociated variant
-    // is never even compiled.
+    // In the Exact mode, tape selection returns the exact same
+    // program as before the pass existed; the Fma and Reassoc modes
+    // each select their own variant, built once.
     lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
     OdeSystem system = gmcTlnSystem(registry, 21);
-    EXPECT_EQ(&system.rhsTape(false, false), &system.fusedTape());
-    EXPECT_EQ(&system.rhsTape(true, false), &system.fusedTapeFma());
-    EXPECT_EQ(&system.rhsTape(false, true), &system.fusedTapeReassoc());
-    EXPECT_EQ(&system.rhsTape(true, true), &system.fusedTapeReassoc());
+    using expr::RoundingMode;
+    EXPECT_EQ(&system.rhsTape(RoundingMode::Exact), &system.fusedTape());
+    const expr::FusedTape &fma = system.rhsTape(RoundingMode::Fma);
+    const expr::FusedTape &reassoc = system.rhsTape(RoundingMode::Reassoc);
+    EXPECT_NE(&fma, &system.fusedTape());
+    EXPECT_NE(&reassoc, &fma);
+    EXPECT_EQ(&system.rhsTape(RoundingMode::Fma), &fma);
+    EXPECT_EQ(&system.rhsTape(RoundingMode::Reassoc), &reassoc);
 }
 
 TEST(RewriteTest, LaneScalarParityUnderReassoc)
 {
-    // All tiers execute the same reassociated program under the flag,
-    // so lane-vs-scalar results stay bit-identical, exactly as for
-    // tapeFma.
+    // All tiers execute the same reassociated program in the Reassoc
+    // mode, so lane-vs-scalar results stay bit-identical, exactly as
+    // in the Fma mode.
     lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
     OdeSystem system = obcSystem(registry, 5);
 
@@ -230,7 +237,7 @@ TEST(RewriteTest, LaneScalarParityUnderReassoc)
     options.numThreads = 2;
     options.sim.method = sim::Method::Rk4;
     options.sim.dt = 1e-10;
-    options.sim.tapeReassoc = true;
+    options.sim.rounding = expr::RoundingMode::Reassoc;
     EnsembleOptions scalar = options;
     scalar.laneBatching = false;
     std::vector<SimResult> lane =

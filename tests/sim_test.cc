@@ -611,4 +611,50 @@ TEST(SimTest, FinalTimeRecorded)
     EXPECT_NEAR(result.trajectory.times().back(), 1.0, 1e-9);
 }
 
+TEST(SimTest, FinalTimeRecordedOnce)
+{
+    // Recorded times strictly increase: a step that lands on t1 and
+    // records it is not followed by a second, forced sample at t1.
+    // Recording every step therefore yields one sample per accepted
+    // step plus the initial one. A run starting at t0 = -1 keeps its
+    // initial sample.
+    lang::LanguageRegistry registry;
+    OdeSystem system = decaySystem(registry, 1.0, 1.0);
+    auto expectOnce = [](const SimResult &result, double t0, double t1,
+                         double recordDt) {
+        ASSERT_TRUE(result.ok());
+        const std::vector<double> &times = result.trajectory.times();
+        ASSERT_GE(times.size(), 2u);
+        EXPECT_EQ(times.front(), t0);
+        EXPECT_NEAR(times.back(), t1, 1e-9);
+        for (std::size_t s = 1; s < times.size(); ++s)
+            EXPECT_LT(times[s - 1], times[s]) << "sample " << s;
+        if (recordDt == 0.0) {
+            EXPECT_EQ(times.size(), result.steps + 1);
+        }
+    };
+    const std::vector<std::vector<double>> initials{{1.0}, {0.5}, {2.0}};
+    for (Method method : {Method::Rk4, Method::Dopri5}) {
+        for (double recordDt : {0.0, 0.25}) {
+            for (double t0 : {0.0, -1.0}) {
+                SCOPED_TRACE(testing::Message()
+                             << "method " << static_cast<int>(method)
+                             << " recordDt " << recordDt << " t0 " << t0);
+                const double t1 = t0 + 1.0;
+                SimOptions options;
+                options.method = method;
+                options.recordDt = recordDt;
+                expectOnce(sim::simulate(system, t0, t1, options), t0, t1,
+                           recordDt);
+                sim::EnsembleOptions ensemble;
+                ensemble.sim = options;
+                ensemble.numThreads = 1;
+                for (const SimResult &result : sim::simulateEnsemble(
+                         system, initials, t0, t1, ensemble))
+                    expectOnce(result, t0, t1, recordDt);
+            }
+        }
+    }
+}
+
 } // namespace

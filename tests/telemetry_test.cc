@@ -26,9 +26,7 @@
 #include "spice/netlist.h"
 #include "support/ledger.h"
 #include "support/logging.h"
-#include "support/statsserver.h"
 #include "support/telemetry.h"
-#include "support/watchdog.h"
 
 #include "json_checker.h"
 
@@ -305,6 +303,46 @@ TEST(TelemetryTest, MetricsSnapshotLookupAndNaming)
     EXPECT_NE(snap.str().find("ark.test.lookup"), std::string::npos);
 }
 
+TEST(TelemetryTest, PrometheusExpositionRendersEveryKind)
+{
+    using Kind = telemetry::MetricsSnapshot::Kind;
+    telemetry::MetricsSnapshot snap;
+    telemetry::MetricsSnapshot::Entry counter;
+    counter.name = "ark.sim.instances";
+    counter.kind = Kind::Counter;
+    counter.value = 1234567.0;
+    telemetry::MetricsSnapshot::Entry gauge;
+    gauge.name = "9lives.cache-size/x";
+    gauge.kind = Kind::Gauge;
+    gauge.value = 0.25;
+    telemetry::MetricsSnapshot::Entry histogram;
+    histogram.name = "ark.spice.factor_ns";
+    histogram.kind = Kind::Histogram;
+    // Buckets {0}, [1, 1], [2, 3] and [4, 7].
+    histogram.buckets = {1, 0, 2, 3};
+    histogram.count = 6;
+    // 2^53 + 1 has no double: the sum must print from the integer.
+    histogram.sum = (std::uint64_t{1} << 53) + 1;
+    snap.entries = {counter, gauge, histogram};
+
+    // One # TYPE line per family; '.', '-' and '/' map to '_' and a
+    // leading digit gains a '_' prefix; the buckets are cumulative and
+    // the +Inf bucket equals _count.
+    EXPECT_EQ(snap.prometheus(),
+              "# TYPE ark_sim_instances counter\n"
+              "ark_sim_instances 1234567\n"
+              "# TYPE _9lives_cache_size_x gauge\n"
+              "_9lives_cache_size_x 0.25\n"
+              "# TYPE ark_spice_factor_ns histogram\n"
+              "ark_spice_factor_ns_bucket{le=\"0\"} 1\n"
+              "ark_spice_factor_ns_bucket{le=\"1\"} 1\n"
+              "ark_spice_factor_ns_bucket{le=\"3\"} 3\n"
+              "ark_spice_factor_ns_bucket{le=\"7\"} 6\n"
+              "ark_spice_factor_ns_bucket{le=\"+Inf\"} 6\n"
+              "ark_spice_factor_ns_sum 9007199254740993\n"
+              "ark_spice_factor_ns_count 6\n");
+}
+
 /** Sample count of histogram `name` (0 when never registered). */
 std::uint64_t
 histogramCount(const telemetry::MetricsSnapshot &snap,
@@ -442,22 +480,15 @@ TEST(TelemetryTest, EnsembleBitIdenticalOnVsOff)
         sim::simulateEnsemble(pointers, 0.0, 1.0, options);
 
     // The instrumented pass arms the whole telemetry plane: metrics,
-    // tracing, the flight recorder, a live stats server, and the
-    // stall watchdog. All of it is observation-only by contract.
+    // tracing and the flight recorder. All of it is observation-only
+    // by contract.
     telemetry::setMetricsEnabled(true);
     telemetry::setTracingEnabled(true);
     telemetry::RunLedger ledger;
     sim::EnsembleOptions instrumentedOptions = options;
     instrumentedOptions.ledger = &ledger;
-    telemetry::StatsServer server;
-    ASSERT_TRUE(server.start(0));
-    telemetry::StallWatchdog::shared().setStallInterval(
-        std::chrono::minutes(1));
     std::vector<sim::SimResult> instrumented =
         sim::simulateEnsemble(pointers, 0.0, 1.0, instrumentedOptions);
-    telemetry::StallWatchdog::shared().setStallInterval(
-        std::chrono::milliseconds(0));
-    server.stop();
     telemetry::setMetricsEnabled(false);
     telemetry::setTracingEnabled(false);
     EXPECT_EQ(ledger.size(), pointers.size());

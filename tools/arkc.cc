@@ -26,13 +26,15 @@
  * reassociated tape variants.
  * `--metrics` prints the engine telemetry registry to stderr,
  * `--trace out.json` records the command as Chrome trace-event JSON
- * (load it in chrome://tracing or Perfetto), `--ledger out.json`
- * writes the run's per-instance flight-recorder records, and
- * `--stats-port N` serves live Prometheus/JSON metrics on
- * 127.0.0.1:N for the duration of the command (0 = ephemeral port,
- * printed to stderr). See docs/TELEMETRY.md.
+ * (load it in chrome://tracing or Perfetto), and `--ledger out.json`
+ * writes the run's per-instance flight-recorder records. See
+ * docs/TELEMETRY.md.
+ *
+ * A numeric flag value (`--seed`, `--t-end`, `--record-dt`) must parse
+ * as a whole; anything else is an error naming the flag.
  */
 
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -53,7 +55,6 @@
 #include "sim/sim.h"
 #include "support/error.h"
 #include "support/ledger.h"
-#include "support/statsserver.h"
 #include "support/strings.h"
 #include "support/table.h"
 #include "support/telemetry.h"
@@ -82,9 +83,7 @@ usage()
         "rewrite deltas, FMA contraction share) to stderr.\n"
         "--metrics prints engine telemetry counters to stderr;\n"
         "--trace FILE writes a Chrome trace (chrome://tracing);\n"
-        "--ledger FILE writes the run's flight-recorder JSON;\n"
-        "--stats-port N serves /metrics + /stats.json on\n"
-        "127.0.0.1:N while the command runs (0 = ephemeral).\n";
+        "--ledger FILE writes the run's flight-recorder JSON.\n";
     return 2;
 }
 
@@ -123,6 +122,23 @@ parseArgValue(const std::string &text)
     throw support::IoError("cannot parse argument '" + text + "'");
 }
 
+/**
+ * Parses a numeric flag value. The whole token must be a number of
+ * type T in range; otherwise throws IoError naming the flag.
+ */
+template <typename T>
+T
+parseFlagValue(const std::string &flag, const std::string &text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end)
+        throw support::IoError("invalid value for " + flag + ": '" +
+                               text + "'");
+    return value;
+}
+
 struct RunOptions
 {
     std::string file;
@@ -138,7 +154,6 @@ struct RunOptions
     bool metrics = false;
     std::string tracePath;  ///< Empty = no trace recording.
     std::string ledgerPath; ///< Empty = no flight recorder.
-    int statsPort = -1;     ///< -1 = no stats server; 0 = ephemeral.
 };
 
 RunOptions
@@ -157,11 +172,11 @@ parseRunArgs(int argc, char **argv, int first)
             return argv[i];
         };
         if (arg == "--seed") {
-            options.seed = std::stoull(next());
+            options.seed = parseFlagValue<std::uint64_t>(arg, next());
         } else if (arg == "--t-end") {
-            options.tEnd = std::stod(next());
+            options.tEnd = parseFlagValue<double>(arg, next());
         } else if (arg == "--record-dt") {
-            options.recordDt = std::stod(next());
+            options.recordDt = parseFlagValue<double>(arg, next());
         } else if (arg == "--observe") {
             options.observe = support::split(next(), ',');
         } else if (arg == "--jit") {
@@ -178,8 +193,6 @@ parseRunArgs(int argc, char **argv, int first)
             options.tracePath = next();
         } else if (arg == "--ledger") {
             options.ledgerPath = next();
-        } else if (arg == "--stats-port") {
-            options.statsPort = std::stoi(next());
         } else {
             options.args.push_back(parseArgValue(arg));
         }
@@ -238,33 +251,20 @@ buildGraph(lang::LanguageRegistry &registry, const RunOptions &options,
 
 /**
  * Arms telemetry per the CLI flags for the duration of a command:
- * --metrics turns on metric collection, --trace records spans and
- * writes the Chrome trace file when the scope ends, and
- * --stats-port starts the live exporter (which needs collection on
- * to have anything to serve). The server's destructor joins its
- * thread before main returns.
+ * --metrics turns on metric collection, and --trace records spans
+ * and writes the Chrome trace file when the scope ends.
  */
 struct TelemetryScope
 {
     explicit TelemetryScope(const RunOptions &options)
     {
-        if (options.metrics || options.statsPort >= 0)
+        if (options.metrics)
             telemetry::setMetricsEnabled(true);
         if (!options.tracePath.empty())
             trace.emplace(options.tracePath);
-        if (options.statsPort >= 0) {
-            std::string error;
-            if (!server.start(
-                    static_cast<std::uint16_t>(options.statsPort),
-                    &error))
-                throw support::IoError("stats server: " + error);
-            std::cerr << "arkc: stats listening on 127.0.0.1:"
-                      << server.port() << "\n";
-        }
     }
 
     std::optional<telemetry::TraceSession> trace;
-    telemetry::StatsServer server;
 };
 
 /**
@@ -272,7 +272,7 @@ struct TelemetryScope
  * hash-consed IR shares (tree nodes counted as if expanded vs. unique
  * interned nodes), what the opt-in reassociation pass would change,
  * and how many tape instructions contract to FusedMulAdd with and
- * without it. Builds the lazy FMA/reassoc variants as a side effect —
+ * without it. Builds the lazy Fma/Reassoc programs as a side effect —
  * acceptable for a diagnostics flag.
  */
 void
@@ -292,8 +292,9 @@ reportIrStats(const compiler::OdeSystem &system)
                              static_cast<double>(unique.size());
 
     const expr::FusedTape &plain = system.fusedTape();
-    const expr::FusedTape &fma = system.fusedTapeFma();
-    const expr::FusedTape &reassoc = system.fusedTapeReassoc();
+    const expr::FusedTape &fma = system.rhsTape(expr::RoundingMode::Fma);
+    const expr::FusedTape &reassoc =
+        system.rhsTape(expr::RoundingMode::Reassoc);
     const expr::RewriteStats &rw = system.reassocStats();
     auto share = [](std::uint64_t contractions, std::size_t plainOps) {
         return plainOps == 0 ? 0.0

@@ -1,40 +1,35 @@
 #!/usr/bin/env python3
-"""Validate the Ark stats endpoint's Prometheus and JSON payloads.
+"""Validate Ark's Prometheus text exposition.
 
 Two modes, shared validation:
 
   tools/check_prometheus.py --probe PATH/TO/metrics_probe
-      Spawns the probe with an ephemeral stats port, parses the
-      "listening on 127.0.0.1:PORT" line from its stderr, scrapes
-      /metrics and /stats.json live while the probe holds the
-      endpoint open, validates both payloads, and terminates the
-      probe. This is what the telemetry ctest and the CI tier-1 job
-      run.
+      Runs the probe with --prometheus pointing at a temporary file
+      and validates the exposition it writes after its workload
+      (MetricsSnapshot::prometheus()). This is what the
+      prometheus_exposition_check ctest runs.
 
-  tools/check_prometheus.py --metrics-file F [--json-file F]
-      Validates payloads previously saved to files (CI artifact
+  tools/check_prometheus.py --metrics-file F
+      Validates an exposition previously saved to a file (CI artifact
       checking, offline debugging).
 
-Prometheus validation covers the text-exposition grammar (version
-0.0.4): well-formed sample and # TYPE/# HELP lines, legal metric
-names, a TYPE line preceding every family, histogram bucket series
-that are cumulative with a +Inf bound matching _count, and the
-presence of the ark_cache_ / ark_sim_ / ark_health_ families the
-engine always registers. JSON validation checks that the payload
-parses and carries the uptime/rates/metrics keys documented in
-docs/TELEMETRY.md.
+Validation covers the text-exposition grammar (version 0.0.4):
+well-formed sample and # TYPE/# HELP lines, legal metric names, a TYPE
+line preceding every family, histogram bucket series that are
+cumulative with a +Inf bound matching _count, and the presence of the
+ark_cache_ / ark_sim_ / ark_compile_ / ark_spice_ / ark_session_
+families the probe's workload registers.
 
 Exits 0 when every check passes, 1 with a diagnostic per failure
 otherwise. Stdlib only.
 """
 
 import argparse
-import json
+import os
 import re
 import subprocess
 import sys
-import time
-import urllib.request
+import tempfile
 
 NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 SAMPLE_RE = re.compile(
@@ -44,8 +39,8 @@ SAMPLE_RE = re.compile(
 TYPE_RE = re.compile(
     r"^# TYPE (?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*) "
     r"(?P<type>counter|gauge|histogram|summary|untyped)$")
-REQUIRED_FAMILY_PREFIXES = ("ark_cache_", "ark_sim_", "ark_health_")
-LISTENING_RE = re.compile(r"listening on 127\.0\.0\.1:(\d+)")
+REQUIRED_FAMILY_PREFIXES = ("ark_cache_", "ark_sim_", "ark_compile_",
+                            "ark_spice_", "ark_session_")
 
 
 def base_family(name, declared_types):
@@ -153,90 +148,31 @@ def check_prometheus(text, errors):
     return declared
 
 
-def check_stats_json(text, errors):
-    """Validates one /stats.json payload."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as err:
-        errors.append(f"stats.json does not parse: {err}")
-        return
-    if not isinstance(payload, dict):
-        errors.append("stats.json is not an object")
-        return
-    for key in ("uptime_ns", "rates", "metrics"):
-        if key not in payload:
-            errors.append(f"stats.json missing key {key!r}")
-    if not isinstance(payload.get("rates", {}), dict):
-        errors.append("stats.json rates is not an object")
-    if not isinstance(payload.get("metrics", {}), dict):
-        errors.append("stats.json metrics is not an object")
-
-
-def scrape(port, path):
-    url = f"http://127.0.0.1:{port}{path}"
-    with urllib.request.urlopen(url, timeout=10) as response:
-        return response.read().decode("utf-8", "replace")
-
-
 def run_probe_mode(probe, errors):
-    """Spawns the probe, scrapes it live, and terminates it."""
-    process = subprocess.Popen(
-        [probe, "--stats-port", "0", "--stats-hold", "60"],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    port = None
-    try:
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            line = process.stderr.readline()
-            if not line:
-                break
-            match = LISTENING_RE.search(line)
-            if match:
-                port = int(match.group(1))
-                break
-        if port is None:
-            errors.append("probe never reported a listening port")
+    """Runs the probe with --prometheus and validates its file."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "metrics.prom")
+        run = subprocess.run(
+            [probe, "--prometheus", path], stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True, timeout=240)
+        if run.returncode != 0:
+            errors.append(f"probe exited {run.returncode}: "
+                          f"{run.stderr.strip()}")
             return
-        # The probe serves while its workload runs, so early scrapes
-        # may precede the workload's first instrumented event (metric
-        # families register lazily at their instrumentation sites).
-        # Poll until the required families appear — every intermediate
-        # payload is still a live concurrent scrape — then validate
-        # the final payload in full.
-        text = ""
-        while time.monotonic() < deadline:
-            text = scrape(port, "/metrics")
-            if all(f"# TYPE {prefix}" in text
-                   for prefix in REQUIRED_FAMILY_PREFIXES):
-                break
-            time.sleep(0.2)
-        check_prometheus(text, errors)
-        check_stats_json(scrape(port, "/stats.json"), errors)
-        # A second JSON scrape gives the server a previous snapshot
-        # to compute rates against; it must still be well-formed.
-        check_stats_json(scrape(port, "/stats.json"), errors)
-    finally:
-        process.terminate()
-        try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait()
+        with open(path, "r", encoding="utf-8") as handle:
+            check_prometheus(handle.read(), errors)
 
 
 def main():
     parser = argparse.ArgumentParser(
-        description="Validate Ark Prometheus/JSON stats payloads.")
+        description="Validate Ark's Prometheus text exposition.")
     parser.add_argument("--probe",
-                        help="metrics_probe binary to spawn and scrape")
+                        help="metrics_probe binary to run and check")
     parser.add_argument("--metrics-file",
-                        help="saved /metrics payload to validate")
-    parser.add_argument("--json-file",
-                        help="saved /stats.json payload to validate")
+                        help="saved exposition to validate")
     args = parser.parse_args()
-    if not args.probe and not args.metrics_file and not args.json_file:
-        parser.error("one of --probe / --metrics-file / --json-file "
-                     "is required")
+    if not args.probe and not args.metrics_file:
+        parser.error("one of --probe / --metrics-file is required")
 
     errors = []
     if args.probe:
@@ -244,9 +180,6 @@ def main():
     if args.metrics_file:
         with open(args.metrics_file, "r", encoding="utf-8") as handle:
             check_prometheus(handle.read(), errors)
-    if args.json_file:
-        with open(args.json_file, "r", encoding="utf-8") as handle:
-            check_stats_json(handle.read(), errors)
 
     for error in errors:
         print(f"check_prometheus: {error}", file=sys.stderr)

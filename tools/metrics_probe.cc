@@ -19,28 +19,20 @@
  *
  * bench_smoke embeds this object as the "metrics" block of
  * BENCH_perf.json; the CI tier-1 job additionally passes --trace to
- * produce the sample Chrome trace artifact it validates, and uses
- * --stats-port/--stats-hold to scrape the live Prometheus/JSON
- * endpoint while the probe idles after its workload. Exits nonzero
+ * produce the sample Chrome trace artifact it validates, and
+ * tools/check_prometheus.py passes --prometheus and validates the
+ * Prometheus text exposition of the same snapshot. Exits nonzero
  * only when the workload itself fails — metric values are data, not
  * assertions.
  *
  * Usage: metrics_probe [--out summary.json] [--trace out.trace.json]
- *                      [--ledger ledger.json]
- *                      [--stats-port N] [--stats-hold SECONDS]
- *
- * --stats-port prints "metrics_probe: stats listening on
- * 127.0.0.1:PORT" to stderr once bound (port 0 = ephemeral), so a
- * harness can parse the port; --stats-hold keeps the process (and
- * the endpoint) alive that many seconds after the workload.
+ *                      [--ledger ledger.json] [--prometheus out.prom]
  */
 
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/puf.h"
@@ -51,7 +43,6 @@
 #include "spice/map_tln.h"
 #include "support/error.h"
 #include "support/ledger.h"
-#include "support/statsserver.h"
 #include "support/telemetry.h"
 #include "validator/validator.h"
 
@@ -176,6 +167,19 @@ quantilesJson(const telemetry::MetricsSnapshot &snap)
     return json;
 }
 
+/** Writes `text` to `path`; false (after a diagnostic) on failure. */
+bool
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path);
+    if (!out) {
+        std::cerr << "metrics_probe: cannot write '" << path << "'\n";
+        return false;
+    }
+    out << text;
+    return true;
+}
+
 } // namespace
 
 int
@@ -183,8 +187,7 @@ main(int argc, char **argv)
 {
     std::string outPath;
     std::string ledgerPath;
-    int statsPort = -1;
-    double statsHold = 0.0;
+    std::string prometheusPath;
     std::optional<telemetry::TraceSession> trace;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -194,32 +197,18 @@ main(int argc, char **argv)
             trace.emplace(argv[++i]);
         } else if (arg == "--ledger" && i + 1 < argc) {
             ledgerPath = argv[++i];
-        } else if (arg == "--stats-port" && i + 1 < argc) {
-            statsPort = std::stoi(argv[++i]);
-        } else if (arg == "--stats-hold" && i + 1 < argc) {
-            statsHold = std::stod(argv[++i]);
+        } else if (arg == "--prometheus" && i + 1 < argc) {
+            prometheusPath = argv[++i];
         } else {
             std::cerr << "usage: metrics_probe [--out summary.json]"
                          " [--trace out.trace.json]"
                          " [--ledger ledger.json]"
-                         " [--stats-port N] [--stats-hold SECONDS]\n";
+                         " [--prometheus out.prom]\n";
             return 2;
         }
     }
 
     telemetry::setMetricsEnabled(true);
-    telemetry::StatsServer server;
-    if (statsPort >= 0) {
-        std::string error;
-        if (!server.start(static_cast<std::uint16_t>(statsPort),
-                          &error)) {
-            std::cerr << "metrics_probe: stats server: " << error
-                      << "\n";
-            return 1;
-        }
-        std::cerr << "metrics_probe: stats listening on 127.0.0.1:"
-                  << server.port() << std::endl;
-    }
     // A private cache isolates the probe's hit/miss arithmetic from
     // anything else the process ran.
     engine::ArtifactCache cache;
@@ -241,17 +230,13 @@ main(int argc, char **argv)
         return 1;
     }
 
-    if (!ledgerPath.empty()) {
-        std::ofstream out(ledgerPath);
-        if (!out) {
-            std::cerr << "metrics_probe: cannot write '" << ledgerPath
-                      << "'\n";
-            return 1;
-        }
-        out << ledger.json() << "\n";
-    }
+    if (!ledgerPath.empty() && !writeFile(ledgerPath, ledger.json() + "\n"))
+        return 1;
 
     const telemetry::MetricsSnapshot snap = session.metricsSnapshot();
+    if (!prometheusPath.empty() &&
+        !writeFile(prometheusPath, snap.prometheus()))
+        return 1;
     const double hits = snap.value("ark.cache.system_hits") +
                         snap.value("ark.cache.stepper_hits");
     const double misses = snap.value("ark.cache.system_misses") +
@@ -288,20 +273,7 @@ main(int argc, char **argv)
 
     if (outPath.empty()) {
         std::cout << json;
-    } else {
-        std::ofstream out(outPath);
-        if (!out) {
-            std::cerr << "metrics_probe: cannot write '" << outPath
-                      << "'\n";
-            return 1;
-        }
-        out << json;
+        return 0;
     }
-
-    // Keep the endpoint alive for external scrapers (CI parses the
-    // listening line, scrapes, then kills the probe early).
-    if (statsPort >= 0 && statsHold > 0.0)
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(statsHold));
-    return 0;
+    return writeFile(outPath, json) ? 0 : 1;
 }
