@@ -6,6 +6,7 @@
 
 #include "compiler/compiler.h"
 #include "engine/session.h"
+#include "sim/batch.h"
 #include "sim/sim.h"
 #include "spice/batch.h"
 #include "spice/map_tln.h"
@@ -235,41 +236,40 @@ runMaxcutSims(const lang::Language &language, bool withOffset, int trials,
               std::uint64_t seedBase)
 {
     const double pi = std::numbers::pi;
-    // Random restarts: resolve every trial's oscillator network
-    // through the engine session (compiled programs are shared and
-    // content-addressed — repeated restart sweeps over the same seeds
-    // skip validation and compilation), then integrate the whole
-    // batch concurrently through the ensemble engine. Per-trial
-    // results are identical to the serial loop (the RNG draws happen
-    // in build order, and each instance integrates independently).
+    // Random restarts. The front end (draw, build, resolve through the
+    // engine session) runs one trial per job on the shared pool; each
+    // trial draws from its own Rng and fills its own slot, so outputs
+    // are independent of the thread count. Compiled programs are
+    // shared and content-addressed: a repeated restart sweep over the
+    // same seeds skips validation and compilation. The ensemble engine
+    // then integrates the whole batch concurrently.
     engine::Session session;
-    std::vector<MaxcutOutcome> outcomes;
-    std::vector<engine::SystemPtr> systems;
-    outcomes.reserve(static_cast<std::size_t>(trials));
-    systems.reserve(static_cast<std::size_t>(trials));
-    for (int trial = 0; trial < trials; ++trial) {
-        support::Rng rng(seedBase + static_cast<std::uint64_t>(trial));
-        MaxcutOutcome outcome;
-        outcome.instance.numVertices = 4;
-        for (int a = 0; a < 4; ++a)
-            for (int b = a + 1; b < 4; ++b)
-                if (rng.bernoulli(0.5))
-                    outcome.instance.edges.emplace_back(a, b);
-
-        pobc::MaxcutSpec spec;
-        spec.withOffset = withOffset;
-        spec.seed = seedBase + static_cast<std::uint64_t>(trial);
-        for (int v = 0; v < 4; ++v)
-            spec.initPhases.push_back(rng.uniform(0.0, 2.0 * pi));
-
-        systems.push_back(session.compile(
-            pobc::buildMaxcut(language, outcome.instance, spec),
-            language));
-        outcomes.push_back(std::move(outcome));
-    }
-
     sim::EnsembleOptions options;
     options.sim.recordDt = 1e-9;
+    const auto count = static_cast<std::size_t>(trials);
+    std::vector<MaxcutOutcome> outcomes(count);
+    std::vector<engine::SystemPtr> systems(count);
+    sim::BatchRunner::shared().parallelFor(
+        count, options.numThreads, [&](std::size_t trial) {
+            support::Rng rng(seedBase + trial);
+            MaxcutOutcome &outcome = outcomes[trial];
+            outcome.instance.numVertices = 4;
+            for (int a = 0; a < 4; ++a)
+                for (int b = a + 1; b < 4; ++b)
+                    if (rng.bernoulli(0.5))
+                        outcome.instance.edges.emplace_back(a, b);
+
+            pobc::MaxcutSpec spec;
+            spec.withOffset = withOffset;
+            spec.seed = seedBase + trial;
+            for (int v = 0; v < 4; ++v)
+                spec.initPhases.push_back(rng.uniform(0.0, 2.0 * pi));
+
+            systems[trial] = session.compile(
+                pobc::buildMaxcut(language, outcome.instance, spec),
+                language);
+        });
+
     std::vector<sim::SimResult> results =
         session.runEnsemble(systems, 0.0, 5e-8, options);
 
@@ -319,48 +319,51 @@ runSpiceValidation(const lang::Language &gmcTln, int trials,
     const double spiceDt = 2e-11;
     const std::size_t compareGrid = 400;
 
-    // Phase 1 (serial, deterministic): generate each trial's random
-    // graph, compile the ODE system, and map the netlist. Per-trial
-    // RNGs make the draw order identical to the historical serial
-    // loop, so the sweep's statistics are reproducible bit-for-bit.
-    // Compilation goes through the engine session: a repeated sweep
-    // (same seeds -> same graph contents) hits the artifact cache and
-    // skips ILP validation + lowering per trial.
+    // Phase 1, one trial per job on the shared pool (at the sweep's
+    // thread count): draw each trial's random graph, compile the ODE
+    // system, and map the netlist. Each trial draws from its own Rng
+    // and fills its own slot, so the sweep's statistics are
+    // reproducible bit for bit at any thread count. Compilation goes
+    // through the engine session: a repeated sweep (same seeds -> same
+    // graph contents) hits the artifact cache and skips ILP validation
+    // and lowering per trial.
     engine::Session session(
         engine::SessionOptions{.caching = options.cache});
-    std::vector<engine::SystemPtr> systems;
-    std::vector<spice::MappedTln> mapped;
-    systems.reserve(static_cast<std::size_t>(trials));
-    mapped.reserve(static_cast<std::size_t>(trials));
-    for (int trial = 0; trial < trials; ++trial) {
-        support::Rng rng(seedBase + static_cast<std::uint64_t>(trial));
-        ptln::LineSpec spec;
-        spec.sections = static_cast<int>(rng.uniformInt(3, 12));
-        spec.inductance = rng.uniform(0.5e-9, 2e-9);
-        spec.capacitance = rng.uniform(0.5e-9, 2e-9);
-        spec.sourceConductance = rng.uniform(0.5, 2.0);
-        spec.termConductance = rng.uniform(0.5, 2.0);
-        spec.pulseWidth = rng.uniform(0.5e-8, 2e-8);
-        spec.mismatchC = true;
-        spec.mismatchGm = true;
-        spec.seed = rng.deriveSeed();
+    const auto count = static_cast<std::size_t>(trials);
+    std::vector<engine::SystemPtr> systems(count);
+    std::vector<spice::MappedTln> mapped(count);
+    sim::BatchRunner::shared().parallelFor(
+        count, options.numThreads, [&](std::size_t trial) {
+            support::Rng rng(seedBase + trial);
+            ptln::LineSpec spec;
+            spec.sections = static_cast<int>(rng.uniformInt(3, 12));
+            spec.inductance = rng.uniform(0.5e-9, 2e-9);
+            spec.capacitance = rng.uniform(0.5e-9, 2e-9);
+            spec.sourceConductance = rng.uniform(0.5, 2.0);
+            spec.termConductance = rng.uniform(0.5, 2.0);
+            spec.pulseWidth = rng.uniform(0.5e-8, 2e-8);
+            spec.mismatchC = true;
+            spec.mismatchGm = true;
+            spec.seed = rng.deriveSeed();
 
-        dg::Graph graph = [&]() {
-            if (rng.bernoulli(0.5)) {
-                ptln::BranchSpec branch;
-                branch.line = spec;
-                branch.stubSections =
-                    static_cast<int>(rng.uniformInt(1, 4));
-                branch.attachAt = static_cast<int>(
-                    rng.uniformInt(1, spec.sections - 1));
-                return ptln::buildBranched(gmcTln, branch);
-            }
-            return ptln::buildLine(gmcTln, spec);
-        }();
-        systems.push_back(session.compile(graph, gmcTln));
-        mapped.push_back(spice::mapTlnToSpice(graph, gmcTln));
-        ++report.mapped;
-    }
+            dg::Graph graph = [&]() {
+                if (rng.bernoulli(0.5)) {
+                    ptln::BranchSpec branch;
+                    branch.line = spec;
+                    branch.stubSections =
+                        static_cast<int>(rng.uniformInt(1, 4));
+                    branch.attachAt = static_cast<int>(
+                        rng.uniformInt(1, spec.sections - 1));
+                    return ptln::buildBranched(gmcTln, branch);
+                }
+                return ptln::buildLine(gmcTln, spec);
+            }();
+            systems[trial] = session.compile(graph, gmcTln);
+            mapped[trial] = spice::mapTlnToSpice(graph, gmcTln);
+        });
+    // A trial that fails to build or map throws out of the fan-out, so
+    // every trial reaching here produced a netlist.
+    report.mapped = static_cast<int>(mapped.size());
 
     std::vector<const spice::Netlist *> netlists;
     netlists.reserve(mapped.size());

@@ -6,8 +6,16 @@
  * Shared experiment runners regenerating the paper's evaluation
  * artifacts (Figures 2, 4, 11; Table 1; the §4.5 SPICE
  * cross-validation). Bench binaries and integration tests both call
- * these, so the numbers in EXPERIMENTS.md come from exactly the code
- * under test.
+ * these, so the numbers the bench binaries print come from exactly
+ * the code under test; ROADMAP.md (Open item 3) sets them against the
+ * paper's.
+ *
+ * The two sweeps, runMaxcutSims and runSpiceValidation, run their
+ * per-trial front end (random draw, graph build, compile, netlist
+ * mapping) one trial per job on sim::BatchRunner::shared()'s worker
+ * pool. Each trial draws from its own Rng(seedBase + trial) and its
+ * results are stored by trial index, so every output is independent
+ * of the thread count.
  */
 
 #include <cstdint>
@@ -99,7 +107,11 @@ struct MaxcutOutcome
 /**
  * Simulates `trials` random 4-vertex max-cut instances (edge
  * probability 0.5, random initial phases) on the ideal or
- * offset-afflicted oscillator network.
+ * offset-afflicted oscillator network. The front end (draw, build,
+ * compile through the engine session) runs on the shared pool and the
+ * instances integrate as one ensemble, both at the ensemble's default
+ * thread count (hardware concurrency). A trial that fails to build or
+ * compile throws its error; with several, the lowest trial's.
  */
 std::vector<MaxcutOutcome> runMaxcutSims(const lang::Language &language,
                                          bool withOffset, int trials,
@@ -151,7 +163,8 @@ struct SpiceValidationOptions
     bool sparse = true;
 
     /**
-     * Worker threads for both the Ark ensemble and the SPICE batch
+     * Worker threads for the per-trial front end (draw, build,
+     * compile, map), the Ark ensemble and the SPICE batch
      * (0 = hardware concurrency). Statistics are independent of the
      * thread count.
      */

@@ -80,13 +80,22 @@ Graph::addEdge(const std::string &name, const std::string &type,
     return EdgeId{id};
 }
 
+namespace {
+
+/**
+ * The stored pair for `nominal` written into a slot of `type`, drawing
+ * the mismatch from `rng`. `describe()` names the slot ("attribute
+ * 'CPL_0.k'"); it is called only to build the TypeError message, so a
+ * write that fits formats nothing.
+ */
+template <typename Describe>
 AttrValue
-Graph::makeAttrValue(const DataType &type, const expr::Value &nominal,
-                     support::Rng *rng, const std::string &what) const
+makeAttrValue(const DataType &type, const expr::Value &nominal,
+              support::Rng *rng, const Describe &describe)
 {
     if (!type.contains(nominal)) {
         throw TypeError(cat("value ", nominal.str(), " does not fit ",
-                            what, " of type ", type.str()));
+                            describe(), " of type ", type.str()));
     }
     AttrValue out{nominal, nominal};
     if (type.hasMismatch() && nominal.isNumeric() && rng) {
@@ -101,6 +110,8 @@ Graph::makeAttrValue(const DataType &type, const expr::Value &nominal,
     return out;
 }
 
+} // namespace
+
 void
 Graph::setNodeAttr(NodeId id, const std::string &attr,
                    const expr::Value &nominal, support::Rng *rng)
@@ -112,9 +123,9 @@ Graph::setNodeAttr(NodeId id, const std::string &attr,
         throw SemaError(cat("node type '", n.type,
                             "' has no attribute '", attr, "'"));
     }
-    n.attrs[attr] = makeAttrValue(adef->type, nominal, rng,
-                                  cat("attribute '", n.name, ".", attr,
-                                      "'"));
+    n.attrs[attr] = makeAttrValue(adef->type, nominal, rng, [&] {
+        return cat("attribute '", n.name, ".", attr, "'");
+    });
 }
 
 void
@@ -128,9 +139,9 @@ Graph::setEdgeAttr(EdgeId id, const std::string &attr,
         throw SemaError(cat("edge type '", e.type,
                             "' has no attribute '", attr, "'"));
     }
-    e.attrs[attr] = makeAttrValue(adef->type, nominal, rng,
-                                  cat("attribute '", e.name, ".", attr,
-                                      "'"));
+    e.attrs[attr] = makeAttrValue(adef->type, nominal, rng, [&] {
+        return cat("attribute '", e.name, ".", attr, "'");
+    });
 }
 
 void
@@ -149,9 +160,9 @@ Graph::setInit(NodeId id, int derivative, const expr::Value &value,
                             "' lacks an init(", derivative,
                             ") declaration"));
     }
-    AttrValue av = makeAttrValue(idef->type, value, rng,
-                                 cat("init(", derivative, ") of '",
-                                     n.name, "'"));
+    AttrValue av = makeAttrValue(idef->type, value, rng, [&] {
+        return cat("init(", derivative, ") of '", n.name, "'");
+    });
     n.inits[static_cast<std::size_t>(derivative)] = av.effective;
 }
 

@@ -195,11 +195,6 @@ class Graph
     std::unordered_map<std::string, std::int32_t> edgeByName_;
     /** Per node: indices of touching edges (any direction). */
     std::vector<std::vector<std::int32_t>> adjacency_;
-
-    AttrValue makeAttrValue(const DataType &type,
-                            const expr::Value &nominal,
-                            support::Rng *rng,
-                            const std::string &what) const;
 };
 
 } // namespace ark::dg

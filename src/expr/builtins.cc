@@ -10,28 +10,13 @@ namespace {
 
 /** In Builtin order, so builtinInfo() indexes it by id. */
 const std::vector<BuiltinInfo> builtinTable = {
-    {Builtin::Sin, "sin", 1, "sin"},
-    {Builtin::Cos, "cos", 1, "cos"},
-    {Builtin::Tan, "tan", 1, "tan"},
-    {Builtin::Exp, "exp", 1, "exp"},
-    {Builtin::Log, "log", 1, "log"},
-    {Builtin::Sqrt, "sqrt", 1, "sqrt"},
-    {Builtin::Abs, "abs", 1, "fabs"},
-    {Builtin::Tanh, "tanh", 1, "tanh"},
-    {Builtin::Sgn, "sgn", 1, "ark_sgn"},
-    {Builtin::Min, "min", 2, "ark_min"},
-    {Builtin::Max, "max", 2, "ark_max"},
-    {Builtin::Pow, "pow", 2, "pow"},
-    {Builtin::Sat, "sat", 1, "ark_sat"},
-    {Builtin::SatNi, "sat_ni", 1, "ark_sat_ni"},
-    {Builtin::Pulse, "pulse", 3, "ark_pulse"},
+#define ARK_BUILTIN_INFO(Id, Name, Arity, CName, Expr)                  \
+    {Builtin::Id, Name, Arity, CName},
+    ARK_BUILTINS(ARK_BUILTIN_INFO)
+#undef ARK_BUILTIN_INFO
 };
 
-// min and max are spelled out rather than fmin/fmax: those may return
-// either operand of a (+0, -0) tie, and compilers treat them as
-// commutative, so the sign of a tie would depend on how each call
-// site compiled. These return x on a tie and the other operand when
-// one is NaN; the JIT emits the same bodies as ark_min/ark_max.
+} // namespace
 
 double
 minFn(double x, double y)
@@ -44,8 +29,6 @@ maxFn(double x, double y)
 {
     return (y > x || std::isnan(x)) ? y : x;
 }
-
-} // namespace
 
 const BuiltinInfo *
 findBuiltin(const std::string &name)
@@ -108,37 +91,17 @@ pulseFn(double t, double start, double width)
 double
 evalBuiltin(Builtin id, const double *args, int count)
 {
+    // An operand slot past the row's arity reads A, never args[1..2].
     switch (id) {
-      case Builtin::Sin:
-        return std::sin(args[0]);
-      case Builtin::Cos:
-        return std::cos(args[0]);
-      case Builtin::Tan:
-        return std::tan(args[0]);
-      case Builtin::Exp:
-        return std::exp(args[0]);
-      case Builtin::Log:
-        return std::log(args[0]);
-      case Builtin::Sqrt:
-        return std::sqrt(args[0]);
-      case Builtin::Abs:
-        return std::fabs(args[0]);
-      case Builtin::Tanh:
-        return std::tanh(args[0]);
-      case Builtin::Sgn:
-        return args[0] > 0.0 ? 1.0 : (args[0] < 0.0 ? -1.0 : 0.0);
-      case Builtin::Min:
-        return minFn(args[0], args[1]);
-      case Builtin::Max:
-        return maxFn(args[0], args[1]);
-      case Builtin::Pow:
-        return std::pow(args[0], args[1]);
-      case Builtin::Sat:
-        return satFn(args[0]);
-      case Builtin::SatNi:
-        return satNiFn(args[0]);
-      case Builtin::Pulse:
-        return pulseFn(args[0], args[1], args[2]);
+#define ARK_BUILTIN_EVAL(Id, Name, Arity, CName, Expr)                  \
+      case Builtin::Id: {                                               \
+        [[maybe_unused]] const double A = args[0];                      \
+        [[maybe_unused]] const double B = Arity > 1 ? args[1] : A;      \
+        [[maybe_unused]] const double C = Arity > 2 ? args[2] : A;      \
+        return Expr;                                                    \
+      }
+        ARK_BUILTINS(ARK_BUILTIN_EVAL)
+#undef ARK_BUILTIN_EVAL
     }
     support::panic(support::cat("unknown builtin id ",
                                 static_cast<int>(id), " count ", count));

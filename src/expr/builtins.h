@@ -16,15 +16,54 @@
 #include <string>
 #include <vector>
 
+/**
+ * ARK_BUILTINS is the single declaration of the builtins; the
+ * descriptor table, evalBuiltin() and the lane interpreter's CallB
+ * each expand it. A row is
+ *
+ *   ROW(Id, name, Arity, cName, Expr)
+ *
+ * Id is the Builtin enumerator, `name` the spelling in Ark source,
+ * Arity the argument count, `cName` the C function a JIT kernel calls
+ * (math.h or an emitted ark_* helper) with the arguments in order,
+ * and Expr the value over the arguments A, B and C (the first Arity
+ * are read), spelled with the <cmath> functions (a file expanding
+ * Expr includes <cmath>) and the helpers declared below.
+ *
+ * Row order is the Builtin numbering, which the JIT kernel cache key
+ * (engine::kernelKey) hashes through CallB's payload; moving a row or
+ * changing a cName re-keys kernels and needs a kEmitterVersion bump.
+ * Expr must compute what the cName function computes, bit for bit
+ * (jit_test checks every builtin).
+ *
+ *   sat     standard CNN saturation, 0.5*(|x+1| - |x-1|);
+ *   sat_ni  non-ideal saturation, tanh(1.2 x)/tanh(1.2);
+ *   pulse   pulse(t, t0, w), a trapezoidal pulse of unit amplitude.
+ */
+#define ARK_BUILTINS(ROW)                                              \
+    ROW(Sin, "sin", 1, "sin", std::sin(A))                             \
+    ROW(Cos, "cos", 1, "cos", std::cos(A))                             \
+    ROW(Tan, "tan", 1, "tan", std::tan(A))                             \
+    ROW(Exp, "exp", 1, "exp", std::exp(A))                             \
+    ROW(Log, "log", 1, "log", std::log(A))                             \
+    ROW(Sqrt, "sqrt", 1, "sqrt", std::sqrt(A))                         \
+    ROW(Abs, "abs", 1, "fabs", std::fabs(A))                           \
+    ROW(Tanh, "tanh", 1, "tanh", std::tanh(A))                         \
+    ROW(Sgn, "sgn", 1, "ark_sgn", A > 0.0 ? 1.0 : (A < 0.0 ? -1.0 : 0.0)) \
+    ROW(Min, "min", 2, "ark_min", minFn(A, B))                         \
+    ROW(Max, "max", 2, "ark_max", maxFn(A, B))                         \
+    ROW(Pow, "pow", 2, "pow", std::pow(A, B))                          \
+    ROW(Sat, "sat", 1, "ark_sat", satFn(A))                            \
+    ROW(SatNi, "sat_ni", 1, "ark_sat_ni", satNiFn(A))                  \
+    ROW(Pulse, "pulse", 3, "ark_pulse", pulseFn(A, B, C))
+
 namespace ark::expr {
 
 /** Identifies a builtin; doubles as the tape opcode payload. */
 enum class Builtin : std::uint8_t {
-    Sin, Cos, Tan, Exp, Log, Sqrt, Abs, Tanh, Sgn,
-    Min, Max, Pow,
-    Sat,    ///< Standard CNN saturation: 0.5*(|x+1| - |x-1|).
-    SatNi,  ///< Non-ideal saturation: tanh(1.2 x)/tanh(1.2).
-    Pulse,  ///< pulse(t, t0, w): trapezoidal pulse, unit amplitude.
+#define ARK_BUILTIN_ENUMERATOR(Id, ...) Id,
+    ARK_BUILTINS(ARK_BUILTIN_ENUMERATOR)
+#undef ARK_BUILTIN_ENUMERATOR
 };
 
 /** Descriptor for one builtin function. */
@@ -54,6 +93,16 @@ double evalBuiltin(Builtin id, const double *args, int count);
 double satFn(double x);
 double satNiFn(double x);
 double pulseFn(double t, double start, double width);
+
+/**
+ * min and max, spelled out rather than fmin/fmax: those may return
+ * either operand of a (+0, -0) tie, and compilers treat them as
+ * commutative, so the sign of a tie would depend on how each call
+ * site compiled. These return x on a tie and the other operand when
+ * one is NaN; the JIT emits the same bodies as ark_min/ark_max.
+ */
+double minFn(double x, double y);
+double maxFn(double x, double y);
 
 } // namespace ark::expr
 

@@ -136,22 +136,28 @@ LaneTape::broadcast(const FusedTape &tape, std::size_t lanes)
     return *std::move(merged);
 }
 
-// One case per PURE row of the table: the row's expression, once per
-// lane. An operand slot the row does not read holds -1, so it reads
-// A's row instead and no pointer is formed from -1.
+// dst = Expr once per lane, reading the first Arity operand rows. An
+// operand slot the row does not read holds -1, so it reads A's row
+// instead and no pointer is formed from -1.
+#define ARK_LANE_LOOP(Arity, Expr)                                      \
+    {                                                                   \
+        double *d = row(op.dst);                                        \
+        const double *a = row(op.a);                                    \
+        const double *b = Arity > 1 ? row(op.b) : a;                    \
+        const double *c = Arity > 2 ? row(op.c) : a;                    \
+        for (int l = 0; l < W; ++l) {                                   \
+            [[maybe_unused]] const double A = a[l], B = b[l], C = c[l]; \
+            d[l] = Expr;                                                \
+        }                                                               \
+        break;                                                          \
+    }
+
+// One case per PURE row of the op table, and one per row of the
+// builtin table (CallB packs a builtin's operands from slot a).
 #define ARK_LANE_ROW(Name, Arity, Expr)                                 \
-          case OpCode::Name: {                                          \
-            double *d = row(op.dst);                                    \
-            const double *a = row(op.a);                                \
-            const double *b = Arity > 1 ? row(op.b) : a;                \
-            const double *c = Arity > 2 ? row(op.c) : a;                \
-            for (int l = 0; l < W; ++l) {                               \
-                [[maybe_unused]] const double A = a[l], B = b[l],       \
-                                              C = c[l];                 \
-                d[l] = Expr;                                            \
-            }                                                           \
-            break;                                                      \
-          }
+    case OpCode::Name: ARK_LANE_LOOP(Arity, Expr)
+#define ARK_LANE_BUILTIN(Id, Name, Arity, CName, Expr)                  \
+    case Builtin::Id: ARK_LANE_LOOP(Arity, Expr)
 
 template <int W>
 void
@@ -182,20 +188,13 @@ LaneTape::evalIntoT(const double *state, double t, double *out,
                 d[l] = t;
             break;
           }
-          case OpCode::CallB: {
-            // Builtins stay scalar per lane (libm calls); the lane win
-            // here is only the amortized dispatch.
-            double *d = row(op.dst);
-            for (int l = 0; l < W; ++l) {
-                double argv[3];
-                int n = 0;
-                for (std::int32_t operand : {op.a, op.b, op.c})
-                    if (operand >= 0)
-                        argv[n++] = row(operand)[l];
-                d[l] = evalBuiltin(op.builtin, argv, n);
+          case OpCode::CallB:
+            // One builtin dispatch per instruction, then its row's
+            // expression once per lane (libm calls stay scalar).
+            switch (op.builtin) {
+              ARK_BUILTINS(ARK_LANE_BUILTIN)
             }
             break;
-          }
           case OpCode::Const:
           case OpCode::LoadState:
             break; // never in the stream: deriveStream() folds loads
@@ -205,6 +204,8 @@ LaneTape::evalIntoT(const double *state, double t, double *out,
 }
 
 #undef ARK_LANE_ROW
+#undef ARK_LANE_BUILTIN
+#undef ARK_LANE_LOOP
 
 void
 LaneTape::evalInto(const double *state, double t, double *out,

@@ -965,8 +965,8 @@ class BatchRunner::Pool
 
     /**
      * Runs job(0..count) using the calling thread plus up to
-     * `activeWorkers` pool workers. The job must capture its own
-     * exceptions (a throw would terminate a worker).
+     * `activeWorkers` pool workers. The job must not throw (a throw
+     * would terminate a worker); both callers catch per index.
      */
     void
     run(std::size_t count, unsigned activeWorkers,
@@ -1095,13 +1095,33 @@ BatchRunner::parallelFor(std::size_t count, unsigned numThreads,
     }
     unsigned effective = static_cast<unsigned>(
         std::min<std::size_t>(numThreads, count));
+    // Every index runs even when some throw; the lowest throwing
+    // index's exception is rethrown once the batch has drained, so
+    // the caller sees what a serial loop's first failure would be, at
+    // any thread count, and no pool worker ever unwinds.
+    std::mutex failureMutex;
+    std::size_t failedAt = count;
+    std::exception_ptr failure;
+    const std::function<void(std::size_t)> guarded = [&](std::size_t i) {
+        try {
+            job(i);
+        } catch (...) {
+            std::lock_guard lock(failureMutex);
+            if (i < failedAt) {
+                failedAt = i;
+                failure = std::current_exception();
+            }
+        }
+    };
     if (effective <= 1) {
         for (std::size_t i = 0; i < count; ++i)
-            job(i);
-        return;
+            guarded(i);
+    } else {
+        pool_->ensure(effective - 1);
+        pool_->run(count, effective - 1, guarded);
     }
-    pool_->ensure(effective - 1);
-    pool_->run(count, effective - 1, job);
+    if (failure)
+        std::rethrow_exception(failure);
 }
 
 BatchRunner &

@@ -121,10 +121,20 @@ class BatchRunner
      * Generic batch primitive on the same persistent pool: runs
      * job(0..count-1) with the calling thread participating alongside
      * up to numThreads-1 workers (0 picks the hardware concurrency;
-     * the pool is capped at count). Non-ODE batch workloads — the
-     * sparse SPICE transient engine (spice::TransientBatch) — ride
-     * this instead of spawning their own threads. The job MUST NOT
-     * throw: capture exceptions per index and rethrow after the call.
+     * the pool is capped at count). Non-ODE batch workloads ride this
+     * instead of spawning their own threads: the sparse SPICE
+     * transient engine (spice::TransientBatch) and the per-trial
+     * front end (draw, graph build, compile, netlist mapping) of the
+     * apps sweeps (apps/experiments.h).
+     *
+     * A throwing job does not stop the batch: every index runs
+     * exactly once, and after the batch drains the exception of the
+     * lowest index that threw is rethrown (the others are dropped) —
+     * what a serial loop's first failure would be, at any thread
+     * count. Jobs run concurrently, so anything they share must be
+     * thread-safe; a job must not call back into this runner with
+     * more than one thread, because the pool runs one batch at a
+     * time.
      */
     void parallelFor(std::size_t count, unsigned numThreads,
                      const std::function<void(std::size_t)> &job);

@@ -12,7 +12,9 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <stdexcept>
 #include <stop_token>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -450,6 +452,36 @@ TEST(BatchTest, ParallelForRunsEveryIndexExactlyOnce)
     runner.parallelFor(2, 16, [&](std::size_t) { ++total; });
     EXPECT_EQ(total.load(), 2);
     EXPECT_LE(runner.poolThreads(), 15u);
+}
+
+TEST(BatchTest, ParallelForRethrowsLowestIndexFailure)
+{
+    // A throwing job neither stops the batch nor escapes a worker: every
+    // index runs, and the caller receives the lowest failing index's
+    // exception, as from a serial loop's first failure.
+    BatchRunner runner;
+    for (unsigned threads : {1u, 3u}) {
+        const std::size_t count = 16;
+        std::vector<std::atomic<int>> hits(count);
+        std::string caught;
+        try {
+            runner.parallelFor(count, threads, [&](std::size_t i) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+                if (i == 5 || i == 9)
+                    throw std::runtime_error("job " + std::to_string(i));
+            });
+        } catch (const std::runtime_error &error) {
+            caught = error.what();
+        }
+        EXPECT_EQ(caught, "job 5") << threads << " threads";
+        for (std::size_t i = 0; i < count; ++i)
+            EXPECT_EQ(hits[i].load(), 1)
+                << "index " << i << ", " << threads << " threads";
+    }
+    // The pool survives the failures and runs the next batch.
+    std::atomic<int> total{0};
+    runner.parallelFor(8, 3, [&](std::size_t) { ++total; });
+    EXPECT_EQ(total.load(), 8);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include <numbers>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "apps/puf.h"
@@ -31,6 +32,7 @@
 #include "paradigms/obc.h"
 #include "paradigms/standard.h"
 #include "paradigms/tln.h"
+#include "sim/batch.h"
 #include "spice/batch.h"
 #include "spice/map_tln.h"
 #include "spice/mna.h"
@@ -874,6 +876,74 @@ TEST_F(EngineTest, TemplatesBindEveryDrawOfTheBenchmarkParadigms)
                 << threads << " threads";
         }
     }
+}
+
+TEST_F(EngineTest, ConcurrentMissesOnOneStructureBuildTheSameProgram)
+{
+    // The sweep front ends compile on the worker pool, so trials of
+    // one structure can miss the template shard together and each
+    // lower a template; the shard keeps the first. Every program bound
+    // into either must equal the uncached compile of its graph, op for
+    // op, with the same shape (the lane-class key).
+    engine::ArtifactCache cache;
+    const engine::Session session(engine::SessionOptions{.cache = &cache});
+    const lang::Language &ofs = lang("ofs-obc");
+    const lang::Language &gmc = lang("gmc-tln");
+    const std::vector<std::vector<std::pair<int, int>>> edgeSets = {
+        {{0, 1}, {1, 2}, {2, 3}}, {{0, 1}, {0, 2}, {0, 3}, {1, 3}}};
+    const int sections[] = {3, 5};
+
+    // 16 consecutive draws per structure, so the first draws of each
+    // are claimed by different threads at once: two max-cut edge sets
+    // on ofs-obc, then two GmC line lengths.
+    const std::size_t draws = 64;
+    const std::size_t perStructure = 16;
+    std::vector<dg::Graph> graphs;
+    std::vector<const lang::Language *> languages;
+    support::Rng rng(18);
+    for (std::size_t i = 0; i < draws; ++i) {
+        const std::size_t structure = i / perStructure;
+        if (structure < 2) {
+            paradigms::obc::MaxcutInstance instance;
+            instance.numVertices = 4;
+            instance.edges = edgeSets[structure];
+            paradigms::obc::MaxcutSpec spec;
+            spec.withOffset = true;
+            spec.seed = rng.deriveSeed();
+            for (int v = 0; v < 4; ++v)
+                spec.initPhases.push_back(
+                    rng.uniform(0.0, 2.0 * std::numbers::pi));
+            graphs.push_back(
+                paradigms::obc::buildMaxcut(ofs, instance, spec));
+            languages.push_back(&ofs);
+        } else {
+            ptln::LineSpec spec;
+            spec.sections = sections[structure - 2];
+            spec.inductance = rng.uniform(0.5e-9, 2e-9);
+            spec.capacitance = rng.uniform(0.5e-9, 2e-9);
+            spec.pulseWidth = rng.uniform(0.5e-8, 2e-8);
+            spec.mismatchC = true;
+            spec.mismatchGm = true;
+            spec.seed = rng.deriveSeed();
+            graphs.push_back(ptln::buildLine(gmc, spec));
+            languages.push_back(&gmc);
+        }
+    }
+
+    std::vector<engine::SystemPtr> systems(draws);
+    sim::BatchRunner::shared().parallelFor(draws, 4, [&](std::size_t i) {
+        systems[i] = session.compile(graphs[i], *languages[i]);
+    });
+
+    for (std::size_t i = 0; i < draws; ++i) {
+        const compiler::OdeSystem reference =
+            compiler::compile(graphs[i], *languages[i]);
+        EXPECT_TRUE(samePrograms(*systems[i], reference)) << "draw " << i;
+        EXPECT_TRUE(systems[i]->rhsTape(expr::RoundingMode::Exact).shape() ==
+                    reference.rhsTape(expr::RoundingMode::Exact).shape())
+            << "draw " << i;
+    }
+    EXPECT_EQ(cache.stats().templatesCached, edgeSets.size() + 2);
 }
 
 } // namespace

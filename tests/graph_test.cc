@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "dg/datatype.h"
 #include "dg/graph.h"
@@ -201,6 +202,19 @@ TEST_F(GraphTest, FixedEdgesCannotSwitch)
     EXPECT_THROW(graph_.setEnabled(e, false), SemaError);
 }
 
+/** The message of the TypeError `write` throws ("" when none). */
+template <typename Write>
+std::string
+typeErrorMessage(const Write &write)
+{
+    try {
+        write();
+    } catch (const TypeError &error) {
+        return error.what();
+    }
+    return "";
+}
+
 TEST_F(GraphTest, AttributeRangeEnforced)
 {
     dg::NodeId a = graph_.addNode("a", "V");
@@ -210,6 +224,31 @@ TEST_F(GraphTest, AttributeRangeEnforced)
                  TypeError);
     EXPECT_THROW(graph_.setNodeAttr(a, "zz", Value::real(0.5)),
                  SemaError);
+    // The rejected write names its slot in the message.
+    std::string message = typeErrorMessage(
+        [&] { graph_.setNodeAttr(a, "c", Value::real(-1.0)); });
+    EXPECT_NE(message.find("attribute 'a.c'"), std::string::npos)
+        << message;
+}
+
+TEST_F(GraphTest, EdgeAttributeRangeEnforced)
+{
+    TypeTable table = makeTable();
+    dg::EdgeTypeDef g;
+    g.name = "G";
+    g.attrs.push_back({"w", DataType::real(0, 1), std::nullopt});
+    table.addEdgeType(g);
+    Graph graph(&table, "test");
+    dg::NodeId a = graph.addNode("a", "V");
+    dg::EdgeId e = graph.addEdge("e", "G", a, a);
+    graph.setEdgeAttr(e, "w", Value::real(0.25));
+    EXPECT_DOUBLE_EQ(graph.edgeAttr(e, "w").asReal(), 0.25);
+    EXPECT_THROW(graph.setEdgeAttr(e, "zz", Value::real(0.5)), SemaError);
+    std::string message = typeErrorMessage(
+        [&] { graph.setEdgeAttr(e, "w", Value::real(2.0)); });
+    EXPECT_NE(message.find("attribute 'e.w'"), std::string::npos)
+        << message;
+    EXPECT_DOUBLE_EQ(graph.edgeAttr(e, "w").asReal(), 0.25);
 }
 
 TEST_F(GraphTest, IntLiteralsWidenIntoRealAttrs)
@@ -229,6 +268,10 @@ TEST_F(GraphTest, InitValuesDefaultAndRange)
     EXPECT_DOUBLE_EQ(graph_.initValue(a, 0).asReal(), 2.5);
     EXPECT_THROW(graph_.setInit(a, 1, Value::real(0)), SemaError);
     EXPECT_THROW(graph_.setInit(a, 0, Value::real(100)), TypeError);
+    std::string message = typeErrorMessage(
+        [&] { graph_.setInit(a, 0, Value::real(-20)); });
+    EXPECT_NE(message.find("init(0) of 'a'"), std::string::npos)
+        << message;
 }
 
 TEST_F(GraphTest, CheckCompleteFindsMissingAttrs)

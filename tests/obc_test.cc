@@ -7,14 +7,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "apps/experiments.h"
 #include "compiler/compiler.h"
+#include "engine/cache.h"
+#include "engine/session.h"
 #include "paradigms/obc.h"
 #include "paradigms/standard.h"
 #include "sim/sim.h"
+#include "support/rng.h"
 #include "validator/validator.h"
 
 namespace {
@@ -212,6 +219,69 @@ TEST_F(ObcTest, Table1ShapeHolds)
     EXPECT_GT(idealTight.solvedProb, 80.0);
     EXPECT_LT(offsetTight.solvedProb, idealTight.solvedProb - 10.0);
     EXPECT_GT(offsetLoose.solvedProb, offsetTight.solvedProb + 10.0);
+}
+
+TEST_F(ObcTest, ParallelFrontEndMatchesSerialRecomposition)
+{
+    // runMaxcutSims draws, builds and compiles its trials on the worker
+    // pool, from a cold cache here so template lowerings race. Its
+    // phases must equal, bit for bit, the same trials compiled one at
+    // a time in trial order and integrated as one ensemble.
+    const int trials = 64;
+    const std::uint64_t seedBase = 1;
+    for (bool withOffset : {false, true}) {
+        const lang::Language &language = withOffset ? ofs() : obc();
+        engine::ArtifactCache::shared().clear();
+        std::vector<exp::MaxcutOutcome> parallel =
+            exp::runMaxcutSims(language, withOffset, trials, seedBase);
+
+        engine::ArtifactCache cache;
+        const engine::Session session(
+            engine::SessionOptions{.cache = &cache});
+        std::vector<pobc::MaxcutInstance> instances;
+        std::vector<engine::SystemPtr> systems;
+        for (int trial = 0; trial < trials; ++trial) {
+            support::Rng rng(seedBase + static_cast<std::uint64_t>(trial));
+            pobc::MaxcutInstance instance;
+            instance.numVertices = 4;
+            for (int a = 0; a < 4; ++a)
+                for (int b = a + 1; b < 4; ++b)
+                    if (rng.bernoulli(0.5))
+                        instance.edges.emplace_back(a, b);
+            pobc::MaxcutSpec spec;
+            spec.withOffset = withOffset;
+            spec.seed = seedBase + static_cast<std::uint64_t>(trial);
+            for (int v = 0; v < 4; ++v)
+                spec.initPhases.push_back(rng.uniform(0.0, 2.0 * kPi));
+            systems.push_back(session.compile(
+                pobc::buildMaxcut(language, instance, spec), language));
+            instances.push_back(std::move(instance));
+        }
+        sim::EnsembleOptions options;
+        options.sim.recordDt = 1e-9;
+        std::vector<sim::SimResult> results =
+            session.runEnsemble(systems, 0.0, 5e-8, options);
+
+        ASSERT_EQ(parallel.size(), static_cast<std::size_t>(trials));
+        for (std::size_t trial = 0; trial < parallel.size(); ++trial) {
+            EXPECT_EQ(parallel[trial].instance.edges,
+                      instances[trial].edges);
+            ASSERT_TRUE(results[trial].ok());
+            const sim::Trajectory &trajectory = results[trial].trajectory;
+            auto final = trajectory.state(trajectory.size() - 1);
+            ASSERT_EQ(parallel[trial].phases.size(), 4u);
+            for (int v = 0; v < 4; ++v) {
+                const double expected = final[static_cast<std::size_t>(
+                    systems[trial]->stateIndex(pobc::oscName(v), 0))];
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              parallel[trial].phases[
+                                  static_cast<std::size_t>(v)]),
+                          std::bit_cast<std::uint64_t>(expected))
+                    << "offset " << withOffset << " trial " << trial
+                    << " oscillator " << v;
+            }
+        }
+    }
 }
 
 TEST_F(ObcTest, MaxcutSpecValidation)

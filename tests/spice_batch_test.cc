@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "apps/experiments.h"
+#include "engine/cache.h"
 #include "engine/session.h"
 #include "paradigms/standard.h"
 #include "paradigms/tln.h"
@@ -673,6 +675,34 @@ TEST_F(SpiceBatchTest, ValidationSweepParitySparseVsDense)
     // The structure count is a property of the sweep, not the path.
     EXPECT_EQ(viaSparse.spiceGroups, viaDense.spiceGroups);
     EXPECT_LT(viaSparse.maxRmse, 0.01);
+}
+
+TEST_F(SpiceBatchTest, ValidationSweepIndependentOfThreadCount)
+{
+    // The sweep's front end (draw, build, compile, map) and both batch
+    // sides run at SpiceValidationOptions::numThreads; from a cold
+    // cache, one thread and three report the same statistics, bit for
+    // bit.
+    const lang::Language &gmc = registry_->language("gmc-tln");
+    apps::experiments::SpiceValidationOptions one;
+    one.numThreads = 1;
+    apps::experiments::SpiceValidationOptions three;
+    three.numThreads = 3;
+    engine::ArtifactCache::shared().clear();
+    apps::experiments::SpiceValidation serial =
+        apps::experiments::runSpiceValidation(gmc, 12, 1, one);
+    engine::ArtifactCache::shared().clear();
+    apps::experiments::SpiceValidation parallel =
+        apps::experiments::runSpiceValidation(gmc, 12, 1, three);
+    EXPECT_EQ(serial.total, parallel.total);
+    EXPECT_EQ(serial.mapped, parallel.mapped);
+    EXPECT_EQ(serial.mapped, serial.total);
+    EXPECT_EQ(serial.under1pct, parallel.under1pct);
+    EXPECT_EQ(serial.spiceGroups, parallel.spiceGroups);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.meanRmse),
+              std::bit_cast<std::uint64_t>(parallel.meanRmse));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.maxRmse),
+              std::bit_cast<std::uint64_t>(parallel.maxRmse));
 }
 
 } // namespace

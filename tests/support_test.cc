@@ -7,10 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "support/error.h"
 #include "support/linalg.h"
+#include "support/logging.h"
 #include "support/rng.h"
 #include "support/strings.h"
 #include "support/table.h"
@@ -195,6 +201,65 @@ TEST(StringsTest, ClosestMatchSuggests)
     std::vector<std::string> candidates{"InpI", "InpV", "V", "I"};
     EXPECT_EQ(closestMatch("InpU", candidates), "InpI");
     EXPECT_EQ(closestMatch("zzzzzz", candidates), "");
+}
+
+/** What an std::ostringstream prints for the pieces, in order. */
+template <typename... Args>
+std::string
+streamed(const Args &...args)
+{
+    std::ostringstream oss;
+    (oss << ... << args);
+    return oss.str();
+}
+
+TEST(StringsTest, CatMatchesStreamFormatting)
+{
+    // cat() appends text and integer pieces without a stream; every
+    // other piece goes through one. Either way the bytes must be the
+    // stream's, for each piece alone and mixed.
+    const std::string text = "CPL_";
+    const std::string_view view = "OSC_";
+    const char *literal = "V_";
+    const int intMin = std::numeric_limits<int>::min();
+    const std::size_t size = std::numeric_limits<std::size_t>::max();
+    const std::int64_t wide = std::numeric_limits<std::int64_t>::min();
+    const char ch = 'k';
+    const signed char sch = 'x';
+    const unsigned char uch = 'y';
+    const double real = 4.5;
+
+    EXPECT_EQ(cat(), "");
+    EXPECT_EQ(cat(text), streamed(text));
+    EXPECT_EQ(cat("literal"), streamed("literal"));
+    EXPECT_EQ(cat(view), streamed(view));
+    EXPECT_EQ(cat(literal), streamed(literal));
+    EXPECT_EQ(cat(ch), streamed(ch));
+    EXPECT_EQ(cat(sch), streamed(sch));
+    EXPECT_EQ(cat(uch), streamed(uch));
+    EXPECT_EQ(cat(true), streamed(true));
+    EXPECT_EQ(cat(false), streamed(false));
+    for (int value : {0, 7, -7, 1000000, intMin,
+                      std::numeric_limits<int>::max()})
+        EXPECT_EQ(cat(value), streamed(value));
+    EXPECT_EQ(cat(size), streamed(size));
+    EXPECT_EQ(cat(std::size_t{0}), streamed(std::size_t{0}));
+    EXPECT_EQ(cat(wide), streamed(wide));
+    EXPECT_EQ(cat(std::int64_t{-42}), streamed(std::int64_t{-42}));
+    EXPECT_EQ(cat(real), streamed(real));
+    EXPECT_EQ(cat(0.1), streamed(0.1));
+    EXPECT_EQ(cat(1e-300), streamed(1e-300));
+
+    // Mixed: all text and integers (the stream-free path), then with a
+    // character, a bool or a double among them (the stream path).
+    EXPECT_EQ(cat(text, 3, view, intMin, "'", size, literal, wide),
+              streamed(text, 3, view, intMin, "'", size, literal, wide));
+    EXPECT_EQ(cat("attribute '", text, ".", ch, "'"),
+              streamed("attribute '", text, ".", ch, "'"));
+    EXPECT_EQ(cat(view, sch, uch, 12, true),
+              streamed(view, sch, uch, 12, true));
+    EXPECT_EQ(cat("x=", 3, " y=", real), "x=3 y=4.5");
+    EXPECT_EQ(cat("x=", 3, " y=", real), streamed("x=", 3, " y=", real));
 }
 
 // --- table -------------------------------------------------------------
