@@ -7,10 +7,11 @@
  * Paper: (1) all valid DGs map to a netlist; (2) RMSE < 1%.
  *
  * Both sides run batched — the compiled systems as one ODE ensemble,
- * the netlists through the sparse shared-structure TransientBatch —
- * so the sweep doubles as a scaling benchmark: the wall-clock for the
- * sparse batch vs the serial dense path is printed alongside the
- * statistics (which match between the two paths to rounding).
+ * the netlists through the sparse shared-structure TransientBatch.
+ * The wall-clock of the full sweep is printed alongside the
+ * statistics, then a cold and a warm 100-trial slice time the engine's
+ * artifact cache. bench_perf_spice times the SPICE engine itself
+ * against the serial dense transient.
  */
 
 #include <chrono>
@@ -38,12 +39,9 @@ main()
     std::cout << "== Sec 4.5: DG vs SPICE cross-validation ("
               << trials << " random GmC-TLN graphs) ==\n\n";
 
-    exp::SpiceValidationOptions sparseOptions;
-    sparseOptions.sparse = true;
     Clock::time_point start = Clock::now();
-    exp::SpiceValidation report =
-        exp::runSpiceValidation(gmc, trials, 1, sparseOptions);
-    double sparseSeconds =
+    exp::SpiceValidation report = exp::runSpiceValidation(gmc, trials, 1);
+    double sweepSeconds =
         std::chrono::duration<double>(Clock::now() - start).count();
 
     support::Table table({"metric", "value"});
@@ -57,44 +55,11 @@ main()
                   std::to_string(report.spiceGroups)});
     table.print(std::cout);
 
-    // Scaling check on a slice: the whole pipeline (generation + Ark
-    // ensemble + SPICE side) with the SPICE half on the batched
-    // sparse path vs the serial-equivalent dense path. The DG side
-    // dominates this end-to-end time; bench_perf_spice isolates the
-    // SPICE engine itself (BM_SpiceSweepDense vs
-    // BM_SpiceSweepSparseBatch, >= 3x netlists/s).
-    const int sliceTrials = 100;
-    exp::SpiceValidationOptions denseOptions;
-    denseOptions.sparse = false;
-    denseOptions.numThreads = 1;
-    exp::SpiceValidationOptions sparseSlice;
-    sparseSlice.sparse = true;
-    sparseSlice.numThreads = 1;
-    // The full sweep above used the same seeds, so the shared
-    // artifact cache is warm for exactly these trials; clear it
-    // before each timed slice so the comparison measures the sparse
-    // batch engine, not cache hits.
-    engine::ArtifactCache::shared().clear();
-    start = Clock::now();
-    exp::SpiceValidation denseReport =
-        exp::runSpiceValidation(gmc, sliceTrials, 1, denseOptions);
-    double denseSeconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    engine::ArtifactCache::shared().clear();
-    start = Clock::now();
-    exp::SpiceValidation sparseReport =
-        exp::runSpiceValidation(gmc, sliceTrials, 1, sparseSlice);
-    double sparseSliceSeconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
+    std::cout << "\nfull sweep: " << sweepSeconds << " s\n";
 
-    std::cout << "\n-- end-to-end pipeline, SPICE half sparse-batched "
-                 "vs serial dense ("
-              << sliceTrials << "-trial slice, 1 thread) --\n"
-              << "dense:  " << denseSeconds << " s (mean RMSE "
-              << denseReport.meanRmse << ")\n"
-              << "sparse: " << sparseSliceSeconds << " s (mean RMSE "
-              << sparseReport.meanRmse << ")\n"
-              << "full sparse sweep: " << sparseSeconds << " s\n";
+    const int sliceTrials = 100;
+    exp::SpiceValidationOptions sliceOptions;
+    sliceOptions.numThreads = 1;
 
     // Repeated-sweep check: re-validating the same slice (same seeds
     // -> same graph and netlist contents) must be served warm by the
@@ -102,15 +67,17 @@ main()
     // skip ILP validation + lowering, and every companion
     // factorization is a cache hit instead of a symbolic/numeric
     // factorization. Statistics are bit-identical to the cold sweep.
+    // The full sweep above used the same seeds, so clear the shared
+    // cache first: the cold slice must start cold.
     engine::ArtifactCache::shared().clear();
     start = Clock::now();
     exp::SpiceValidation coldSlice =
-        exp::runSpiceValidation(gmc, sliceTrials, 1, sparseSlice);
+        exp::runSpiceValidation(gmc, sliceTrials, 1, sliceOptions);
     double coldSeconds =
         std::chrono::duration<double>(Clock::now() - start).count();
     start = Clock::now();
     exp::SpiceValidation warmSlice =
-        exp::runSpiceValidation(gmc, sliceTrials, 1, sparseSlice);
+        exp::runSpiceValidation(gmc, sliceTrials, 1, sliceOptions);
     double warmSeconds =
         std::chrono::duration<double>(Clock::now() - start).count();
 

@@ -378,7 +378,6 @@ runSpiceValidation(const lang::Language &gmcTln, int trials,
     odeOptions.sim.recordDt = tEnd / 2000.0;
     odeOptions.numThreads = options.numThreads;
     spice::TransientBatchOptions batchOptions;
-    batchOptions.sparse = options.sparse;
     batchOptions.numThreads = options.numThreads;
 
     // Phases 2-4, chunked: each block runs the DG side as one

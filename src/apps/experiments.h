@@ -140,7 +140,7 @@ struct SpiceValidation
     double meanRmse = 0;  ///< Mean relative RMSE.
     double maxRmse = 0;
     /** Distinct netlist structures in the sweep (each costs the
-     *  sparse batch one symbolic factorization). */
+     *  SPICE batch one symbolic factorization). */
     int spiceGroups = 0;
     /** Companion factorizations served warm from the engine's
      *  artifact cache (0 on a cold first sweep or with caching off;
@@ -154,14 +154,6 @@ struct SpiceValidation
 /** Execution controls for the cross-validation sweep. */
 struct SpiceValidationOptions
 {
-    /**
-     * SPICE side: sparse batched transient with shared-structure
-     * factorization reuse (spice::TransientBatch). Off runs the
-     * serial dense MNA path per netlist — the ablation baseline; the
-     * reported statistics match to rounding either way.
-     */
-    bool sparse = true;
-
     /**
      * Worker threads for the per-trial front end (draw, build,
      * compile, map), the Ark ensemble and the SPICE batch
@@ -186,8 +178,9 @@ struct SpiceValidationOptions
  * attributes, both mismatch kinds enabled), maps each to a SPICE
  * netlist, and compares transient dynamics against the Ark compiler +
  * ODE solver at OUT_V. Both sides run batched: the compiled systems
- * go through sim::simulateEnsemble, the netlists through
- * spice::TransientBatch, and the paired series are scored per trial.
+ * go through sim::simulateEnsemble, the netlists through the sparse
+ * shared-structure spice::TransientBatch (engine::Session::runSweep),
+ * and the paired series are scored per trial.
  */
 SpiceValidation runSpiceValidation(
     const lang::Language &gmcTln, int trials, std::uint64_t seedBase = 1,

@@ -29,6 +29,11 @@
  *    leader's factors numerically rebound to the member's values,
  *    exactly what the uncached path computes.
  *
+ * Results come back exactly as the batch engines report them:
+ * per-instance failures are structured results, and the session
+ * never retries or degrades a run. A caller that wants another
+ * attempt reruns the instances it chooses.
+ *
  * Sessions are cheap value objects (an options struct and a cache
  * pointer); copy them freely. All methods are const and thread-safe.
  * SessionOptions::caching = false bypasses the cache entirely and
@@ -36,11 +41,7 @@
  * ablation benchmarks and differential tests toggle only that flag.
  */
 
-#include <cstdint>
-#include <string>
 #include <vector>
-
-#include <memory>
 
 #include "engine/cache.h"
 #include "sim/sim.h"
@@ -74,108 +75,8 @@ struct SessionOptions
     telemetry::RunLedger *ledger = nullptr;
 };
 
-/**
- * Bounded retry-with-degradation policy for the supervised run
- * overloads (runEnsemble/runSweep with a policy argument).
- *
- * The retry ladder, in order, per failed instance:
- *
- *  - ODE ensembles: an instance whose first attempt ends in
- *    Diverged, Fault, or BudgetExhausted is re-run. Attempt 2 re-runs
- *    it scalar (laneBatching off) when retryScalar is set — the
- *    canonical recovery from a lane-block fault, bit-identical to a
- *    clean scalar run of that instance. Attempts 3..maxAttempts
- *    additionally degrade when relaxOnRetry is set: each further
- *    attempt multiplies dt by dtFactor and absTol/relTol by tolFactor
- *    (cumulatively). Cancelled and DeadlineExceeded instances are
- *    never retried — the caller asked for the stop.
- *
- *  - SPICE sweeps: an instance whose attempt ends in SingularMatrix
- *    falls back to the dense MnaSystem transient (denseFallback) —
- *    dense partial-pivoting LU succeeds on systems whose sparse
- *    refactorization collapsed; one whose attempt ends in
- *    NonfiniteState is re-run sparse with dt scaled by dtFactor per
- *    retry when relaxOnRetry is set. Cancelled / DeadlineExceeded /
- *    BadInput are never retried.
- *
- * maxAttempts = 1 disables the supervisor entirely: the supervised
- * overloads then behave bit-identically to the plain ones. Every
- * retry and fallback taken is recorded in RunReport — nothing
- * degrades silently.
- */
-struct RunPolicy
-{
-    /** Total attempts per instance (first run included); >= 1. */
-    int maxAttempts = 1;
-
-    /** Ensemble: re-run failed instances with laneBatching off. */
-    bool retryScalar = true;
-
-    /** Enable the degradation rungs (dt/tolerance scaling). */
-    bool relaxOnRetry = false;
-
-    /** Step scale per degraded attempt (dt *= dtFactor). */
-    double dtFactor = 0.5;
-
-    /** Tolerance scale per degraded attempt (absTol/relTol *= ...). */
-    double tolFactor = 10.0;
-
-    /** Sweep: SingularMatrix failures re-run on the dense path. */
-    bool denseFallback = true;
-};
-
-/**
- * Per-run provenance of a supervised run: which instances failed,
- * what was retried, what recovered. The counters account exactly for
- * every retry/fallback taken (one increment per re-run instance per
- * attempt), so a report with all-zero retry counters certifies the
- * run was clean.
- */
-struct RunReport
-{
-    /** One recovery action applied to one instance on one attempt. */
-    enum class Action : std::uint8_t {
-        ScalarRetry,   ///< Re-run with laneBatching off.
-        RelaxedRetry,  ///< Re-run with degraded dt/tolerances.
-        DenseFallback, ///< Sparse SingularMatrix re-run densely.
-    };
-
-    /** History of one instance that failed its first attempt. */
-    struct InstanceRecord
-    {
-        std::size_t index = 0; ///< Position in the input batch.
-        int attempts = 1;      ///< Attempts consumed (first included).
-        std::vector<Action> actions; ///< Ladder rungs taken, in order.
-        bool recovered = false;      ///< Final attempt succeeded.
-        std::string finalError; ///< Last failure message when not.
-    };
-
-    std::size_t instances = 0;            ///< Batch size.
-    std::size_t firstAttemptFailures = 0; ///< Failed the initial run.
-    std::size_t recovered = 0;            ///< Healthy after retries.
-    std::size_t unrecovered = 0;  ///< Still failed after the ladder.
-    std::size_t scalarRetries = 0;  ///< ScalarRetry actions taken.
-    std::size_t relaxedRetries = 0; ///< RelaxedRetry actions taken.
-    std::size_t denseFallbacks = 0; ///< DenseFallback actions taken.
-    std::size_t budgetHits = 0;   ///< Final results with BudgetExhausted.
-    std::size_t deadlineHits = 0; ///< Final results with DeadlineExceeded.
-    std::size_t cancelled = 0;    ///< Final results with Cancelled.
-    std::vector<InstanceRecord> records; ///< One per failed instance.
-
-    /**
-     * Flight recorder attached by the supervisor: per-instance,
-     * per-attempt provenance records (tier, lane width, block, step
-     * counts, cache outcome, retry action, structured failure),
-     * exportable with RunLedger::json(). Created by the supervised
-     * overloads when neither the run options nor the session carry
-     * their own ledger; null when an external ledger captured the
-     * records instead.
-     */
-    std::shared_ptr<telemetry::RunLedger> ledger;
-};
-
 /** What a SPICE sweep did: structure groups and stepper-cache
- *  hits/misses (both 0 with caching off or on the dense path). */
+ *  hits/misses (both 0 with caching off). */
 using SweepStats = spice::TransientBatchStats;
 
 class Session
@@ -212,23 +113,6 @@ class Session
         const sim::EnsembleOptions &options = sim::EnsembleOptions{}) const;
 
     /**
-     * Supervised ensemble run: like runEnsemble above, but failed
-     * instances climb the RunPolicy retry ladder (scalar re-run, then
-     * optional dt/tolerance degradation) and `report`, when given,
-     * receives exact per-instance provenance. Internal faults are
-     * captured as structured AbortReason::Fault failures (and thus
-     * become retryable) whenever policy.maxAttempts > 1; with
-     * maxAttempts == 1 this overload is bit-identical to the plain
-     * one. Results of instances that succeed on their first attempt
-     * are bit-identical to an unsupervised run; recovered results
-     * state exactly which degradations produced them.
-     */
-    std::vector<sim::SimResult> runEnsemble(
-        const std::vector<SystemPtr> &systems, double t0, double t1,
-        const sim::EnsembleOptions &options, const RunPolicy &policy,
-        RunReport *report = nullptr) const;
-
-    /**
      * Batched SPICE transient sweep over [t0, t1] with step dt from
      * zero initial states, sampling every step: spice::TransientBatch
      * run with `options`, the session ledger when the options carry
@@ -237,29 +121,13 @@ class Session
      * session's choice). Result semantics are TransientBatch::run's:
      * positional ordering, structured per-instance failures,
      * SimError on batch-level misconfiguration, and samples
-     * bit-identical with caching on or off. options.sparse = false
-     * runs the dense ablation path, which never consults the cache.
+     * bit-identical with caching on or off.
      */
     std::vector<spice::TransientResult>
     runSweep(const std::vector<const spice::Netlist *> &netlists,
              double t0, double t1, double dt,
              const spice::TransientBatchOptions &options =
                  spice::TransientBatchOptions{},
-             SweepStats *stats = nullptr) const;
-
-    /**
-     * Supervised sweep: like runSweep above, but SingularMatrix
-     * failures fall back to the dense transient path and (with
-     * relaxOnRetry) NonfiniteState failures re-run sparse at a
-     * degraded dt, per RunPolicy. `report`, when given, receives
-     * exact per-instance provenance. With policy.maxAttempts == 1
-     * this overload is bit-identical to the plain one.
-     */
-    std::vector<spice::TransientResult>
-    runSweep(const std::vector<const spice::Netlist *> &netlists,
-             double t0, double t1, double dt,
-             const spice::TransientBatchOptions &options,
-             const RunPolicy &policy, RunReport *report = nullptr,
              SweepStats *stats = nullptr) const;
 
     /**

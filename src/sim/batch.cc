@@ -158,16 +158,6 @@ deadlineFailure(double t, std::size_t steps)
     return failure;
 }
 
-SimFailure
-faultFailure(double t, const std::string &what)
-{
-    SimFailure failure;
-    failure.reason = AbortReason::Fault;
-    failure.time = t;
-    failure.message = cat("internal fault: ", what);
-    return failure;
-}
-
 SimResult
 cancelledResult(double t)
 {
@@ -189,19 +179,6 @@ deadlinePassed(const Deadline &deadline)
 {
     return deadline &&
            std::chrono::steady_clock::now() >= *deadline;
-}
-
-/** Message for an in-flight exception (structured fault capture). */
-std::string
-currentExceptionMessage()
-{
-    try {
-        throw;
-    } catch (const std::exception &e) {
-        return e.what();
-    } catch (...) {
-        return "unknown exception";
-    }
 }
 
 /** First nonfinite entry of a (lane-strided) column, or -1. */
@@ -1335,23 +1312,12 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
                     results[members[k]] = std::move(block[k]);
             }
         } catch (...) {
-            if (options.structuredFaults) {
-                // Capture the escape as a per-instance Fault failure:
-                // the retry supervisor treats it as data, and the
-                // batch as a whole no longer throws for it.
-                std::string what = currentExceptionMessage();
-                for (std::size_t member : members) {
-                    SimResult faulted;
-                    faulted.failure = faultFailure(t0, what);
-                    results[member] = std::move(faulted);
-                }
-            } else {
-                for (std::size_t member : members)
-                    errors[member] = std::current_exception();
-            }
+            for (std::size_t member : members)
+                errors[member] = std::current_exception();
         }
-        // A thrown block (step collapse, budget) still accounts for
-        // every member so `completed` reaches `total` exactly once.
+        // A thrown block (step collapse, internal fault) still
+        // accounts for every member so `completed` reaches `total`
+        // exactly once.
         if (reported < members.size())
             instanceDone(members.size() - reported);
     };

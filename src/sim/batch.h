@@ -60,14 +60,12 @@
  * same program of the selected rounding mode, so the identity
  * contracts above hold in every mode.
  *
- * Failure discipline (the arkd-prerequisite contract): divergence,
- * budget exhaustion, cancellation, and deadline expiry are always
- * structured per-instance failures — never exceptions — at every
- * block width. Exceptions are reserved for caller errors and
- * step-size collapse; with EnsembleOptions::structuredFaults even
- * those are captured as AbortReason::Fault failures on the affected
- * instances instead of rethrowing, which is how the engine::Session
- * retry supervisor turns faults into retryable work.
+ * Failure discipline: divergence, budget exhaustion, cancellation,
+ * and deadline expiry are always structured per-instance failures —
+ * never exceptions — at every block width. Exceptions are reserved
+ * for caller errors, step-size collapse and internal faults; one that
+ * escapes a block is stored, the batch drains, and the lowest-indexed
+ * instance's exception is rethrown.
  */
 
 #include <chrono>

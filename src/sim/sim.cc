@@ -168,8 +168,6 @@ abortReasonName(AbortReason reason)
         return "budget_exhausted";
     case AbortReason::DeadlineExceeded:
         return "deadline_exceeded";
-    case AbortReason::Fault:
-        return "fault";
     }
     return "unknown";
 }

@@ -215,21 +215,19 @@ class Trajectory
 /**
  * Why an instance stopped before reaching t1.
  *
- * Failure taxonomy (the arkd admission-control contract): every entry
- * here is an *instance-level* outcome — it is reported as a structured
- * SimResult::failure on exactly the affected instance, never as an
- * exception that poisons co-batched neighbors. Exceptions remain
- * reserved for caller errors (bad time range, wrong state dimension)
- * and for step-size collapse, which indicates a misconfigured
- * tolerance/step floor rather than a property of one instance's data.
+ * Failure taxonomy: every entry here is an *instance-level* outcome —
+ * it is reported as a structured SimResult::failure on exactly the
+ * affected instance, never as an exception that poisons co-batched
+ * neighbors. Exceptions remain reserved for caller errors (bad time
+ * range, wrong state dimension) and for step-size collapse, which
+ * indicates a misconfigured tolerance/step floor rather than a
+ * property of one instance's data.
  */
 enum class AbortReason : std::uint8_t {
     Diverged,  ///< A state variable went NaN/Inf.
     Cancelled, ///< The ensemble's stop token was triggered.
     BudgetExhausted,  ///< SimOptions::maxSteps spent before reaching t1.
     DeadlineExceeded, ///< EnsembleOptions::deadline passed mid-run.
-    Fault, ///< An internal exception was captured as a structured
-           ///< failure (EnsembleOptions::structuredFaults).
 };
 
 /** Stable lower-case spelling for logs and ledger exports. */
@@ -352,17 +350,6 @@ struct EnsembleOptions
     std::optional<std::chrono::steady_clock::time_point> deadline;
 
     /**
-     * When true, an exception escaping an instance (or a lane block)
-     * is captured as an AbortReason::Fault failure on the affected
-     * result(s) instead of being rethrown after the batch drains —
-     * simulateEnsemble then never throws for per-instance causes. Off
-     * by default to preserve the historical rethrow contract; the
-     * engine::Session retry supervisor turns it on so faults become
-     * retryable data instead of control flow.
-     */
-    bool structuredFaults = false;
-
-    /**
      * Optional flight recorder: when set, the batch appends one
      * telemetry::RunLedger::Record per instance at the end of the run
      * (tier, lane width, block id, step counts, structured failure).
@@ -391,9 +378,7 @@ struct EnsembleOptions
  * throws (step collapse, internal fault), the remaining instances run
  * to completion and the lowest-indexed error is rethrown (a
  * lane-batched Dopri5 block throws as a unit: step collapse on the
- * shared step affects every member of the block) — unless
- * options.structuredFaults is set, in which case the capture becomes
- * an AbortReason::Fault failure on the affected result(s) instead.
+ * shared step affects every member of the block).
  */
 std::vector<SimResult> simulateEnsemble(
     const compiler::OdeSystem &system,

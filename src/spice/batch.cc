@@ -17,8 +17,15 @@ namespace ark::spice {
 using support::cat;
 using support::SimError;
 
-namespace detail {
+namespace {
 
+using CacheOutcome = telemetry::RunLedger::CacheOutcome;
+
+/**
+ * Maps an assembly/factorization error to the structured per-instance
+ * failure a sweep reports: ErrorKind::Sim (singular companion) ->
+ * SingularMatrix, everything else -> BadInput.
+ */
 TransientFailure
 errorFailure(const support::ArkError &error, double t0)
 {
@@ -27,34 +34,6 @@ errorFailure(const support::ArkError &error, double t0)
                                 : TransientAbort::BadInput;
     return TransientFailure{reason, 0, t0, error.message()};
 }
-
-telemetry::RunLedger::Record
-ledgerRecord(const TransientResult &result, std::uint64_t runId,
-             std::size_t index, telemetry::RunLedger::Tier tier)
-{
-    telemetry::RunLedger::Record record;
-    record.runId = runId;
-    record.index = index;
-    record.workload = telemetry::RunLedger::Workload::Spice;
-    record.tier = tier;
-    record.blockId = index;
-    record.stepsAccepted =
-        result.ok() ? (result.size() > 0 ? result.size() - 1 : 0)
-                    : result.failure->step;
-    record.ok = result.ok();
-    if (result.failure.has_value()) {
-        record.failureReason = transientAbortName(result.failure->reason);
-        record.failureMessage = result.failure->message;
-    }
-    return record;
-}
-
-} // namespace detail
-
-namespace {
-
-using detail::errorFailure;
-using CacheOutcome = telemetry::RunLedger::CacheOutcome;
 
 bool
 deadlinePassed(
@@ -65,8 +44,8 @@ deadlinePassed(
 }
 
 /**
- * Serialized (completed, total) progress dispatcher shared by both
- * batch paths; a default-constructed callback makes every tick free.
+ * Serialized (completed, total) progress dispatcher; a
+ * default-constructed callback makes every tick free.
  */
 class ProgressTicker
 {
@@ -195,40 +174,6 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
             ? options_.ledger->beginRun(
                   telemetry::RunLedger::Workload::Spice, count)
             : 0;
-
-    if (!options_.sparse) {
-        // Dense ablation path: independent assembly + transient per
-        // instance, parallelized but with no factor sharing.
-        sim::BatchRunner::shared().parallelFor(
-            count, options_.numThreads, [&](std::size_t i) {
-                if (options_.stop.stop_requested()) {
-                    // Skipped before starting: no samples at all.
-                    results[i].failure = detail::cancelledFailure(t0, 0);
-                } else if (deadlinePassed(options_.deadline)) {
-                    results[i].failure = detail::deadlineFailure(t0, 0);
-                } else {
-                    try {
-                        MnaSystem system(*netlists[i]);
-                        results[i] =
-                            transient(system, t0, t1, dt, {}, control);
-                    } catch (const support::ArkError &error) {
-                        results[i].failure = errorFailure(error, t0);
-                    } catch (...) {
-                        errors[i] = std::current_exception();
-                    }
-                }
-                progress.tick();
-            });
-        if (options_.ledger != nullptr) {
-            for (std::size_t i = 0; i < count; ++i)
-                if (!errors[i])
-                    options_.ledger->append(detail::ledgerRecord(
-                        results[i], ledgerRun, i,
-                        telemetry::RunLedger::Tier::Dense));
-        }
-        rethrowFirst(errors);
-        return results;
-    }
 
     // Phase 1: assemble every netlist (cheap, value-independent
     // structure). Assembly rejects land as BadInput failures.
@@ -380,16 +325,30 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
         stats->factorMisses = factorMisses.load();
     }
     if (options_.ledger != nullptr) {
+        // One record per instance: accepted steps are the samples
+        // after the initial state, or the failure's step count when it
+        // stopped early. Unassemblable slots stand alone.
         for (std::size_t i = 0; i < count; ++i) {
             if (errors[i])
                 continue;
-            telemetry::RunLedger::Record record = detail::ledgerRecord(
-                results[i], ledgerRun, i, telemetry::RunLedger::Tier::Sparse);
-            if (leaderOf[i] < count) { // unassemblable slots stand alone
-                record.blockId = leaderOf[i];
-                record.lanes = groupSize[leaderOf[i]];
-            }
+            const TransientResult &result = results[i];
+            telemetry::RunLedger::Record record;
+            record.runId = ledgerRun;
+            record.index = i;
+            record.workload = telemetry::RunLedger::Workload::Spice;
+            record.tier = telemetry::RunLedger::Tier::Sparse;
+            record.blockId = leaderOf[i] < count ? leaderOf[i] : i;
+            record.lanes = leaderOf[i] < count ? groupSize[leaderOf[i]] : 1;
+            record.stepsAccepted =
+                result.ok() ? (result.size() > 0 ? result.size() - 1 : 0)
+                            : result.failure->step;
             record.cache = cacheOutcome[i];
+            record.ok = result.ok();
+            if (result.failure.has_value()) {
+                record.failureReason =
+                    transientAbortName(result.failure->reason);
+                record.failureMessage = result.failure->message;
+            }
             options_.ledger->append(std::move(record));
         }
     }

@@ -51,46 +51,15 @@
  * rounding (<= 1e-12 relative, property-tested).
  */
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "spice/mna.h"
 #include "spice/netlist.h"
-#include "support/error.h"
 #include "support/ledger.h"
 
 namespace ark::spice {
-
-namespace detail {
-
-/**
- * Maps an assembly/factorization error to the structured per-instance
- * failure a sweep reports: ErrorKind::Sim (singular companion) ->
- * SingularMatrix, everything else -> BadInput. TransientBatch reports
- * every such failure through it, and the supervised sweep
- * (engine::Session::runSweep with a RunPolicy) reports its serial
- * retries' failures the same way.
- */
-TransientFailure errorFailure(const support::ArkError &error, double t0);
-
-/**
- * The run-ledger record of one finished sweep instance: run id,
- * index, the spice workload, `tier`, a standalone block (the instance
- * itself, one lane), accepted steps (one sample per step plus the
- * initial state; the failure's step count when it stopped early), and
- * the structured failure. Group, cache and retry fields are the
- * caller's to set. TransientBatch's flush and the supervised sweep's
- * serial retries both build their records here, so their shapes
- * cannot drift apart.
- */
-telemetry::RunLedger::Record ledgerRecord(const TransientResult &result,
-                                          std::uint64_t runId,
-                                          std::size_t index,
-                                          telemetry::RunLedger::Tier tier);
-
-} // namespace detail
 
 /** Shared immutable factored companion operator. */
 using StepperPtr = std::shared_ptr<const TransientStepper>;
@@ -127,13 +96,6 @@ class StepperCache
 /** Controls for a batched transient sweep. */
 struct TransientBatchOptions
 {
-    /**
-     * CSR assembly + shared-structure factorization reuse (the fast
-     * path). Off runs the dense MnaSystem path per instance —
-     * ablation benchmarks and differential tests.
-     */
-    bool sparse = true;
-
     /**
      * Worker threads; 0 picks the hardware concurrency. Rides the
      * process-wide sim::BatchRunner pool, so SPICE sweeps and ODE
@@ -172,18 +134,18 @@ struct TransientBatchOptions
     /**
      * Optional flight recorder (sim::EnsembleOptions::ledger parity):
      * one telemetry::RunLedger::Record per instance at the flush
-     * points the sweep already has — solve path (dense/sparse),
-     * structure group as the block id, sample count, and the
-     * structured failure, plus the stepper-cache outcome when `cache`
-     * is set. Observation-only; must outlive the call.
+     * point the sweep already has — the sparse tier, structure group
+     * as the block id, sample count, and the structured failure, plus
+     * the stepper-cache outcome when `cache` is set. Observation-only;
+     * must outlive the call.
      */
     telemetry::RunLedger *ledger = nullptr;
 
     /**
-     * Optional stepper cache the sparse path consults before each
+     * Optional stepper cache the sweep consults before each
      * factorization (see StepperCache). Null builds every operator in
-     * the sweep; the dense ablation path never consults it. Results
-     * are bit-identical either way. Must outlive the call.
+     * the sweep. Results are bit-identical either way. Must outlive
+     * the call.
      */
     StepperCache *cache = nullptr;
 };
@@ -193,8 +155,7 @@ struct TransientBatchStats
 {
     /**
      * Distinct netlist structures the sweep grouped into (each costs
-     * one symbolic factorization). 0 on the dense ablation path,
-     * which does not group.
+     * one symbolic factorization).
      */
     std::size_t structureGroups = 0;
 

@@ -845,13 +845,4 @@ transient(const SparseMnaSystem &system, double t0, double t1, double dt,
     return stepper.run(system, t0, t1, x0, control);
 }
 
-std::vector<double>
-transientNodeVoltage(const Netlist &netlist, int node, double t0,
-                     double t1, double dt)
-{
-    MnaSystem system(netlist);
-    TransientResult result = transient(system, t0, t1, dt);
-    return result.series(static_cast<std::size_t>(node));
-}
-
 } // namespace ark::spice

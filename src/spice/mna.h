@@ -390,11 +390,6 @@ TransientResult transient(const SparseMnaSystem &system, double t0,
  */
 double finalStepSize(double t0, double t1, double dt);
 
-/** Convenience: assemble + simulate + return one node's voltage. */
-std::vector<double> transientNodeVoltage(const Netlist &netlist,
-                                         int node, double t0, double t1,
-                                         double dt);
-
 } // namespace ark::spice
 
 #endif // ARK_SPICE_MNA_H

@@ -16,11 +16,6 @@ std::uint64_t RunLedger::beginRun(Workload, std::size_t) {
   return nextRunId_++;
 }
 
-std::uint64_t RunLedger::lastRunId() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return nextRunId_ - 1;
-}
-
 void RunLedger::append(Record record) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (records_.size() >= capacity_) {
@@ -63,7 +58,6 @@ const char *RunLedger::name(Tier tier) {
   switch (tier) {
   case Tier::Scalar: return "scalar";
   case Tier::Lane: return "lane";
-  case Tier::Dense: return "dense";
   case Tier::Sparse: return "sparse";
   case Tier::Jit: return "jit";
   }
@@ -75,16 +69,6 @@ const char *RunLedger::name(CacheOutcome outcome) {
   case CacheOutcome::None: return "none";
   case CacheOutcome::Hit: return "hit";
   case CacheOutcome::Miss: return "miss";
-  }
-  return "unknown";
-}
-
-const char *RunLedger::name(RetryAction action) {
-  switch (action) {
-  case RetryAction::None: return "none";
-  case RetryAction::ScalarRetry: return "scalar_retry";
-  case RetryAction::RelaxedRetry: return "relaxed_retry";
-  case RetryAction::DenseFallback: return "dense_fallback";
   }
   return "unknown";
 }
@@ -112,8 +96,6 @@ std::string RunLedger::json() const {
         << ", \"tier\": \"" << name(r.tier) << "\""
         << ", \"lane_width\": " << r.laneWidth
         << ", \"lanes\": " << r.lanes << ", \"block\": " << r.blockId
-        << ", \"attempt\": " << r.attempt
-        << ", \"action\": \"" << name(r.action) << "\""
         << ", \"steps_accepted\": " << r.stepsAccepted
         << ", \"steps_rejected\": " << r.stepsRejected
         << ", \"cache\": \"" << name(r.cache) << "\""

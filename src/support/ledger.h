@@ -3,13 +3,12 @@
 //
 // Every batch engine (ODE ensembles, SPICE sweeps) can be handed a
 // RunLedger through its options struct. At the points where the
-// engines already flush their aggregate statistics — end of a lane
-// block, completion of a sweep instance, a supervisor retry rung —
-// they append one Record describing what actually happened to that
-// instance: which execution tier ran it, at what lane width and in
-// which block, how many steps were accepted and rejected, whether its
-// compiled artifacts came out of the cache, which retry-ladder action
-// (if any) produced the attempt, and the final structured failure.
+// engines already flush their aggregate statistics — the end of an
+// ensemble or a sweep — they append one Record per instance
+// describing what actually happened to it: which execution tier ran
+// it, at what lane width and in which block, how many steps were
+// accepted and rejected, whether its compiled artifacts came out of
+// the cache, and the final structured failure.
 //
 // The ledger is observation-only. It never steers execution, and a
 // run with a ledger attached is bit-identical to one without
@@ -42,23 +41,14 @@ public:
 
   // Execution tier that actually ran the instance. Scalar/Lane/Jit
   // are the ODE ensemble tiers (Jit = a JIT native kernel served
-  // the RHS, at any lane width); Dense/Sparse are the SPICE solve
-  // paths.
-  enum class Tier : std::uint8_t { Scalar, Lane, Dense, Sparse, Jit };
+  // the RHS, at any lane width); Sparse is the SPICE sweep's one
+  // solve path.
+  enum class Tier : std::uint8_t { Scalar, Lane, Sparse, Jit };
 
   // Whether the instance's compiled artifact (stepper factors, cached
   // system) was served from the ArtifactCache. None = the path does
   // not consult the cache.
   enum class CacheOutcome : std::uint8_t { None, Hit, Miss };
-
-  // Retry-ladder action that produced this attempt (engine::RunPolicy
-  // rungs). None for first attempts.
-  enum class RetryAction : std::uint8_t {
-    None,
-    ScalarRetry,
-    RelaxedRetry,
-    DenseFallback,
-  };
 
   struct Record {
     std::uint64_t runId = 0;       // beginRun() sequence number
@@ -68,8 +58,6 @@ public:
     std::size_t laneWidth = 1;     // SoA width paid (1 for one-lane blocks)
     std::size_t lanes = 1;         // live instances sharing the block
     std::size_t blockId = 0;       // dispatch block / structure group
-    int attempt = 1;               // 1-based supervisor attempt
-    RetryAction action = RetryAction::None;
     std::size_t stepsAccepted = 0;
     std::size_t stepsRejected = 0;
     CacheOutcome cache = CacheOutcome::None;
@@ -89,9 +77,6 @@ public:
   // Successive runs recorded into one ledger (e.g. a cold and a warm
   // battery) are distinguished by this id.
   std::uint64_t beginRun(Workload workload, std::size_t instances);
-
-  // Most recent id handed out by beginRun (0 before the first run).
-  std::uint64_t lastRunId() const;
 
   // Appends one record; drops (and counts) it when full. Thread-safe.
   void append(Record record);
@@ -116,7 +101,6 @@ public:
   static const char *name(Workload workload);
   static const char *name(Tier tier);
   static const char *name(CacheOutcome outcome);
-  static const char *name(RetryAction action);
 
 private:
   const std::size_t capacity_;

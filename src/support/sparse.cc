@@ -121,7 +121,7 @@ SparseLu::SparseLu(const SparseMatrix &a)
 
     // Deterministic fault injection: present as the singular-pivot
     // failure a numerically degenerate matrix would raise, so tests
-    // can drive the sparse->dense fallback ladder on demand.
+    // can drive a sweep's structured SingularMatrix path on demand.
     if (FaultInjector::shouldFire(FaultSite::SparseLuPivot))
         throw ArkError(ErrorKind::Sim,
                        "fault injection: forced pivot failure");

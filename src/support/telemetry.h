@@ -7,8 +7,8 @@
  * trace spans exportable as Chrome trace-event JSON.
  *
  * The engine computes rich internals on every run — lane occupancy,
- * step-vote rejections, cache hits, LU refactor ratios, retry-ladder
- * actions — and a batch study needs them to explain where its time
+ * step-vote rejections, cache hits, LU refactor ratios, JIT
+ * compiles — and a batch study needs them to explain where its time
  * went. This file makes that accounting a first-class subsystem with
  * two halves:
  *

@@ -4,12 +4,14 @@
  * bounded append semantics, JSON export, the provenance records the
  * ODE ensemble and SPICE sweep engines flush (tier, lane width, block,
  * structured failures), the cache outcomes only the session's
- * cache-backed sweep can report, and the supervised retry ladder's
- * remapped records.
+ * cache-backed sweep can report, and which ledger a session run
+ * records into (a per-run ledger over the session's).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,7 +95,6 @@ TEST(LedgerTest, BoundedAppendCountsDrops)
     EXPECT_EQ(ledger.capacity(), 4u);
     const std::uint64_t run = ledger.beginRun(RunLedger::Workload::Ode, 6);
     EXPECT_EQ(run, 1u);
-    EXPECT_EQ(ledger.lastRunId(), 1u);
     for (std::size_t i = 0; i < 6; ++i) {
         RunLedger::Record record;
         record.runId = run;
@@ -114,19 +115,11 @@ TEST(LedgerTest, EnumSpellingsAreStable)
     EXPECT_STREQ(RunLedger::name(RunLedger::Workload::Spice), "spice");
     EXPECT_STREQ(RunLedger::name(RunLedger::Tier::Scalar), "scalar");
     EXPECT_STREQ(RunLedger::name(RunLedger::Tier::Lane), "lane");
-    EXPECT_STREQ(RunLedger::name(RunLedger::Tier::Dense), "dense");
     EXPECT_STREQ(RunLedger::name(RunLedger::Tier::Sparse), "sparse");
     EXPECT_STREQ(RunLedger::name(RunLedger::Tier::Jit), "jit");
     EXPECT_STREQ(RunLedger::name(RunLedger::CacheOutcome::None), "none");
     EXPECT_STREQ(RunLedger::name(RunLedger::CacheOutcome::Hit), "hit");
     EXPECT_STREQ(RunLedger::name(RunLedger::CacheOutcome::Miss), "miss");
-    EXPECT_STREQ(RunLedger::name(RunLedger::RetryAction::None), "none");
-    EXPECT_STREQ(RunLedger::name(RunLedger::RetryAction::ScalarRetry),
-                 "scalar_retry");
-    EXPECT_STREQ(RunLedger::name(RunLedger::RetryAction::RelaxedRetry),
-                 "relaxed_retry");
-    EXPECT_STREQ(RunLedger::name(RunLedger::RetryAction::DenseFallback),
-                 "dense_fallback");
 }
 
 TEST(LedgerTest, JsonRoundTripsAndEscapes)
@@ -187,8 +180,6 @@ TEST(LedgerTest, OdeEnsembleLaneAndScalarProvenance)
         EXPECT_EQ(record.tier, expectedTier(RunLedger::Tier::Lane));
         EXPECT_EQ(record.lanes, 6u);
         EXPECT_EQ(record.laneWidth, 8u); // 6 lanes pad to width 8
-        EXPECT_EQ(record.attempt, 1);
-        EXPECT_EQ(record.action, RunLedger::RetryAction::None);
         EXPECT_GT(record.stepsAccepted, 0u);
         EXPECT_TRUE(record.ok);
         ASSERT_LT(record.index, seen.size());
@@ -272,17 +263,6 @@ TEST(LedgerTest, SpiceSweepRecordsStructureGroups)
         EXPECT_EQ(record.cache, RunLedger::CacheOutcome::None);
         EXPECT_TRUE(record.ok);
     }
-
-    // The dense ablation reports dense-tier standalone records.
-    options.sparse = false;
-    spice::TransientBatch dense(options);
-    dense.run(netlists, 0.0, 1e-9, 1e-11);
-    records = ledger.records();
-    ASSERT_EQ(records.size(), 2 * netlists.size());
-    for (std::size_t r = netlists.size(); r < records.size(); ++r) {
-        EXPECT_EQ(records[r].tier, RunLedger::Tier::Dense);
-        EXPECT_EQ(records[r].lanes, 1u);
-    }
 }
 
 TEST(LedgerTest, SessionSweepRecordsCacheOutcomes)
@@ -318,56 +298,48 @@ TEST(LedgerTest, SessionSweepRecordsCacheOutcomes)
     }
 }
 
-TEST(LedgerTest, SupervisedEnsembleAttachesReportLedger)
+TEST(LedgerTest, PerRunLedgerOverridesSessionLedger)
 {
-    lang::LanguageRegistry registry;
-    compiler::OdeSystem healthy = feedbackSystem(registry, -1.0, 2.0);
-    compiler::OdeSystem diverging = feedbackSystem(registry, 900.0, 2.0);
+    // Runs that bring no ledger of their own record into the
+    // session's; a per-run ledger takes all of that run's records.
+    lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
     std::vector<engine::SystemPtr> systems;
-    systems.push_back(std::make_shared<const compiler::OdeSystem>(healthy));
-    systems.push_back(
-        std::make_shared<const compiler::OdeSystem>(diverging));
+    for (int i = 0; i < 3; ++i)
+        systems.push_back(std::make_shared<const compiler::OdeSystem>(
+            feedbackSystem(registry, -2.0 - i, 2.0)));
+    std::vector<spice::MappedTln> mapped;
+    for (std::uint64_t seed = 1; seed <= 2; ++seed)
+        mapped.push_back(sharedStructureLine(registry, seed));
+    std::vector<const spice::Netlist *> netlists;
+    for (const spice::MappedTln &m : mapped)
+        netlists.push_back(&m.netlist);
 
-    engine::Session session;
-    sim::EnsembleOptions options;
-    options.sim.dt = 1e-3;
-    engine::RunPolicy policy;
-    policy.maxAttempts = 3;
-    policy.retryScalar = true;
-    engine::RunReport report;
-    session.runEnsemble(systems, 0.0, 2.0, options, policy, &report);
+    engine::ArtifactCache cache;
+    RunLedger sessionLedger;
+    engine::SessionOptions sessionOptions;
+    sessionOptions.cache = &cache;
+    sessionOptions.ledger = &sessionLedger;
+    engine::Session session(sessionOptions);
+    sim::EnsembleOptions ensembleOptions;
+    ensembleOptions.sim.dt = 1e-3;
+    spice::TransientBatchOptions sweepOptions;
 
-    // No ledger was configured anywhere, so the supervisor attached
-    // its own to the report.
-    ASSERT_NE(report.ledger, nullptr);
-    std::vector<RunLedger::Record> records = report.ledger->records();
-    // 2 first-attempt records + 2 retry rungs for the diverging
-    // instance (retries are deterministic, so both fail too).
-    ASSERT_EQ(records.size(), 4u);
-    std::size_t retries = 0;
-    for (const RunLedger::Record &record : records) {
-        if (record.action == RunLedger::RetryAction::None) {
-            EXPECT_EQ(record.attempt, 1);
-            continue;
-        }
-        ++retries;
-        EXPECT_EQ(record.index, 1u); // remapped to the original slot
-        EXPECT_EQ(record.action, RunLedger::RetryAction::ScalarRetry);
-        EXPECT_GE(record.attempt, 2);
-        EXPECT_LE(record.attempt, 3);
-        EXPECT_EQ(record.tier, expectedTier(RunLedger::Tier::Scalar));
-        EXPECT_FALSE(record.ok);
-        EXPECT_EQ(record.failureReason, "diverged");
-    }
-    EXPECT_EQ(retries, 2u);
+    session.runEnsemble(systems, 0.0, 1.0, ensembleOptions);
+    session.runSweep(netlists, 0.0, 1e-9, 1e-11, sweepOptions);
+    EXPECT_EQ(sessionLedger.size(), 5u);
 
-    // An explicitly configured ledger wins and the report gets none.
-    RunLedger external;
-    options.ledger = &external;
-    engine::RunReport second;
-    session.runEnsemble(systems, 0.0, 2.0, options, policy, &second);
-    EXPECT_EQ(second.ledger, nullptr);
-    EXPECT_EQ(external.records().size(), 4u);
+    RunLedger perRun;
+    ensembleOptions.ledger = &perRun;
+    sweepOptions.ledger = &perRun;
+    session.runEnsemble(systems, 0.0, 1.0, ensembleOptions);
+    session.runSweep(netlists, 0.0, 1e-9, 1e-11, sweepOptions);
+    EXPECT_EQ(sessionLedger.size(), 5u); // the session ledger got none
+    std::vector<RunLedger::Record> records = perRun.records();
+    ASSERT_EQ(records.size(), 5u);
+    std::size_t ode = 0;
+    for (const RunLedger::Record &record : records)
+        ode += record.workload == RunLedger::Workload::Ode;
+    EXPECT_EQ(ode, systems.size());
 }
 
 } // namespace

@@ -208,18 +208,15 @@ TEST_P(FuzzEngine, RandomNetlistsNeverCrash)
         built.push_back(std::move(netlist));
     }
     ASSERT_FALSE(built.empty());
-    for (bool sparse : {true, false}) {
-        spice::TransientBatchOptions options;
-        options.sparse = sparse;
-        options.numThreads = 2;
-        auto results =
-            spice::TransientBatch(options).run(built, 0.0, 1e-8, 1e-9);
-        ASSERT_EQ(results.size(), built.size());
-        for (const auto &result : results) {
-            // ok() or structured failure — nothing else can escape.
-            if (!result.ok())
-                EXPECT_FALSE(result.failure->message.empty());
-        }
+    spice::TransientBatchOptions options;
+    options.numThreads = 2;
+    auto results =
+        spice::TransientBatch(options).run(built, 0.0, 1e-8, 1e-9);
+    ASSERT_EQ(results.size(), built.size());
+    for (const auto &result : results) {
+        // ok() or structured failure — nothing else can escape.
+        if (!result.ok())
+            EXPECT_FALSE(result.failure->message.empty());
     }
 }
 
@@ -229,7 +226,7 @@ TEST_P(FuzzEngine, RandomEnsembleDrawsNeverCrash)
     // (language -> graph -> compile -> Session::runEnsemble). Builder
     // rejections for out-of-range attributes are typed; everything
     // that compiles must come back ok or with a structured
-    // per-instance failure under structuredFaults.
+    // per-instance failure, or throw a typed error.
     lang::LanguageRegistry registry;
     registry.addProgram(R"(
         lang fuzzosc {
@@ -277,7 +274,6 @@ TEST_P(FuzzEngine, RandomEnsembleDrawsNeverCrash)
         options.sim.dt = rng.bernoulli(0.1) ? 0.0 : 1e-3;
         options.sim.maxSteps = 2000;
         options.sim.recordDt = 1e-2;
-        options.structuredFaults = true;
         options.numThreads = 2;
         try {
             auto results =
@@ -288,7 +284,8 @@ TEST_P(FuzzEngine, RandomEnsembleDrawsNeverCrash)
                     EXPECT_FALSE(result.failure->message.empty());
             }
         } catch (const ArkError &) {
-            // batch-level misconfiguration (e.g. dt == 0): typed.
+            // batch-level misconfiguration (e.g. dt == 0) or an
+            // instance's rethrown step collapse: typed.
         }
     }
 }

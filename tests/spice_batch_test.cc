@@ -210,18 +210,6 @@ TEST_F(SpiceBatchTest, BatchMatchesSerialOnMixedTopologies)
         EXPECT_LE(maxRelDeviation(serial, batched[i]), 1e-12)
             << "instance " << i;
     }
-
-    // The dense ablation path is the serial loop, parallelized:
-    // results must be bit-identical to serial dense.
-    TransientBatchOptions denseOptions;
-    denseOptions.sparse = false;
-    std::vector<TransientResult> denseBatch =
-        TransientBatch(denseOptions).run(netlists, 0.0, t1, dt);
-    for (std::size_t i = 0; i < netlists.size(); ++i) {
-        MnaSystem dense(*netlists[i]);
-        expectBitIdentical(transient(dense, 0.0, t1, dt),
-                           denseBatch[i]);
-    }
 }
 
 TEST_F(SpiceBatchTest, IdenticalInstancesShareFactorsExactly)
@@ -283,15 +271,6 @@ TEST_F(SpiceBatchTest, SingularInstanceFailsAloneStructurally)
     EXPECT_EQ(results[1].failure->reason,
               TransientAbort::SingularMatrix);
     EXPECT_FALSE(results[1].failure->message.empty());
-
-    // Same structured outcome through the dense ablation path.
-    TransientBatchOptions denseOptions;
-    denseOptions.sparse = false;
-    std::vector<TransientResult> dense =
-        TransientBatch(denseOptions).run(netlists, 0.0, 1e-8, 1e-11);
-    EXPECT_TRUE(dense[0].ok());
-    ASSERT_FALSE(dense[1].ok());
-    EXPECT_EQ(dense[1].failure->reason, TransientAbort::SingularMatrix);
 }
 
 TEST_F(SpiceBatchTest, UnstableInstanceReportsNonfiniteState)
@@ -527,46 +506,42 @@ TEST_F(SpiceBatchTest, MidSweepCancellationKeepsCompletedPrefix)
     std::vector<TransientResult> clean =
         TransientBatch().run(netlists, 0.0, 1e-8, 1e-11);
 
-    for (bool sparse : {true, false}) {
-        TransientBatchOptions options;
-        options.sparse = sparse;
-        options.numThreads = 1;
-        std::stop_source source;
-        options.stop = source.get_token();
-        std::vector<std::pair<std::size_t, std::size_t>> calls;
-        options.progress = [&](std::size_t done, std::size_t total) {
-            calls.emplace_back(done, total);
-            if (done == 3)
-                source.request_stop();
-        };
-        std::vector<TransientResult> results =
-            TransientBatch(options).run(netlists, 0.0, 1e-8, 1e-11);
-        ASSERT_EQ(results.size(), netlists.size());
+    TransientBatchOptions options;
+    options.numThreads = 1;
+    std::stop_source source;
+    options.stop = source.get_token();
+    std::vector<std::pair<std::size_t, std::size_t>> calls;
+    options.progress = [&](std::size_t done, std::size_t total) {
+        calls.emplace_back(done, total);
+        if (done == 3)
+            source.request_stop();
+    };
+    std::vector<TransientResult> results =
+        TransientBatch(options).run(netlists, 0.0, 1e-8, 1e-11);
+    ASSERT_EQ(results.size(), netlists.size());
 
-        std::size_t completed = 0, cancelled = 0;
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (results[i].ok()) {
-                ++completed;
-                if (sparse)
-                    expectIdenticalTransients(results[i], clean[i]);
-            } else {
-                ++cancelled;
-                EXPECT_EQ(results[i].failure->reason,
-                          TransientAbort::Cancelled);
-                EXPECT_EQ(results[i].size(), 0u);
-            }
+    std::size_t completed = 0, cancelled = 0;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (results[i].ok()) {
+            ++completed;
+            expectIdenticalTransients(results[i], clean[i]);
+        } else {
+            ++cancelled;
+            EXPECT_EQ(results[i].failure->reason,
+                      TransientAbort::Cancelled);
+            EXPECT_EQ(results[i].size(), 0u);
         }
-        EXPECT_EQ(completed, 3u) << "sparse=" << sparse;
-        EXPECT_EQ(cancelled, netlists.size() - 3);
-        // Progress still ticks once per instance, skipped included.
-        std::size_t prev = 0;
-        for (auto [done, total] : calls) {
-            EXPECT_EQ(total, netlists.size());
-            EXPECT_GT(done, prev);
-            prev = done;
-        }
-        EXPECT_EQ(prev, netlists.size());
     }
+    EXPECT_EQ(completed, 3u);
+    EXPECT_EQ(cancelled, netlists.size() - 3);
+    // Progress still ticks once per instance, skipped included.
+    std::size_t prev = 0;
+    for (auto [done, total] : calls) {
+        EXPECT_EQ(total, netlists.size());
+        EXPECT_GT(done, prev);
+        prev = done;
+    }
+    EXPECT_EQ(prev, netlists.size());
 }
 
 TEST_F(SpiceBatchTest, ExpiredDeadlineSkipsSweepStructurally)
@@ -578,19 +553,16 @@ TEST_F(SpiceBatchTest, ExpiredDeadlineSkipsSweepStructurally)
     for (const MappedTln &line : mapped)
         netlists.push_back(&line.netlist);
 
-    for (bool sparse : {true, false}) {
-        TransientBatchOptions options;
-        options.sparse = sparse;
-        options.deadline = std::chrono::steady_clock::now() -
-                           std::chrono::seconds(1);
-        std::vector<TransientResult> results =
-            TransientBatch(options).run(netlists, 0.0, 1e-8, 1e-11);
-        for (const TransientResult &result : results) {
-            ASSERT_FALSE(result.ok());
-            EXPECT_EQ(result.failure->reason,
-                      TransientAbort::DeadlineExceeded);
-            EXPECT_EQ(result.size(), 0u);
-        }
+    TransientBatchOptions options;
+    options.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    std::vector<TransientResult> results =
+        TransientBatch(options).run(netlists, 0.0, 1e-8, 1e-11);
+    for (const TransientResult &result : results) {
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.failure->reason,
+                  TransientAbort::DeadlineExceeded);
+        EXPECT_EQ(result.size(), 0u);
     }
 }
 
@@ -650,31 +622,21 @@ TEST_F(SpiceBatchTest, SerialTransientHonorsControl)
     EXPECT_EQ(timed.failure->reason, TransientAbort::DeadlineExceeded);
 }
 
-TEST_F(SpiceBatchTest, ValidationSweepParitySparseVsDense)
+TEST_F(SpiceBatchTest, ValidationSweepMapsEveryTrialUnderOnePercent)
 {
-    // Acceptance criterion at regression scale: the batched sparse
-    // §4.5 sweep reports the same mapped/RMSE statistics as the
-    // serial-equivalent dense path.
+    // Acceptance criterion at regression scale: every trial of the
+    // batched §4.5 sweep maps to a netlist and tracks the Ark dynamics
+    // within 1% RMSE. Per-netlist agreement with the serial dense
+    // transient is checked by SparseTransientMatchesDenseOnRandomTln.
     const lang::Language &gmc = registry_->language("gmc-tln");
-    apps::experiments::SpiceValidationOptions sparse;
-    sparse.sparse = true;
-    apps::experiments::SpiceValidationOptions dense;
-    dense.sparse = false;
-    apps::experiments::SpiceValidation viaSparse =
-        apps::experiments::runSpiceValidation(gmc, 12, 1, sparse);
-    apps::experiments::SpiceValidation viaDense =
-        apps::experiments::runSpiceValidation(gmc, 12, 1, dense);
-    EXPECT_EQ(viaSparse.total, viaDense.total);
-    EXPECT_EQ(viaSparse.mapped, viaDense.mapped);
-    EXPECT_EQ(viaSparse.mapped, viaSparse.total);
-    EXPECT_EQ(viaSparse.under1pct, viaDense.under1pct);
-    EXPECT_NEAR(viaSparse.meanRmse, viaDense.meanRmse, 1e-9);
-    EXPECT_NEAR(viaSparse.maxRmse, viaDense.maxRmse, 1e-9);
-    EXPECT_GT(viaSparse.spiceGroups, 0);
-    EXPECT_LE(viaSparse.spiceGroups, viaSparse.total);
-    // The structure count is a property of the sweep, not the path.
-    EXPECT_EQ(viaSparse.spiceGroups, viaDense.spiceGroups);
-    EXPECT_LT(viaSparse.maxRmse, 0.01);
+    apps::experiments::SpiceValidation report =
+        apps::experiments::runSpiceValidation(gmc, 12, 1);
+    EXPECT_EQ(report.total, 12);
+    EXPECT_EQ(report.mapped, report.total);
+    EXPECT_EQ(report.under1pct, report.total);
+    EXPECT_GT(report.spiceGroups, 0);
+    EXPECT_LE(report.spiceGroups, report.total);
+    EXPECT_LT(report.maxRmse, 0.01);
 }
 
 TEST_F(SpiceBatchTest, ValidationSweepIndependentOfThreadCount)
