@@ -10,8 +10,8 @@ namespace {
 
 /** In Builtin order, so builtinInfo() indexes it by id. */
 const std::vector<BuiltinInfo> builtinTable = {
-#define ARK_BUILTIN_INFO(Id, Name, Arity, CName, Expr)                  \
-    {Builtin::Id, Name, Arity, CName},
+#define ARK_BUILTIN_INFO(Id, Name, Arity, Par, CName, Expr)             \
+    {Builtin::Id, Name, Arity, Parity::Par, CName},
     ARK_BUILTINS(ARK_BUILTIN_INFO)
 #undef ARK_BUILTIN_INFO
 };
@@ -93,7 +93,7 @@ evalBuiltin(Builtin id, const double *args, int count)
 {
     // An operand slot past the row's arity reads A, never args[1..2].
     switch (id) {
-#define ARK_BUILTIN_EVAL(Id, Name, Arity, CName, Expr)                  \
+#define ARK_BUILTIN_EVAL(Id, Name, Arity, Par, CName, Expr)             \
       case Builtin::Id: {                                               \
         [[maybe_unused]] const double A = args[0];                      \
         [[maybe_unused]] const double B = Arity > 1 ? args[1] : A;      \

@@ -21,14 +21,15 @@
  * descriptor table, evalBuiltin() and the lane interpreter's CallB
  * each expand it. A row is
  *
- *   ROW(Id, name, Arity, cName, Expr)
+ *   ROW(Id, name, Arity, Parity, cName, Expr)
  *
  * Id is the Builtin enumerator, `name` the spelling in Ark source,
- * Arity the argument count, `cName` the C function a JIT kernel calls
- * (math.h or an emitted ark_* helper) with the arguments in order,
- * and Expr the value over the arguments A, B and C (the first Arity
- * are read), spelled with the <cmath> functions (a file expanding
- * Expr includes <cmath>) and the helpers declared below.
+ * Arity the argument count, Parity the row's Parity enumerator (see
+ * below), `cName` the C function a JIT kernel calls (math.h or an
+ * emitted ark_* helper) with the arguments in order, and Expr the
+ * value over the arguments A, B and C (the first Arity are read),
+ * spelled with the <cmath> functions (a file expanding Expr includes
+ * <cmath>) and the helpers declared below.
  *
  * Row order is the Builtin numbering, which the JIT kernel cache key
  * (engine::kernelKey) hashes through CallB's payload; moving a row or
@@ -36,26 +37,37 @@
  * Expr must compute what the cName function computes, bit for bit
  * (jit_test checks every builtin).
  *
+ * Parity is Odd when f(-x) is -f(x) and Even when f(-x) is f(x), for
+ * every non-NaN x and bit for bit, in both Expr and the cName function
+ * on the host's libm; None claims nothing. The tape compiler rewrites
+ * on it (expr/fusedtape.h), so marking a row Odd or Even is a claim
+ * about the host libm that TapeIsaTest.ParityRowsAreBitwiseSymmetric
+ * (jit_test) checks through every evaluator; on a libm where it fails,
+ * set the row it names to None. sat is None although it is odd in
+ * real arithmetic (|x+1| and |x-1| round asymmetrically), and sgn is
+ * None because it maps -0 to +0.
+ *
  *   sat     standard CNN saturation, 0.5*(|x+1| - |x-1|);
  *   sat_ni  non-ideal saturation, tanh(1.2 x)/tanh(1.2);
  *   pulse   pulse(t, t0, w), a trapezoidal pulse of unit amplitude.
  */
 #define ARK_BUILTINS(ROW)                                              \
-    ROW(Sin, "sin", 1, "sin", std::sin(A))                             \
-    ROW(Cos, "cos", 1, "cos", std::cos(A))                             \
-    ROW(Tan, "tan", 1, "tan", std::tan(A))                             \
-    ROW(Exp, "exp", 1, "exp", std::exp(A))                             \
-    ROW(Log, "log", 1, "log", std::log(A))                             \
-    ROW(Sqrt, "sqrt", 1, "sqrt", std::sqrt(A))                         \
-    ROW(Abs, "abs", 1, "fabs", std::fabs(A))                           \
-    ROW(Tanh, "tanh", 1, "tanh", std::tanh(A))                         \
-    ROW(Sgn, "sgn", 1, "ark_sgn", A > 0.0 ? 1.0 : (A < 0.0 ? -1.0 : 0.0)) \
-    ROW(Min, "min", 2, "ark_min", minFn(A, B))                         \
-    ROW(Max, "max", 2, "ark_max", maxFn(A, B))                         \
-    ROW(Pow, "pow", 2, "pow", std::pow(A, B))                          \
-    ROW(Sat, "sat", 1, "ark_sat", satFn(A))                            \
-    ROW(SatNi, "sat_ni", 1, "ark_sat_ni", satNiFn(A))                  \
-    ROW(Pulse, "pulse", 3, "ark_pulse", pulseFn(A, B, C))
+    ROW(Sin, "sin", 1, Odd, "sin", std::sin(A))                        \
+    ROW(Cos, "cos", 1, Even, "cos", std::cos(A))                       \
+    ROW(Tan, "tan", 1, Odd, "tan", std::tan(A))                        \
+    ROW(Exp, "exp", 1, None, "exp", std::exp(A))                       \
+    ROW(Log, "log", 1, None, "log", std::log(A))                       \
+    ROW(Sqrt, "sqrt", 1, None, "sqrt", std::sqrt(A))                   \
+    ROW(Abs, "abs", 1, Even, "fabs", std::fabs(A))                     \
+    ROW(Tanh, "tanh", 1, Odd, "tanh", std::tanh(A))                    \
+    ROW(Sgn, "sgn", 1, None, "ark_sgn",                                \
+        A > 0.0 ? 1.0 : (A < 0.0 ? -1.0 : 0.0))                        \
+    ROW(Min, "min", 2, None, "ark_min", minFn(A, B))                   \
+    ROW(Max, "max", 2, None, "ark_max", maxFn(A, B))                   \
+    ROW(Pow, "pow", 2, None, "pow", std::pow(A, B))                    \
+    ROW(Sat, "sat", 1, None, "ark_sat", satFn(A))                      \
+    ROW(SatNi, "sat_ni", 1, Odd, "ark_sat_ni", satNiFn(A))             \
+    ROW(Pulse, "pulse", 3, None, "ark_pulse", pulseFn(A, B, C))
 
 namespace ark::expr {
 
@@ -66,12 +78,17 @@ enum class Builtin : std::uint8_t {
 #undef ARK_BUILTIN_ENUMERATOR
 };
 
+/** A builtin's symmetry under negating its argument (the Parity
+ *  column of ARK_BUILTINS). */
+enum class Parity : std::uint8_t { None, Odd, Even };
+
 /** Descriptor for one builtin function. */
 struct BuiltinInfo
 {
     Builtin id;
     const char *name;
     int arity;
+    Parity parity;
     /** The C function a JIT kernel calls (math.h or an emitted
      *  ark_* helper), with the builtin's arguments in order. */
     const char *cName;

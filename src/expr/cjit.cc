@@ -110,10 +110,17 @@ runCommand(const std::string &cmd)
  * tests/jit_test.cc holds the kernels to bit-identity either way.
  * (Hosts whose cc rejects -march=native fail the toolchain probe and
  * stay on the interpreted tiers.)
+ *
+ * -fno-tree-slp-vectorize: GCC 12's straight-line (SLP) vectorizer
+ * packs an alternating pair of statements a*b + c and d*e - f into one
+ * vfmsubadd even under -ffp-contract=off, rounding each product into
+ * its sum once where the tape rounds twice. Four-vertex obc max-cut
+ * programs hit it at W=1 (ObcTest.MaxcutProgramsCarryOneSinPerEdge);
+ * the lane loops still vectorize.
  */
 constexpr const char *kCompileFlags =
-    "-O2 -march=native -ftree-vectorize -funroll-loops -fPIC -shared "
-    "-fno-fast-math -ffp-contract=off";
+    "-O2 -march=native -ftree-vectorize -fno-tree-slp-vectorize "
+    "-funroll-loops -fPIC -shared -fno-fast-math -ffp-contract=off";
 
 /** True when `compiler` can produce a loadable kernel end to end. */
 bool

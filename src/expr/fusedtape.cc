@@ -187,6 +187,7 @@ class Fuser
         int a, b, c;   ///< Value-id operands (LoadState: a = state slot).
         double imm;
         int slot = -1; ///< Template slot of a Const (imm is a placeholder).
+        bool constFree = false; ///< Reads no Const, even through operands.
     };
 
     explicit Fuser(const std::vector<ExprPtr> &slots)
@@ -231,8 +232,9 @@ class Fuser
     }
 
     /**
-     * Interns a value, folding constants and exact identities. A
-     * template slot (`slot` >= 0) is a Const keyed by its index alone.
+     * Interns a value, folding constants and exact identities, then
+     * applying the sign and parity identities. A template slot
+     * (`slot` >= 0) is a Const keyed by its index alone.
      */
     int
     intern(OpCode op, Builtin builtin, int a, int b, int c, double imm,
@@ -245,6 +247,8 @@ class Fuser
             ++hits;
             return folded;
         }
+        if (int canonical = trySign(op, builtin, a, b); canonical >= 0)
+            return canonical;
 
         ValKey key{op, builtin, a, b, c,
                    op == OpCode::Const && slot < 0
@@ -256,10 +260,83 @@ class Fuser
             ++hits;
             return it->second;
         }
+        bool constFree = op != OpCode::Const;
+        if (op != OpCode::LoadTime && op != OpCode::LoadState)
+            for (int operand : {a, b, c})
+                if (operand >= 0)
+                    constFree = constFree && val(operand).constFree;
         int id = static_cast<int>(vals.size());
-        vals.push_back(Val{op, builtin, a, b, c, imm, slot});
+        vals.push_back(Val{op, builtin, a, b, c, imm, slot, constFree});
         interned_.emplace(key, id);
         return id;
+    }
+
+    const Val &val(int id) const
+    {
+        return vals[static_cast<std::size_t>(id)];
+    }
+
+    /** The operand of a Neg value, or -1 for any other value. */
+    int
+    negated(int id) const
+    {
+        return val(id).op == OpCode::Neg ? val(id).a : -1;
+    }
+
+    /**
+     * Returns the id of the value the sign and parity identities (see
+     * the file header of fusedtape.h) rewrite the operation to, or -1
+     * when none applies. A Neg moves out of every operand it can leave
+     * exactly, so a term and its mirror lower to one value and a Neg.
+     */
+    int
+    trySign(OpCode op, Builtin builtin, int a, int b)
+    {
+        switch (op) {
+          case OpCode::Neg:
+            return negated(a);
+          case OpCode::Add:
+            if (int y = negated(b); y >= 0)
+                return intern(OpCode::Sub, Builtin::Sin, a, y, -1, 0.0);
+            if (int y = negated(a); y >= 0)
+                return intern(OpCode::Sub, Builtin::Sin, b, y, -1, 0.0);
+            return -1;
+          case OpCode::Sub:
+            if (int y = negated(b); y >= 0)
+                return intern(OpCode::Add, Builtin::Sin, a, y, -1, 0.0);
+            return -1;
+          case OpCode::Mul:
+          case OpCode::Div: {
+            int x = negated(a), y = negated(b);
+            if (x < 0 && y < 0)
+                return -1;
+            int plain = intern(op, Builtin::Sin, x >= 0 ? x : a,
+                               y >= 0 ? y : b, -1, 0.0);
+            return x >= 0 && y >= 0
+                       ? plain
+                       : intern(OpCode::Neg, Builtin::Sin, plain, -1, -1,
+                                0.0);
+          }
+          case OpCode::CallB:
+            break;
+          default:
+            return -1;
+        }
+        const Parity parity = builtinInfo(builtin).parity;
+        if (parity == Parity::None)
+            return -1;
+        int x = negated(a);
+        if (x < 0) {
+            const Val &diff = val(a);
+            if (diff.op != OpCode::Sub || diff.a <= diff.b ||
+                !val(diff.a).constFree || !val(diff.b).constFree)
+                return -1;
+            x = intern(OpCode::Sub, Builtin::Sin, diff.b, diff.a, -1, 0.0);
+        }
+        int call = intern(OpCode::CallB, builtin, x, -1, -1, 0.0);
+        return parity == Parity::Odd
+                   ? intern(OpCode::Neg, Builtin::Sin, call, -1, -1, 0.0)
+                   : call;
     }
 
     /**

@@ -22,13 +22,29 @@
  *    comparison;
  *  - constant folding and exact algebraic identities (x+0, x*1, x/1)
  *    over the value graph;
+ *  - exact sign and parity identities, applied after those, so a
+ *    mirrored term lowers to the value it mirrors (a Kuramoto edge's
+ *    sin(var(s)-var(t)) and sin(-var(s)+var(t)) cost one sin):
+ *      -(-x) → x;  x + (-y) → x - y;  x - (-y) → x + y;
+ *      (-x)*y, x*(-y) → -(x*y);  (-x)/y, x/(-y) → -(x/y);
+ *      odd f (Parity::Odd in expr/builtins.h): f(-x) → -f(x), and
+ *      f(b - a) → -f(a - b);  even f: f(-x) → f(x), f(b - a) → f(a - b);
+ *    where a difference is reordered only when b's value id is the
+ *    larger and neither operand reads a Const (ids order such values
+ *    alike in a template and in a value-specialised compile; constants
+ *    merge differently in the two). A bare difference outside an odd
+ *    or even call stays as written, since linear couplings reach exact
+ *    zeros at rest states. Each identity is exact bit for bit except
+ *    that at a == b the odd rewrite returns -0 where f(b - a) is +0,
+ *    and a NaN result may differ in sign or payload;
  *  - liveness-based register allocation: SSA values are mapped onto a
  *    small reusable register file via last-use linear scan, keeping
  *    the working set cache-resident even for large systems.
  *
  * Each op evaluates by its ARK_TAPE_OPS row, so fused evaluation is
  * numerically identical to evaluating each expression on its own (up
- * to the sign of zero under the x+0 identity).
+ * to the sign of zero under the x+0 and odd-difference identities,
+ * and the sign or payload of a NaN).
  *
  * compile(outputs, false, slots) compiles a *template*: each subtree
  * slots[j] (a parameter-only subtree the compiler hoisted, see

@@ -156,7 +156,7 @@ LaneTape::broadcast(const FusedTape &tape, std::size_t lanes)
 // builtin table (CallB packs a builtin's operands from slot a).
 #define ARK_LANE_ROW(Name, Arity, Expr)                                 \
     case OpCode::Name: ARK_LANE_LOOP(Arity, Expr)
-#define ARK_LANE_BUILTIN(Id, Name, Arity, CName, Expr)                  \
+#define ARK_LANE_BUILTIN(Id, Name, Arity, Par, CName, Expr)             \
     case Builtin::Id: ARK_LANE_LOOP(Arity, Expr)
 
 template <int W>

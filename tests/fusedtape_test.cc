@@ -1,18 +1,22 @@
 /**
  * @file
  * Tests for the fused whole-system tape: multi-output correctness,
- * cross-equation CSE, constant folding, register reuse, error
- * handling, and a randomized equivalence property against the
- * tree-walking interpreter and one-output tapes per equation across
- * real TLN/OBC/CNN systems.
+ * cross-equation CSE, constant folding, the sign and parity
+ * identities, register reuse, error handling, and a randomized
+ * equivalence property against the tree-walking interpreter and
+ * one-output tapes per equation across real TLN/OBC/CNN systems.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 
 #include "compiler/compiler.h"
+#include "expr/eval.h"
 #include "expr/fusedtape.h"
 #include "paradigms/cnn.h"
 #include "paradigms/obc.h"
@@ -108,6 +112,109 @@ TEST(FusedTapeTest, IdentityRewritesAreExact)
     std::vector<double> got = fused.evalAlloc(state, 0.0);
     for (double v : got)
         EXPECT_DOUBLE_EQ(v, 3.25);
+}
+
+TEST(FusedTapeTest, MirroredCallsLowerOnce)
+{
+    // One program over every sign and parity identity: a mirrored odd
+    // call lowers to a Neg of its twin, a mirrored even call to the
+    // twin itself, and a Neg leaves sums, differences, products and
+    // quotients.
+    const ExprPtr x = Expr::stateVar(0), y = Expr::stateVar(1);
+    auto neg = [](const ExprPtr &e) {
+        return Expr::unary(expr::UnOp::Neg, e);
+    };
+    auto call = [](const char *f, const ExprPtr &e) {
+        return Expr::call(f, {e});
+    };
+    const ExprPtr xy = Expr::binary(BinOp::Sub, x, y);
+    const ExprPtr yx = Expr::binary(BinOp::Sub, y, x);
+    const std::vector<ExprPtr> outputs{
+        call("sin", xy),
+        call("sin", yx),
+        call("sin", neg(x)),
+        call("cos", yx),
+        call("abs", xy),
+        Expr::binary(BinOp::Add, x, neg(y)),
+        Expr::binary(BinOp::Sub, x, neg(y)),
+        Expr::binary(BinOp::Mul, neg(x), y),
+        Expr::binary(BinOp::Div, x, neg(y)),
+        neg(neg(x)),
+    };
+    const FusedTape fused = FusedTape::compile(outputs);
+    std::size_t calls = 0;
+    for (const expr::TapeOp &op : fused.ops())
+        calls += op.op == expr::OpCode::CallB;
+    // sin(x - y), sin(x), cos(x - y) and abs(x - y).
+    EXPECT_EQ(calls, 4u);
+    // Two loads, x - y, the four calls, -sin(x - y), -sin(x), x + y,
+    // x*y, x/y and their two Negs (x + (-y) is x - y and -(-x) is x):
+    // 14 values and 10 WriteOutputs.
+    EXPECT_EQ(fused.size(), 24u);
+
+    auto tree = [&outputs](const std::vector<double> &state) {
+        expr::EvalContext ctx;
+        ctx.lookupState = [&state](int i) {
+            return state[static_cast<std::size_t>(i)];
+        };
+        std::vector<double> out;
+        for (const ExprPtr &e : outputs)
+            out.push_back(expr::evalReal(e, ctx));
+        return out;
+    };
+    support::Rng rng(20);
+    for (int trial = 0; trial < 1000; ++trial) {
+        const std::vector<double> state{rng.uniform(-4.0, 4.0),
+                                        rng.uniform(-4.0, 4.0)};
+        const std::vector<double> got = fused.evalAlloc(state, 0.0);
+        const std::vector<double> want = tree(state);
+        for (std::size_t k = 0; k < outputs.size(); ++k)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                      std::bit_cast<std::uint64_t>(want[k]))
+                << outputs[k]->str() << " at x=" << state[0]
+                << " y=" << state[1];
+    }
+
+    // At x == y, sin(y - x) is -sin(+0) = -0 where the tree computes
+    // sin(+0) = +0: equal, but not bit for bit.
+    const std::vector<double> tie{0.625, 0.625};
+    const std::vector<double> got = fused.evalAlloc(tie, 0.0);
+    const std::vector<double> want = tree(tie);
+    for (std::size_t k = 0; k < outputs.size(); ++k)
+        EXPECT_EQ(got[k], want[k]) << outputs[k]->str();
+    EXPECT_TRUE(std::signbit(got[1]));
+    EXPECT_FALSE(std::signbit(want[1]));
+}
+
+TEST(FusedTapeTest, DifferencesWithConstantsKeepTheirOrder)
+{
+    // Equal constants merge in a value-specialised compile and stay
+    // apart as template slots, so value ids order a Const differently
+    // in the two. sin(x - c) is therefore never reordered, and a bound
+    // template still matches the direct compile bit for bit, at the
+    // tie x == c and on a NaN state included.
+    const double c = 2.5;
+    const ExprPtr x = Expr::stateVar(0), y = Expr::stateVar(1);
+    auto program = [&](const ExprPtr &k, const ExprPtr &offset) {
+        return std::vector<ExprPtr>{
+            Expr::binary(BinOp::Mul, k, y),
+            Expr::call("sin", {Expr::binary(BinOp::Sub, x, offset)})};
+    };
+    const ExprPtr p = Expr::param(0), q = Expr::param(1);
+    const FusedTape bound =
+        FusedTape::compile(program(p, q), false, {p, q}).bind({c, c});
+    const FusedTape direct =
+        FusedTape::compile(program(Expr::real(c), Expr::real(c)));
+    for (double state0 : {c, std::numeric_limits<double>::quiet_NaN(),
+                          -0.75}) {
+        const std::vector<double> state{state0, 1.5};
+        const std::vector<double> a = bound.evalAlloc(state, 0.0);
+        const std::vector<double> b = direct.evalAlloc(state, 0.0);
+        for (std::size_t k = 0; k < a.size(); ++k)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a[k]),
+                      std::bit_cast<std::uint64_t>(b[k]))
+                << "output " << k << " at x=" << state0;
+    }
 }
 
 TEST(FusedTapeTest, RegisterReuseKeepsFileSmall)

@@ -3,7 +3,8 @@
  * Tests for JIT native kernel execution (expr/cjit.h +
  * engine/jit.h): the C emitter, every tape opcode and builtin on
  * special values through the oracle, the lane interpreter and the
- * kernel, the kernel-vs-interpreter bit-identity
+ * kernel, the bitwise symmetry of the builtins marked odd or even,
+ * the kernel-vs-interpreter bit-identity
  * property across random TLN/OBC/CNN programs at every lane width
  * (with and without FMA contraction), per-lane constant delivery
  * through merged tapes, ensemble-level bit-identity with the JIT on
@@ -360,6 +361,130 @@ TEST(TapeIsaTest, EveryOpcodeAndBuiltinAgreesOnSpecialValues)
     for (const expr::BuiltinInfo &info : expr::allBuiltins())
         EXPECT_TRUE(builtinSeen[static_cast<std::size_t>(info.id)])
             << info.name << " is not exercised";
+}
+
+/**
+ * Arguments for the parity check: the special-value grid, 32 ulps
+ * either side of glibc's argument-range boundaries for sin/cos and
+ * tanh, huge and subnormal magnitudes, ordinary reals and random bit
+ * patterns.
+ */
+std::vector<double>
+parityInputs()
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    std::vector<double> inputs{0.0,  -0.0,  1.0,    -1.0,  0.5,
+                               -2.5, inf,   -inf,   nan,   -nan,
+                               tiny, -tiny, 1e-320, 1e300, -1e300,
+                               std::numeric_limits<double>::max(),
+                               std::numeric_limits<double>::min(),
+                               1e22, 0x1p63, 0x1p1023};
+    // High words of 2^-27, 2^-26, 0.855469, 2.426265 and 105414350
+    // (sin/cos), and of 2^-55, 1 and 22 (tanh).
+    for (std::uint64_t high : {0x3e400000ull, 0x3e500000ull, 0x3feb6000ull,
+                               0x400368fdull, 0x419921fbull, 0x3c800000ull,
+                               0x3ff00000ull, 0x40360000ull})
+        for (std::int64_t ulps = -32; ulps <= 32; ++ulps)
+            inputs.push_back(std::bit_cast<double>(
+                (high << 32) + static_cast<std::uint64_t>(ulps)));
+    support::Rng rng(2309);
+    for (int i = 0; i < 2000; ++i) {
+        const auto exponent = static_cast<int>(rng.uniformInt(27, 1023));
+        inputs.push_back(std::ldexp(rng.uniform(1.0, 2.0), exponent));
+        inputs.push_back(std::bit_cast<double>(
+            rng.nextU64() & ((std::uint64_t{1} << 52) - 1)));
+        inputs.push_back(rng.uniform(-8.0, 8.0));
+    }
+    for (int i = 0; i < 20000; ++i)
+        inputs.push_back(std::bit_cast<double>(rng.nextU64()));
+    return inputs;
+}
+
+TEST(TapeIsaTest, ParityRowsAreBitwiseSymmetric)
+{
+    // A row marked Odd or Even lets the tape compiler rewrite f(-x) as
+    // -f(x) or f(x) (expr/builtins.h). That is a claim about the host
+    // libm, checked here through every evaluator: the oracle, the lane
+    // interpreter at W = 1 and W = 8 and, given a toolchain, the JIT
+    // kernel. A failure names the row; on such a libm, set the row's
+    // Parity to None.
+    std::vector<const expr::BuiltinInfo *> rows;
+    std::vector<ExprPtr> outputs;
+    for (const expr::BuiltinInfo &info : expr::allBuiltins()) {
+        if (info.parity == expr::Parity::None)
+            continue;
+        ASSERT_EQ(info.arity, 1) << info.name;
+        rows.push_back(&info);
+        outputs.push_back(Expr::call(info.name, {Expr::stateVar(0)}));
+    }
+    ASSERT_FALSE(rows.empty());
+    const std::vector<double> inputs = parityInputs();
+
+    std::vector<std::size_t> failures(rows.size(), 0);
+    auto expectSymmetric = [&](const char *tier, std::size_t r, double x,
+                               double fx, double fnx) {
+        const double want =
+            rows[r]->parity == expr::Parity::Odd ? -fx : fx;
+        if (sameBits(fnx, want) || ++failures[r] > 5)
+            return;
+        ADD_FAILURE() << rows[r]->name << " is not bitwise "
+                      << (rows[r]->parity == expr::Parity::Odd ? "odd"
+                                                               : "even")
+                      << " in the " << tier << " at x=" << std::hexfloat
+                      << x << ": f(x)=" << fx << ", f(-x)=" << fnx;
+    };
+
+    for (std::size_t r = 0; r < rows.size(); ++r)
+        for (double x : inputs) {
+            const double nx = -x;
+            expectSymmetric("oracle", r, x,
+                            expr::evalBuiltin(rows[r]->id, &x, 1),
+                            expr::evalBuiltin(rows[r]->id, &nx, 1));
+        }
+
+    const FusedTape fused = FusedTape::compile(outputs);
+    const std::size_t n = outputs.size();
+    for (std::size_t lanes : {1u, 8u}) {
+        const LaneTape tape = LaneTape::broadcast(fused, lanes);
+        expr::JitKernelPtr kernel;
+        if (expr::jitToolchainAvailable()) {
+            kernel = expr::compileKernel(tape, "");
+            ASSERT_NE(kernel, nullptr) << "width " << lanes;
+        }
+        std::vector<double> x(lanes), nx(lanes), fx(n * lanes),
+            fnx(n * lanes), regs(tape.scratchSize());
+        auto check = [&](const char *tier, std::size_t first) {
+            for (std::size_t r = 0; r < n; ++r)
+                for (std::size_t l = 0;
+                     l < lanes && first + l < inputs.size(); ++l)
+                    expectSymmetric(tier, r, x[l], fx[r * lanes + l],
+                                    fnx[r * lanes + l]);
+        };
+        for (std::size_t first = 0; first < inputs.size();
+             first += lanes) {
+            for (std::size_t l = 0; l < lanes; ++l) {
+                x[l] = inputs[first + l < inputs.size() ? first + l
+                                                        : first];
+                nx[l] = -x[l];
+            }
+            tape.evalInto(x.data(), 0.0, fx.data(), regs.data());
+            tape.evalInto(nx.data(), 0.0, fnx.data(), regs.data());
+            check(lanes == 1 ? "interpreter W=1" : "interpreter W=8",
+                  first);
+            if (kernel == nullptr)
+                continue;
+            kernel->call(x.data(), 0.0, fx.data(),
+                         tape.constants().data());
+            kernel->call(nx.data(), 0.0, fnx.data(),
+                         tape.constants().data());
+            check(lanes == 1 ? "kernel W=1" : "kernel W=8", first);
+        }
+    }
+    for (std::size_t r = 0; r < rows.size(); ++r)
+        EXPECT_EQ(failures[r], 0u)
+            << rows[r]->name << ": set its Parity to None on this libm";
 }
 
 /**

@@ -2,7 +2,8 @@
  * @file
  * OBC paradigm tests: Kuramoto synchronization physics, SHIL phase
  * binarization, max-cut decoding, brute-force baseline, the offset
- * nonideality, and intercon-obc interconnect restrictions.
+ * nonideality, one sine per coupling in the compiled programs, and
+ * intercon-obc interconnect restrictions.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include "compiler/compiler.h"
 #include "engine/cache.h"
 #include "engine/session.h"
+#include "expr/cjit.h"
+#include "expr/lanetape.h"
 #include "paradigms/obc.h"
 #include "paradigms/standard.h"
 #include "sim/sim.h"
@@ -279,6 +282,79 @@ TEST_F(ObcTest, ParallelFrontEndMatchesSerialRecomposition)
                           std::bit_cast<std::uint64_t>(expected))
                     << "offset " << withOffset << " trial " << trial
                     << " oscillator " << v;
+            }
+        }
+    }
+}
+
+TEST_F(ObcTest, MaxcutProgramsCarryOneSinPerEdge)
+{
+    // An edge gives its endpoints sin(var(s)-var(t)) and
+    // sin(-var(s)+var(t)); the second lowers to a Neg of the first, so
+    // every four-vertex program, on obc and on ofs-obc, calls sin once
+    // per vertex (its SHIL term) and once per edge. It still matches
+    // the tree interpreter and, given a toolchain, the JIT kernel at
+    // W = 1 and W = 8 bit for bit.
+    const std::vector<std::pair<int, int>> pairs{{0, 1}, {0, 2}, {0, 3},
+                                                 {1, 2}, {1, 3}, {2, 3}};
+    const bool jit = expr::jitToolchainAvailable();
+    support::Rng rng(64);
+    auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    for (bool withOffset : {false, true}) {
+        const lang::Language &language = withOffset ? ofs() : obc();
+        for (unsigned mask = 0; mask < 64; ++mask) {
+            pobc::MaxcutInstance instance;
+            instance.numVertices = 4;
+            for (std::size_t e = 0; e < pairs.size(); ++e)
+                if ((mask >> e) & 1u)
+                    instance.edges.push_back(pairs[e]);
+            pobc::MaxcutSpec spec;
+            spec.withOffset = withOffset;
+            spec.seed = mask + 1;
+            spec.initPhases = {0.3, 1.0, 3.0, 6.0};
+            const compiler::OdeSystem system = compiler::compile(
+                pobc::buildMaxcut(language, instance, spec), language);
+            const expr::FusedTape &fused = system.fusedTape();
+            std::size_t sines = 0;
+            for (const expr::TapeOp &op : fused.ops())
+                sines += op.op == expr::OpCode::CallB &&
+                         op.builtin == expr::Builtin::Sin;
+            EXPECT_EQ(sines, 4 + instance.edges.size())
+                << "offset " << withOffset << " edge set " << mask;
+
+            const std::size_t n = system.size();
+            std::vector<double> state(n), tape(n), tree(n);
+            std::vector<double> scratch = system.makeScratch();
+            for (int trial = 0; trial < 4; ++trial) {
+                for (double &phase : state)
+                    phase = rng.uniform(0.0, 2.0 * kPi);
+                system.evalRhs(state.data(), 0.0, tape.data(), scratch);
+                system.evalRhsInterpreted(state.data(), 0.0, tree.data());
+                for (std::size_t i = 0; i < n; ++i)
+                    EXPECT_EQ(bits(tape[i]), bits(tree[i]))
+                        << "offset " << withOffset << " edge set "
+                        << mask << " output " << i;
+            }
+
+            if (!jit)
+                continue;
+            for (std::size_t lanes : {1u, 8u}) {
+                const expr::LaneTape lane =
+                    expr::LaneTape::broadcast(fused, lanes);
+                expr::JitKernelPtr kernel = expr::compileKernel(lane, "");
+                ASSERT_NE(kernel, nullptr);
+                std::vector<double> block(n * lanes), interpreted(n * lanes),
+                    compiled(n * lanes), regs(lane.scratchSize());
+                for (double &phase : block)
+                    phase = rng.uniform(0.0, 2.0 * kPi);
+                lane.evalInto(block.data(), 0.0, interpreted.data(),
+                              regs.data());
+                kernel->call(block.data(), 0.0, compiled.data(),
+                             lane.constants().data());
+                for (std::size_t i = 0; i < n * lanes; ++i)
+                    EXPECT_EQ(bits(compiled[i]), bits(interpreted[i]))
+                        << "offset " << withOffset << " edge set "
+                        << mask << " width " << lanes << " slot " << i;
             }
         }
     }

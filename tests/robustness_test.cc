@@ -215,8 +215,9 @@ TEST_P(FuzzEngine, RandomNetlistsNeverCrash)
     ASSERT_EQ(results.size(), built.size());
     for (const auto &result : results) {
         // ok() or structured failure — nothing else can escape.
-        if (!result.ok())
+        if (!result.ok()) {
             EXPECT_FALSE(result.failure->message.empty());
+        }
     }
 }
 
@@ -280,8 +281,9 @@ TEST_P(FuzzEngine, RandomEnsembleDrawsNeverCrash)
                 session.runEnsemble(systems, 0.0, 1.0, options);
             ASSERT_EQ(results.size(), systems.size());
             for (const auto &result : results) {
-                if (!result.ok())
+                if (!result.ok()) {
                     EXPECT_FALSE(result.failure->message.empty());
+                }
             }
         } catch (const ArkError &) {
             // batch-level misconfiguration (e.g. dt == 0) or an
