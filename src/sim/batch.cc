@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
@@ -68,8 +67,6 @@ struct VoteStats
     }
 };
 
-using Deadline = std::optional<std::chrono::steady_clock::time_point>;
-
 /**
  * When a driver records a sample. All lanes of a block share one time
  * grid, so one gate serves the whole block. A time already recorded
@@ -100,10 +97,10 @@ struct RecordGate
 constexpr unsigned kMaxPoolThreads = 64;
 
 /*
- * Failure constructors: every driver and skip path builds its reports
- * here, so one event reads the same at any lane width. `var` -1 means
- * "not variable-specific" (e.g. a nonfinite Dopri5 error estimate with
- * every state entry still finite).
+ * Failure constructors: every driver builds its reports here, so one
+ * event reads the same at any lane width. `var` -1 means "not
+ * variable-specific" (e.g. a nonfinite Dopri5 error estimate with every
+ * state entry still finite).
  */
 
 SimFailure
@@ -125,17 +122,6 @@ divergedFailure(const compiler::OdeSystem &system, int var, double t,
 }
 
 SimFailure
-cancelledFailure(double t, std::size_t steps)
-{
-    SimFailure failure;
-    failure.reason = AbortReason::Cancelled;
-    failure.step = steps;
-    failure.time = t;
-    failure.message = cat("cancelled at t=", t);
-    return failure;
-}
-
-SimFailure
 budgetFailure(double t, std::size_t steps)
 {
     SimFailure failure;
@@ -145,40 +131,6 @@ budgetFailure(double t, std::size_t steps)
     failure.message =
         cat("step budget exhausted after step ", steps, " at t=", t);
     return failure;
-}
-
-SimFailure
-deadlineFailure(double t, std::size_t steps)
-{
-    SimFailure failure;
-    failure.reason = AbortReason::DeadlineExceeded;
-    failure.step = steps;
-    failure.time = t;
-    failure.message = cat("deadline exceeded at t=", t);
-    return failure;
-}
-
-SimResult
-cancelledResult(double t)
-{
-    SimResult result;
-    result.failure = cancelledFailure(t, 0);
-    return result;
-}
-
-SimResult
-deadlineResult(double t)
-{
-    SimResult result;
-    result.failure = deadlineFailure(t, 0);
-    return result;
-}
-
-bool
-deadlinePassed(const Deadline &deadline)
-{
-    return deadline &&
-           std::chrono::steady_clock::now() >= *deadline;
 }
 
 /** First nonfinite entry of a (lane-strided) column, or -1. */
@@ -267,9 +219,7 @@ std::vector<SimResult>
 runLaneRk4(BlockEvaluator &rhs,
            const std::vector<const std::vector<double> *> &initials,
            const std::vector<const compiler::OdeSystem *> &systems,
-           double t0, double t1, const SimOptions &options,
-           const std::stop_token &stop, const Deadline &deadline,
-           const std::function<void(std::size_t)> &laneDone)
+           double t0, double t1, const SimOptions &options)
 {
     const expr::LaneTape &tape = rhs.tape();
     const std::size_t lanes = tape.lanes();
@@ -303,7 +253,6 @@ runLaneRk4(BlockEvaluator &rhs,
             alive[l] = 0;
             --aliveCount;
             ++stats.retirements;
-            laneDone(1);
         }
     };
     retireDiverged(t0, 0);
@@ -355,19 +304,6 @@ runLaneRk4(BlockEvaluator &rhs,
                 results[l].steps = steps;
                 results[l].failure = budgetFailure(t, steps);
             }
-            laneDone(aliveCount);
-            return results;
-        }
-        if (stop.stop_requested() || deadlinePassed(deadline)) {
-            const bool cancel = stop.stop_requested();
-            for (std::size_t l = 0; l < lanes; ++l) {
-                if (!alive[l])
-                    continue;
-                results[l].steps = steps;
-                results[l].failure = cancel ? cancelledFailure(t, steps)
-                                            : deadlineFailure(t, steps);
-            }
-            laneDone(aliveCount);
             return results;
         }
         for (std::size_t j = 0; j < m; ++j)
@@ -396,7 +332,6 @@ runLaneRk4(BlockEvaluator &rhs,
     for (std::size_t l = 0; l < lanes; ++l)
         if (alive[l])
             results[l].steps = steps;
-    laneDone(aliveCount);
     return results;
 }
 
@@ -487,13 +422,8 @@ class LaneDopri5
     LaneDopri5(const std::vector<const expr::FusedTape *> &tapes,
                const std::vector<const std::vector<double> *> &initials,
                const std::vector<const compiler::OdeSystem *> &systems,
-               double t0, double t1, const SimOptions &options,
-               const std::stop_token &stop, const Deadline &deadline,
-               const std::function<void(std::size_t)> &laneDone,
-               bool jitOn)
-        : tapes_(tapes), systems_(systems), options_(options),
-          stop_(stop), deadline_(deadline), laneDone_(laneDone),
-          jitOn_(jitOn),
+               double t0, double t1, const SimOptions &options, bool jitOn)
+        : tapes_(tapes), systems_(systems), options_(options), jitOn_(jitOn),
           n_(tapes.front()->numOutputs()), t1_(t1),
           end_(t1 - 1e-15 * std::max(1.0, std::fabs(t1))),
           hMax_(options.maxDt > 0 ? options.maxDt : (t1 - t0) / 10.0),
@@ -506,7 +436,6 @@ class LaneDopri5
             if (bad >= 0) {
                 results_[member].failure =
                     divergedFailure(*systems_[member], bad, t0, 0);
-                laneDone_(1);
                 continue;
             }
             Lane lane;
@@ -629,7 +558,6 @@ class LaneDopri5
             alive[s] = 0;
             --aliveCount;
             ++stats_.retirements;
-            laneDone_(1);
         };
         auto retireDiverged = [&](std::size_t s, int var) {
             retire(s, divergedFailure(*systems_[active_[s].member], var,
@@ -662,20 +590,6 @@ class LaneDopri5
             if (budgetRetired && aliveCount <= W / 2) {
                 compactInto(state, k1, alive, W);
                 return Status::Compact;
-            }
-            if (stop_.stop_requested() || deadlinePassed(deadline_)) {
-                const bool cancel = stop_.stop_requested();
-                for (std::size_t s = 0; s < L; ++s) {
-                    if (!alive[s])
-                        continue;
-                    SimResult &r = results_[active_[s].member];
-                    r.steps = steps_;
-                    r.rejectedSteps = active_[s].rejected;
-                    r.failure = cancel ? cancelledFailure(t_, steps_)
-                                       : deadlineFailure(t_, steps_);
-                }
-                laneDone_(aliveCount);
-                return Status::Done;
             }
 
             const double h = h_;
@@ -813,7 +727,6 @@ class LaneDopri5
             r.steps = steps_;
             r.rejectedSteps = active_[s].rejected;
         }
-        laneDone_(aliveCount);
         return Status::Done;
     }
 
@@ -843,9 +756,6 @@ class LaneDopri5
     const std::vector<const expr::FusedTape *> &tapes_;
     const std::vector<const compiler::OdeSystem *> &systems_;
     const SimOptions &options_;
-    const std::stop_token &stop_;
-    const Deadline &deadline_;
-    const std::function<void(std::size_t)> &laneDone_;
     const bool jitOn_;     ///< Try JIT kernels per block.
     bool usedJit_ = false; ///< Any block actually ran one.
 
@@ -871,8 +781,7 @@ detail::integrateBlock(
     const std::vector<const compiler::OdeSystem *> &systems,
     const std::vector<const std::vector<double> *> &initials, double t0,
     double t1, const SimOptions &options, expr::RoundingMode rounding,
-    bool jitOn, const std::stop_token &stop, const Deadline &deadline,
-    const std::function<void(std::size_t)> &laneDone, bool *usedJit)
+    bool jitOn, bool *usedJit)
 {
     std::vector<const expr::FusedTape *> tapes;
     tapes.reserve(systems.size());
@@ -884,12 +793,10 @@ detail::integrateBlock(
     if (options.method == Method::Rk4) {
         BlockEvaluator rhs(tapes, jitOn);
         jitted = rhs.jitted();
-        results = runLaneRk4(rhs, initials, systems, t0, t1, options, stop,
-                             deadline, laneDone);
+        results = runLaneRk4(rhs, initials, systems, t0, t1, options);
     } else {
         // Merges per block itself: compaction re-merges survivors.
-        LaneDopri5 driver(tapes, initials, systems, t0, t1, options, stop,
-                          deadline, laneDone, jitOn);
+        LaneDopri5 driver(tapes, initials, systems, t0, t1, options, jitOn);
         results = driver.run();
         jitted = driver.usedJit();
     }
@@ -1250,76 +1157,39 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
     // Per-job JIT provenance for the ledger flush below: a job is
     // "jit" only when a kernel actually ran (not merely requested).
     std::vector<char> jitUsed(jobs.size(), 0);
-    std::mutex progressMutex;
-    std::size_t completed = 0;
-
-    // Per-instance progress: both lane drivers report each instance
-    // the moment it completes (finish, divergence retirement, or
-    // cancellation), so `completed` ticks consistently at every block
-    // width and stays strictly increasing under lane retirement.
-    auto instanceDone = [&](std::size_t done) {
-        if (done == 0 || !options.progress)
-            return;
-        std::lock_guard lock(progressMutex);
-        completed += done;
-        options.progress(completed, count);
-    };
 
     auto runJob = [&](std::size_t jobIndex) {
         const std::vector<std::size_t> &members = jobs[jobIndex];
-        std::size_t reported = 0;
-        std::function<void(std::size_t)> laneDone =
-            [&](std::size_t done) {
-                reported += done;
-                instanceDone(done);
-            };
         try {
             if (support::FaultInjector::shouldFire(
                     support::FaultSite::WorkerTask))
                 throw SimError("fault injection: worker task fault");
-            if (options.stop.stop_requested()) {
-                // Skipped before starting: no samples at all.
-                for (std::size_t member : members)
-                    results[member] = cancelledResult(t0);
-                laneDone(members.size());
-            } else if (deadlinePassed(options.deadline)) {
-                for (std::size_t member : members)
-                    results[member] = deadlineResult(t0);
-                laneDone(members.size());
-            } else {
-                // Singletons run the same drivers at width 1 but keep
-                // their own span (and ledger tier, below).
-                const bool lane = members.size() >= 2;
-                telemetry::ScopedSpan span(lane ? "ark.sim.lane_block"
-                                                : "ark.sim.scalar");
-                if (lane)
-                    span.setArg(members.size());
-                std::vector<const compiler::OdeSystem *> blockSystems;
-                std::vector<const std::vector<double> *> inits;
-                blockSystems.reserve(members.size());
-                inits.reserve(members.size());
-                for (std::size_t member : members) {
-                    blockSystems.push_back(&systemOf(member));
-                    inits.push_back(&initialOf(member));
-                }
-                bool jitted = false;
-                std::vector<SimResult> block = detail::integrateBlock(
-                    blockSystems, inits, t0, t1, options.sim, rounding,
-                    jitOn, options.stop, options.deadline, laneDone,
-                    &jitted);
-                jitUsed[jobIndex] = jitted;
-                for (std::size_t k = 0; k < members.size(); ++k)
-                    results[members[k]] = std::move(block[k]);
+            // Singletons run the same drivers at width 1 but keep
+            // their own span (and ledger tier, below).
+            const bool lane = members.size() >= 2;
+            telemetry::ScopedSpan span(lane ? "ark.sim.lane_block"
+                                            : "ark.sim.scalar");
+            if (lane)
+                span.setArg(members.size());
+            std::vector<const compiler::OdeSystem *> blockSystems;
+            std::vector<const std::vector<double> *> inits;
+            blockSystems.reserve(members.size());
+            inits.reserve(members.size());
+            for (std::size_t member : members) {
+                blockSystems.push_back(&systemOf(member));
+                inits.push_back(&initialOf(member));
             }
+            bool jitted = false;
+            std::vector<SimResult> block = detail::integrateBlock(
+                blockSystems, inits, t0, t1, options.sim, rounding, jitOn,
+                &jitted);
+            jitUsed[jobIndex] = jitted;
+            for (std::size_t k = 0; k < members.size(); ++k)
+                results[members[k]] = std::move(block[k]);
         } catch (...) {
             for (std::size_t member : members)
                 errors[member] = std::current_exception();
         }
-        // A thrown block (step collapse, internal fault) still
-        // accounts for every member so `completed` reaches `total`
-        // exactly once.
-        if (reported < members.size())
-            instanceDone(members.size() - reported);
     };
 
     unsigned requested = options.numThreads;

@@ -54,25 +54,20 @@
  * Determinism: block partitioning depends only on the batch, never on
  * thread count or scheduling; each block integrates independently, so
  * results at any thread count equal the single-thread results on
- * every path. EnsembleOptions::progress ticks per completed instance
- * — including lanes that retire mid-block — strictly increasing to
- * the total. SimOptions::rounding routes every block through the
+ * every path. SimOptions::rounding routes every block through the
  * same program of the selected rounding mode, so the identity
  * contracts above hold in every mode.
  *
- * Failure discipline: divergence, budget exhaustion, cancellation,
- * and deadline expiry are always structured per-instance failures —
- * never exceptions — at every block width. Exceptions are reserved
- * for caller errors, step-size collapse and internal faults; one that
- * escapes a block is stored, the batch drains, and the lowest-indexed
- * instance's exception is rethrown.
+ * Failure discipline: divergence and budget exhaustion are always
+ * structured per-instance failures — never exceptions — at every
+ * block width. Exceptions are reserved for caller errors, step-size
+ * collapse and internal faults; one that escapes a block is stored,
+ * the batch drains, and the lowest-indexed instance's exception is
+ * rethrown.
  */
 
-#include <chrono>
 #include <functional>
 #include <memory>
-#include <optional>
-#include <stop_token>
 #include <vector>
 
 #include "sim/sim.h"
@@ -165,18 +160,14 @@ namespace detail {
  * driver for options.method. The caller resolves `rounding` and
  * `jitOn` once per run (expr::roundingMode, expr::jitEnabled). A JIT
  * kernel serves the RHS when `jitOn` and one resolves; `usedJit`,
- * when given, reports whether one did. `laneDone` ticks once per finished instance. The
- * engine behind simulate() and every BatchRunner job; not part of the
- * public API.
+ * when given, reports whether one did. The engine behind simulate()
+ * and every BatchRunner job; not part of the public API.
  */
 std::vector<SimResult> integrateBlock(
     const std::vector<const compiler::OdeSystem *> &systems,
     const std::vector<const std::vector<double> *> &initials, double t0,
     double t1, const SimOptions &options, expr::RoundingMode rounding,
-    bool jitOn, const std::stop_token &stop,
-    const std::optional<std::chrono::steady_clock::time_point> &deadline,
-    const std::function<void(std::size_t)> &laneDone,
-    bool *usedJit = nullptr);
+    bool jitOn, bool *usedJit = nullptr);
 
 } // namespace detail
 

@@ -151,8 +151,7 @@ simulate(const compiler::OdeSystem &system,
     // job runs, without the ensemble's pool, span or ledger.
     std::vector<SimResult> results = detail::integrateBlock(
         {&system}, {&initial}, t0, t1, options,
-        expr::roundingMode(options.rounding), /*jitOn=*/false,
-        std::stop_token{}, std::nullopt, [](std::size_t) {});
+        expr::roundingMode(options.rounding), /*jitOn=*/false);
     return std::move(results.front());
 }
 
@@ -162,12 +161,8 @@ abortReasonName(AbortReason reason)
     switch (reason) {
     case AbortReason::Diverged:
         return "diverged";
-    case AbortReason::Cancelled:
-        return "cancelled";
     case AbortReason::BudgetExhausted:
         return "budget_exhausted";
-    case AbortReason::DeadlineExceeded:
-        return "deadline_exceeded";
     }
     return "unknown";
 }

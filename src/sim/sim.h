@@ -57,16 +57,12 @@
  *    runs one one-lane block per instance, which is serial simulate()
  *    exactly.
  *
- * Every ensemble job runs on BatchRunner's persistent worker pool and
- * honors EnsembleOptions::progress/stop.
+ * Every ensemble job runs on BatchRunner's persistent worker pool.
  */
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
-#include <stop_token>
 #include <string>
 #include <vector>
 
@@ -224,10 +220,8 @@ class Trajectory
  * property of one instance's data.
  */
 enum class AbortReason : std::uint8_t {
-    Diverged,  ///< A state variable went NaN/Inf.
-    Cancelled, ///< The ensemble's stop token was triggered.
-    BudgetExhausted,  ///< SimOptions::maxSteps spent before reaching t1.
-    DeadlineExceeded, ///< EnsembleOptions::deadline passed mid-run.
+    Diverged,        ///< A state variable went NaN/Inf.
+    BudgetExhausted, ///< SimOptions::maxSteps spent before reaching t1.
 };
 
 /** Stable lower-case spelling for logs and ledger exports. */
@@ -239,10 +233,9 @@ const char *abortReasonName(AbortReason reason);
  * and aborts the instance right there — it is never integrated onward
  * toward maxSteps — recording which step and which state variable
  * went bad. The trajectory keeps every sample recorded before the
- * failure. Budget exhaustion and deadline expiry are reported the same
- * way: the instance stops at the step where the budget ran out (or the
- * wall clock passed the deadline) and keeps everything recorded so
- * far.
+ * failure. Budget exhaustion is reported the same way: the instance
+ * stops at the step where the budget ran out and keeps everything
+ * recorded so far.
  */
 struct SimFailure
 {
@@ -260,7 +253,7 @@ struct SimResult
     std::size_t steps = 0;          ///< Accepted steps.
     std::size_t rejectedSteps = 0;  ///< Dopri5 error-control rejects.
     bool reachedSteadyState = false;
-    /** Set when the run stopped early (divergence, cancellation). */
+    /** Set when the run stopped early (divergence, exhausted budget). */
     std::optional<SimFailure> failure;
 
     /** True when the run integrated all the way to t1. */
@@ -317,39 +310,6 @@ struct EnsembleOptions
     bool laneBatching = true;
 
     /**
-     * Optional completion callback: invoked with (completed, total)
-     * as each instance completes, at every block width
-     * (a lane that retires mid-block — divergence, cancellation —
-     * reports the moment it retires, not when its block ends).
-     * `completed` is strictly increasing and reaches `total` exactly
-     * once. Serialized internally — the callback never runs
-     * concurrently with itself — but it may be invoked from worker
-     * threads; keep it cheap and do not call back into the ensemble
-     * API from inside it.
-     */
-    std::function<void(std::size_t completed, std::size_t total)> progress;
-
-    /**
-     * Cooperative cancellation. When the token's stop is requested,
-     * instances not yet started are skipped and running instances
-     * abort at the next integration step; all affected results carry
-     * an AbortReason::Cancelled failure. A default-constructed token
-     * never requests stop.
-     */
-    std::stop_token stop;
-
-    /**
-     * Wall-clock deadline, checked cooperatively at the same step
-     * granularity as `stop`. Once steady_clock passes it, running
-     * instances abort at their next step check and instances not yet
-     * started are skipped; all affected results carry an
-     * AbortReason::DeadlineExceeded failure, and everything that
-     * completed before the cutoff is returned untouched (bit-identical
-     * to the same run without a deadline). Unset = no deadline.
-     */
-    std::optional<std::chrono::steady_clock::time_point> deadline;
-
-    /**
      * Optional flight recorder: when set, the batch appends one
      * telemetry::RunLedger::Record per instance at the end of the run
      * (tier, lane width, block id, step counts, structured failure).
@@ -371,14 +331,14 @@ struct EnsembleOptions
  * block assignment, so batched adaptive results are still
  * bit-identical across thread counts.
  *
- * Divergence, budget exhaustion, deadline expiry, and cancellation
- * never throw — the affected instance's result carries a structured
- * failure, and healthy lane-mates in the same block keep integrating
- * (an exhausted or diverged lane retires alone). If an instance still
- * throws (step collapse, internal fault), the remaining instances run
- * to completion and the lowest-indexed error is rethrown (a
- * lane-batched Dopri5 block throws as a unit: step collapse on the
- * shared step affects every member of the block).
+ * Divergence and budget exhaustion never throw — the affected
+ * instance's result carries a structured failure, and healthy
+ * lane-mates in the same block keep integrating (an exhausted or
+ * diverged lane retires alone). If an instance still throws (step
+ * collapse, internal fault), the remaining instances run to
+ * completion and the lowest-indexed error is rethrown (a lane-batched
+ * Dopri5 block throws as a unit: step collapse on the shared step
+ * affects every member of the block).
  */
 std::vector<SimResult> simulateEnsemble(
     const compiler::OdeSystem &system,

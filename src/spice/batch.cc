@@ -4,7 +4,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <optional>
 
 #include "sim/batch.h"
 #include "support/error.h"
@@ -34,44 +33,6 @@ errorFailure(const support::ArkError &error, double t0)
                                 : TransientAbort::BadInput;
     return TransientFailure{reason, 0, t0, error.message()};
 }
-
-bool
-deadlinePassed(
-    const std::optional<std::chrono::steady_clock::time_point> &deadline)
-{
-    return deadline &&
-           std::chrono::steady_clock::now() >= *deadline;
-}
-
-/**
- * Serialized (completed, total) progress dispatcher; a
- * default-constructed callback makes every tick free.
- */
-class ProgressTicker
-{
-  public:
-    ProgressTicker(
-        const std::function<void(std::size_t, std::size_t)> &callback,
-        std::size_t total)
-        : callback_(callback), total_(total)
-    {
-    }
-
-    void
-    tick()
-    {
-        if (!callback_)
-            return;
-        std::lock_guard lock(mutex_);
-        callback_(++completed_, total_);
-    }
-
-  private:
-    const std::function<void(std::size_t, std::size_t)> &callback_;
-    std::size_t total_;
-    std::mutex mutex_;
-    std::size_t completed_ = 0;
-};
 
 void
 rethrowFirst(std::vector<std::exception_ptr> &errors)
@@ -167,8 +128,6 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
                          "TransientBatch: null netlist");
 
     std::vector<std::exception_ptr> errors(count);
-    ProgressTicker progress(options_.progress, count);
-    const TransientControl control{options_.stop, options_.deadline};
     const std::uint64_t ledgerRun =
         options_.ledger != nullptr
             ? options_.ledger->beginRun(
@@ -254,21 +213,8 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
     // Phase 4: per-instance transient on the shared worker pool.
     sim::BatchRunner::shared().parallelFor(
         count, options_.numThreads, [&](std::size_t i) {
-            if (results[i].failure.has_value()) {
-                progress.tick(); // assembly already failed
-                return;
-            }
-            if (options_.stop.stop_requested()) {
-                // Skipped before starting: no samples at all.
-                results[i].failure = detail::cancelledFailure(t0, 0);
-                progress.tick();
-                return;
-            }
-            if (deadlinePassed(options_.deadline)) {
-                results[i].failure = detail::deadlineFailure(t0, 0);
-                progress.tick();
-                return;
-            }
+            if (results[i].failure.has_value())
+                return; // assembly already failed
             const SparseMnaSystem &system = *systems[i];
             const std::size_t leader = leaderOf[i];
             const SparseMnaSystem &leaderSystem = *systems[leader];
@@ -312,13 +258,12 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
                         return preparedStepper(system, dt, finalH);
                     });
                 }
-                results[i] = stepper->run(system, t0, t1, {}, control);
+                results[i] = stepper->run(system, t0, t1);
             } catch (const support::ArkError &error) {
                 results[i].failure = errorFailure(error, t0);
             } catch (...) {
                 errors[i] = std::current_exception();
             }
-            progress.tick();
         });
     if (stats) {
         stats->factorHits = factorHits.load();

@@ -31,20 +31,12 @@
  * and without a cache.
  *
  * Failures are per-instance and structured (TransientResult::failure
- * with TransientAbort::BadInput / SingularMatrix / NonfiniteState /
- * Cancelled / DeadlineExceeded), never exceptions: one singular or
- * diverging netlist does not take down the sweep. Batch-level
- * misconfiguration (dt <= 0, t1 < t0) still throws support::SimError,
- * since it invalidates every instance alike.
- *
- * Execution control mirrors the ODE ensemble engine: a stop token
- * cancels cooperatively (running instances abort at their next step
- * with a Cancelled failure, not-yet-started instances are skipped), a
- * wall-clock deadline retires work the same way with
- * DeadlineExceeded, and a progress callback ticks once per completed
- * instance — completed, failed, or skipped alike — strictly
- * increasing to the total. Everything finished before a stop or
- * deadline is returned untouched.
+ * with TransientAbort::BadInput / SingularMatrix / NonfiniteState),
+ * never exceptions: one singular or diverging netlist does not take
+ * down the sweep. Batch-level misconfiguration (dt <= 0, t1 < t0)
+ * still throws support::SimError, since it invalidates every instance
+ * alike. Any other exception an instance throws is stored, the sweep
+ * drains, and the lowest-indexed instance's exception is rethrown.
  *
  * Results are positionally ordered and independent of the thread
  * count; the sparse path matches the serial dense transient to
@@ -102,34 +94,6 @@ struct TransientBatchOptions
      * ensembles share one set of parked workers.
      */
     unsigned numThreads = 0;
-
-    /**
-     * Optional completion callback: invoked with (completed, total)
-     * as each instance finishes — including failed and skipped
-     * instances — mirroring sim::EnsembleOptions::progress.
-     * `completed` is strictly increasing and reaches `total` exactly
-     * once. Serialized internally but possibly invoked from worker
-     * threads; keep it cheap and do not call back into the batch API
-     * from inside it.
-     */
-    std::function<void(std::size_t completed, std::size_t total)> progress;
-
-    /**
-     * Cooperative cancellation (sim::EnsembleOptions::stop parity):
-     * instances not yet started are skipped, running instances abort
-     * at their next step; affected results carry a
-     * TransientAbort::Cancelled failure with the samples recorded
-     * before the abort.
-     */
-    std::stop_token stop;
-
-    /**
-     * Wall-clock deadline checked at the same granularity as `stop`;
-     * affected results carry TransientAbort::DeadlineExceeded, and
-     * instances that finished before the cutoff are returned
-     * bit-identical to an unbounded run. Unset = no deadline.
-     */
-    std::optional<std::chrono::steady_clock::time_point> deadline;
 
     /**
      * Optional flight recorder (sim::EnsembleOptions::ledger parity):

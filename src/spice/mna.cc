@@ -209,27 +209,6 @@ singularStepFailure(const support::ArkError &error, double t,
                             error.message()};
 }
 
-/**
- * Per-step cooperative check: records a Cancelled or DeadlineExceeded
- * failure on `result` and returns true when the run must abort (stop
- * wins when both hold, matching the ODE drivers).
- */
-bool
-controlStopped(const TransientControl &control, double t,
-               std::size_t step, TransientResult &result)
-{
-    if (control.stop.stop_requested()) {
-        result.failure = detail::cancelledFailure(t, step);
-        return true;
-    }
-    if (control.deadline &&
-        std::chrono::steady_clock::now() >= *control.deadline) {
-        result.failure = detail::deadlineFailure(t, step);
-        return true;
-    }
-    return false;
-}
-
 /** Consistent-init matrix: identity on dynamic rows, K elsewhere. */
 support::SparseMatrix
 initMatrixOf(const SparseMnaSystem &system)
@@ -421,31 +400,13 @@ transientAbortName(TransientAbort reason)
         return "singular_matrix";
     case TransientAbort::NonfiniteState:
         return "nonfinite_state";
-    case TransientAbort::Cancelled:
-        return "cancelled";
-    case TransientAbort::DeadlineExceeded:
-        return "deadline_exceeded";
     }
     return "unknown";
 }
 
-TransientFailure
-detail::cancelledFailure(double t, std::size_t step)
-{
-    return TransientFailure{TransientAbort::Cancelled, step, t,
-                            cat("cancelled at t=", t)};
-}
-
-TransientFailure
-detail::deadlineFailure(double t, std::size_t step)
-{
-    return TransientFailure{TransientAbort::DeadlineExceeded, step, t,
-                            cat("deadline exceeded at t=", t)};
-}
-
 TransientResult
 transient(const MnaSystem &system, double t0, double t1, double dt,
-          const std::vector<double> &x0, const TransientControl &control)
+          const std::vector<double> &x0)
 {
     const std::size_t n = system.size();
     checkTransientArgs(n, t0, t1, dt, x0);
@@ -483,10 +444,6 @@ transient(const MnaSystem &system, double t0, double t1, double dt,
 
     TransientResult result;
     result.reserve(sampleEstimate(t0, t1, dt), n);
-    // A pre-triggered stop or already-passed deadline retires the run
-    // before any sample lands, matching the batch path's skip.
-    if (controlStopped(control, t0, 0, result))
-        return result;
     if (int bad = firstNonfinite(x); bad >= 0) {
         result.failure = nonfiniteFailure(bad, t0, 0);
         return result;
@@ -518,8 +475,6 @@ transient(const MnaSystem &system, double t0, double t1, double dt,
     std::size_t step = 0;
     std::vector<double> u0 = system.sourceVector(t0);
     while (t < t1 - stepEndEpsilon(t1)) {
-        if (controlStopped(control, t, step, result))
-            return result;
         double h = std::min(dt, t1 - t);
         // Fixed step assumed; a final short step reuses the factored
         // matrix only when h == dt, otherwise refactor.
@@ -739,8 +694,7 @@ TransientStepper::rebind(const SparseMnaSystem &system)
 
 TransientResult
 TransientStepper::run(const SparseMnaSystem &system, double t0, double t1,
-                      const std::vector<double> &x0,
-                      const TransientControl &control) const
+                      const std::vector<double> &x0) const
 {
     const std::size_t n = system.size();
     checkTransientArgs(n, t0, t1, dt_, x0);
@@ -761,10 +715,6 @@ TransientStepper::run(const SparseMnaSystem &system, double t0, double t1,
 
     TransientResult result;
     result.reserve(sampleEstimate(t0, t1, dt_), n);
-    // A pre-triggered stop or already-passed deadline retires the run
-    // before any sample lands, matching the batch path's skip.
-    if (controlStopped(control, t0, 0, result))
-        return result;
     if (int bad = firstNonfinite(x); bad >= 0) {
         result.failure = nonfiniteFailure(bad, t0, 0);
         return result;
@@ -778,8 +728,6 @@ TransientStepper::run(const SparseMnaSystem &system, double t0, double t1,
     double t = t0;
     std::size_t step = 0;
     while (t < t1 - stepEndEpsilon(t1)) {
-        if (controlStopped(control, t, step, result))
-            return result;
         double h = std::min(dt_, t1 - t);
         system.sourceVectorInto(t + h, u1.data());
         if (h == dt_) {
@@ -838,11 +786,11 @@ TransientStepper::run(const SparseMnaSystem &system, double t0, double t1,
 
 TransientResult
 transient(const SparseMnaSystem &system, double t0, double t1, double dt,
-          const std::vector<double> &x0, const TransientControl &control)
+          const std::vector<double> &x0)
 {
     checkTransientArgs(system.size(), t0, t1, dt, x0);
     TransientStepper stepper(system, dt);
-    return stepper.run(system, t0, t1, x0, control);
+    return stepper.run(system, t0, t1, x0);
 }
 
 } // namespace ark::spice

@@ -35,11 +35,9 @@
  * before the failure.
  */
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <stop_token>
 #include <string>
 #include <vector>
 
@@ -181,8 +179,6 @@ enum class TransientAbort : std::uint8_t {
     BadInput,        ///< Rejected configuration (batch path only).
     SingularMatrix,  ///< Companion factorization failed (batch path only).
     NonfiniteState,  ///< An unknown went NaN/Inf mid-run.
-    Cancelled,        ///< The batch's stop token was triggered.
-    DeadlineExceeded, ///< The wall-clock deadline passed mid-run.
 };
 
 /** Stable lower-case spelling for logs and ledger exports. */
@@ -196,34 +192,6 @@ struct TransientFailure
     double time = 0.0;    ///< Integration time reached.
     std::string message;  ///< Human-readable summary.
 };
-
-/**
- * Cooperative execution controls for a transient run, checked once
- * per step — the SPICE-side counterpart of the stop/deadline pair in
- * sim::EnsembleOptions. A triggered stop token aborts the run with a
- * Cancelled failure at the next step boundary; a passed deadline
- * aborts with DeadlineExceeded (stop wins when both hold). Samples
- * recorded before the abort are kept. Default-constructed controls
- * never fire.
- */
-struct TransientControl
-{
-    std::stop_token stop;
-    std::optional<std::chrono::steady_clock::time_point> deadline;
-};
-
-namespace detail {
-
-/**
- * Shared failure constructors for cancellation and deadline expiry:
- * serial transient() runs and the sweep engine (TransientBatch,
- * behind engine::Session::runSweep too) must report byte-identical
- * failures for the same event, so all of them build the failure here.
- */
-TransientFailure cancelledFailure(double t, std::size_t step);
-TransientFailure deadlineFailure(double t, std::size_t step);
-
-} // namespace detail
 
 /**
  * Transient result: times plus all unknowns per sample in one flat
@@ -329,14 +297,11 @@ class TransientStepper
      * currently bound values) from x0 (zeros when empty) over
      * [t0, t1], sampling every step. Thread-safe: run() is const and
      * touches no shared mutable state, so one stepper may serve
-     * concurrent value-identical instances. `control` adds
-     * cooperative cancellation/deadline checks at step granularity
-     * (see TransientControl); the defaults never fire.
+     * concurrent value-identical instances.
      * @throws support::SimError for invalid t0/t1/x0.
      */
     TransientResult run(const SparseMnaSystem &system, double t0,
-                        double t1, const std::vector<double> &x0 = {},
-                        const TransientControl &control = {}) const;
+                        double t1, const std::vector<double> &x0 = {}) const;
 
   private:
     double dt_;
@@ -368,14 +333,12 @@ class TransientStepper
  *         samples recorded before the event.
  */
 TransientResult transient(const MnaSystem &system, double t0, double t1,
-                          double dt, const std::vector<double> &x0 = {},
-                          const TransientControl &control = {});
+                          double dt, const std::vector<double> &x0 = {});
 
 /** Sparse-path transient; same contract and (to rounding) results. */
 TransientResult transient(const SparseMnaSystem &system, double t0,
                           double t1, double dt,
-                          const std::vector<double> &x0 = {},
-                          const TransientControl &control = {});
+                          const std::vector<double> &x0 = {});
 
 /**
  * Size of the last step a trapezoidal transient over [t0, t1] with

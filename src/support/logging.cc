@@ -11,6 +11,14 @@ namespace ark::support {
 
 namespace {
 
+/** Severity tag attached to each emitted log line. */
+enum class LogSeverity : int {
+    Debug = 0,
+    Info = 1,
+    Warn = 2,
+    Panic = 3,
+};
+
 LogLevel globalLevel = LogLevel::Normal;
 
 std::mutex &
@@ -18,13 +26,6 @@ logMutex()
 {
     static std::mutex m;
     return m;
-}
-
-LogSink &
-globalSink()
-{
-    static LogSink sink;
-    return sink;
 }
 
 const char *
@@ -65,9 +66,9 @@ timestamp()
 }
 
 /**
- * Formats and delivers one complete line under the logging mutex.
- * Building the whole line first and writing it with a single call
- * keeps concurrent workers' messages from interleaving mid-line.
+ * Formats and writes one complete line to stderr under the logging
+ * mutex. Building the whole line first and writing it with a single
+ * call keeps concurrent workers' messages from interleaving mid-line.
  */
 void
 emit(LogSeverity severity, const std::string &message)
@@ -77,13 +78,9 @@ emit(LogSeverity severity, const std::string &message)
     line += severityTag(severity);
     line += ": ";
     line += message;
+    line += "\n";
 
     std::lock_guard<std::mutex> lock(logMutex());
-    if (globalSink()) {
-        globalSink()(severity, line);
-        return;
-    }
-    line += "\n";
     std::fwrite(line.data(), 1, line.size(), stderr);
     std::fflush(stderr);
 }
@@ -100,13 +97,6 @@ LogLevel
 logLevel()
 {
     return globalLevel;
-}
-
-void
-setLogSink(LogSink sink)
-{
-    std::lock_guard<std::mutex> lock(logMutex());
-    globalSink() = std::move(sink);
 }
 
 void

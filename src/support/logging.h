@@ -13,7 +13,6 @@
 
 #include <charconv>
 #include <cstddef>
-#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -29,30 +28,11 @@ enum class LogLevel : int {
     Debug = 2,  ///< Also print debug() messages.
 };
 
-/** Severity tag attached to each emitted log line. */
-enum class LogSeverity : int {
-    Debug = 0,
-    Info = 1,
-    Warn = 2,
-    Panic = 3,
-};
-
 /** Sets the process-wide log level. */
 void setLogLevel(LogLevel level);
 
 /** Returns the process-wide log level. */
 LogLevel logLevel();
-
-/**
- * Redirects log output. Each call receives one fully formatted,
- * timestamped, level-tagged line (no trailing newline) together with
- * its severity; the sink is invoked under the logging mutex, so lines
- * from concurrent workers never interleave. Passing nullptr restores
- * the default stderr sink. Used by services (e.g. a future arkd) to
- * capture engine logs.
- */
-using LogSink = std::function<void(LogSeverity, const std::string &)>;
-void setLogSink(LogSink sink);
 
 /** Prints an informational status message to stderr. */
 void inform(const std::string &message);

@@ -2,18 +2,14 @@
  * @file
  * Tests for the lane-parallel batch execution engine: lane-vs-scalar
  * bit identity on homogeneous and heterogeneous-parameter (PUF chip)
- * batteries, adaptive fallback, the persistent worker pool, progress
- * reporting, and cooperative cancellation.
+ * batteries, adaptive fallback, and the persistent worker pool.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <stdexcept>
-#include <stop_token>
 #include <string>
 #include <thread>
 #include <utility>
@@ -193,149 +189,6 @@ TEST(BatchTest, AdaptiveBatchesLaneBatchAtToleranceLevel)
                 << "instance " << i << " at t=" << t;
         }
     }
-}
-
-TEST(BatchTest, ProgressReportsEveryInstanceOnce)
-{
-    lang::LanguageRegistry registry;
-    OdeSystem system = oscillatorSystem(registry, 3.0);
-    std::vector<std::vector<double>> initials;
-    for (int i = 0; i < 9; ++i)
-        initials.push_back({0.5, 0.1 * i});
-
-    for (bool lanes : {true, false}) {
-        EnsembleOptions options = rk4Options();
-        options.laneBatching = lanes;
-        options.numThreads = 2;
-        std::vector<std::pair<std::size_t, std::size_t>> calls;
-        std::mutex m;
-        options.progress = [&](std::size_t done, std::size_t total) {
-            std::lock_guard lock(m);
-            calls.emplace_back(done, total);
-        };
-        sim::simulateEnsemble(system, initials, 0.0, 0.5, options);
-        ASSERT_FALSE(calls.empty());
-        std::size_t prev = 0;
-        for (auto [done, total] : calls) {
-            EXPECT_EQ(total, initials.size());
-            EXPECT_GT(done, prev); // strictly increasing
-            prev = done;
-        }
-        EXPECT_EQ(prev, initials.size());
-    }
-}
-
-TEST(BatchTest, PreTriggeredStopCancelsEveryInstance)
-{
-    lang::LanguageRegistry registry;
-    OdeSystem system = oscillatorSystem(registry, 3.0);
-    std::vector<std::vector<double>> initials(6, {1.0, 0.0});
-    std::stop_source source;
-    source.request_stop();
-    for (bool lanes : {true, false}) {
-        EnsembleOptions options = rk4Options();
-        options.laneBatching = lanes;
-        options.stop = source.get_token();
-        std::vector<SimResult> batch = sim::simulateEnsemble(
-            system, initials, 0.0, 1.0, options);
-        ASSERT_EQ(batch.size(), initials.size());
-        for (const SimResult &result : batch) {
-            ASSERT_FALSE(result.ok());
-            EXPECT_EQ(result.failure->reason,
-                      sim::AbortReason::Cancelled);
-            EXPECT_EQ(result.trajectory.size(), 0u);
-        }
-    }
-}
-
-TEST(BatchTest, StopRequestedMidBatchCancelsTheRest)
-{
-    // Serial execution (1 thread) makes the cut deterministic: the
-    // progress callback fires after the first job and stops the rest.
-    lang::LanguageRegistry registry;
-    OdeSystem system = oscillatorSystem(registry, 3.0);
-    std::vector<std::vector<double>> initials(4, {1.0, 0.0});
-    EnsembleOptions options = rk4Options();
-    options.laneBatching = false; // one job per instance
-    options.numThreads = 1;
-    std::stop_source source;
-    options.stop = source.get_token();
-    options.progress = [&](std::size_t done, std::size_t) {
-        if (done >= 1)
-            source.request_stop();
-    };
-    std::vector<SimResult> batch =
-        sim::simulateEnsemble(system, initials, 0.0, 1.0, options);
-    EXPECT_TRUE(batch[0].ok());
-    for (std::size_t i = 1; i < batch.size(); ++i) {
-        ASSERT_FALSE(batch[i].ok()) << "instance " << i;
-        EXPECT_EQ(batch[i].failure->reason,
-                  sim::AbortReason::Cancelled);
-    }
-}
-
-TEST(BatchTest, ExpiredDeadlineRetiresEveryInstanceStructurally)
-{
-    // A deadline already in the past must skip every instance with a
-    // DeadlineExceeded failure — no throw, no samples — with and
-    // without lane batching alike.
-    lang::LanguageRegistry registry;
-    OdeSystem system = oscillatorSystem(registry, 3.0);
-    std::vector<std::vector<double>> initials(6, {1.0, 0.0});
-    for (bool lanes : {true, false}) {
-        EnsembleOptions options = rk4Options();
-        options.laneBatching = lanes;
-        options.deadline = std::chrono::steady_clock::now() -
-                           std::chrono::seconds(1);
-        std::vector<SimResult> batch = sim::simulateEnsemble(
-            system, initials, 0.0, 1.0, options);
-        ASSERT_EQ(batch.size(), initials.size());
-        for (const SimResult &result : batch) {
-            ASSERT_FALSE(result.ok());
-            EXPECT_EQ(result.failure->reason,
-                      sim::AbortReason::DeadlineExceeded);
-            EXPECT_EQ(result.trajectory.size(), 0u);
-        }
-    }
-}
-
-TEST(BatchTest, FarFutureDeadlineLeavesResultsBitIdentical)
-{
-    // A deadline nothing reaches must not perturb the computation:
-    // results stay bit-identical to the unbounded run, and progress
-    // stays monotone to the total.
-    lang::LanguageRegistry registry;
-    OdeSystem system = oscillatorSystem(registry, 3.0);
-    std::vector<std::vector<double>> initials;
-    for (int i = 0; i < 6; ++i)
-        initials.push_back({1.0 + 0.1 * i, 0.0});
-
-    EnsembleOptions plain = rk4Options();
-    std::vector<SimResult> unbounded =
-        sim::simulateEnsemble(system, initials, 0.0, 1.0, plain);
-
-    EnsembleOptions bounded = rk4Options();
-    bounded.deadline =
-        std::chrono::steady_clock::now() + std::chrono::hours(10);
-    std::vector<std::pair<std::size_t, std::size_t>> calls;
-    std::mutex m;
-    bounded.progress = [&](std::size_t done, std::size_t total) {
-        std::lock_guard lock(m);
-        calls.emplace_back(done, total);
-    };
-    std::vector<SimResult> deadlined =
-        sim::simulateEnsemble(system, initials, 0.0, 1.0, bounded);
-
-    ASSERT_EQ(deadlined.size(), unbounded.size());
-    for (std::size_t i = 0; i < deadlined.size(); ++i)
-        expectIdenticalResults(deadlined[i], unbounded[i]);
-    std::size_t prev = 0;
-    for (auto [done, total] : calls) {
-        EXPECT_EQ(total, initials.size());
-        EXPECT_GT(done, prev);
-        prev = done;
-    }
-    EXPECT_EQ(prev, initials.size());
 }
 
 TEST(BatchTest, PersistentPoolIsReusedAcrossRuns)

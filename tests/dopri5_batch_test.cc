@@ -13,7 +13,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <numbers>
 #include <utility>
 #include <vector>
@@ -386,12 +385,6 @@ TEST(Dopri5BatchTest, BudgetExhaustionRetiresOnlyTheExhaustedLane)
     EnsembleOptions options;
     options.numThreads = 1;
     options.sim.maxSteps = 1000;
-    std::vector<std::pair<std::size_t, std::size_t>> calls;
-    std::mutex m;
-    options.progress = [&](std::size_t done, std::size_t total) {
-        std::lock_guard lock(m);
-        calls.emplace_back(done, total);
-    };
     std::vector<SimResult> batch =
         sim::simulateEnsemble(pointers, 0.0, 1.0, options);
     ASSERT_EQ(batch.size(), 8u);
@@ -408,15 +401,6 @@ TEST(Dopri5BatchTest, BudgetExhaustionRetiresOnlyTheExhaustedLane)
     EXPECT_GE(stiff.steps + stiff.rejectedSteps, options.sim.maxSteps);
     EXPECT_GT(stiff.rejectedSteps, 0u);
     EXPECT_LT(stiff.failure->time, 1.0);
-    // The retirement surfaced through progress, which still reaches
-    // the total exactly once.
-    std::size_t prev = 0;
-    for (auto [done, total] : calls) {
-        EXPECT_EQ(total, batch.size());
-        EXPECT_GT(done, prev);
-        prev = done;
-    }
-    EXPECT_EQ(prev, batch.size());
 }
 
 TEST(Dopri5BatchTest, DivergingLanesRetireThroughCompactionAndSpill)
@@ -425,8 +409,6 @@ TEST(Dopri5BatchTest, DivergingLanesRetireThroughCompactionAndSpill)
     // crossings (t* = 2 sqrt(x0)): lanes retire as their error
     // estimates go NaN (divergence masking), the block compacts as
     // survivors dwindle, and the last lane finishes at width 1.
-    // Progress must tick per retirement, strictly increasing, and
-    // reach the total exactly once.
     lang::LanguageRegistry registry;
     OdeSystem system = drainSystem(registry);
     const std::vector<double> x0s{0.0025, 0.01, 0.0225, 0.04, 0.0625,
@@ -438,12 +420,6 @@ TEST(Dopri5BatchTest, DivergingLanesRetireThroughCompactionAndSpill)
     EnsembleOptions options;
     options.numThreads = 1;
     options.sim.maxSteps = 200'000;
-    std::vector<std::pair<std::size_t, std::size_t>> calls;
-    std::mutex m;
-    options.progress = [&](std::size_t done, std::size_t total) {
-        std::lock_guard lock(m);
-        calls.emplace_back(done, total);
-    };
     std::vector<SimResult> batch =
         sim::simulateEnsemble(system, initials, 0.0, 1.0, options);
     ASSERT_EQ(batch.size(), x0s.size());
@@ -461,18 +437,6 @@ TEST(Dopri5BatchTest, DivergingLanesRetireThroughCompactionAndSpill)
     ASSERT_TRUE(survivor.ok());
     // x(t) = (sqrt(x0) - t/2)^2: the survivor stays well positive.
     EXPECT_NEAR(survivor.trajectory.sampleAt(0, 1.0), 6.25, 1e-3);
-
-    // Retirements surface as strictly increasing progress that ends
-    // exactly at the total; lanes retiring mid-block must report more
-    // than one callback overall.
-    ASSERT_GE(calls.size(), 2u);
-    std::size_t prev = 0;
-    for (auto [done, total] : calls) {
-        EXPECT_EQ(total, x0s.size());
-        EXPECT_GT(done, prev);
-        prev = done;
-    }
-    EXPECT_EQ(prev, x0s.size());
 }
 
 TEST(Dopri5BatchTest, SurvivorsAlwaysRecordTheFinalSample)

@@ -318,12 +318,11 @@ TEST_F(FaultInjectTest, WorkerFaultRethrowsAfterTheBatchDrains)
         expectIdenticalResults(rerun[i], clean[i]);
 }
 
-TEST_F(FaultInjectTest, ThrowingJobsStillDrainAndTickProgress)
+TEST_F(FaultInjectTest, ThrowingJobsStillDrain)
 {
     // Eight singleton jobs, the third and fourth of which throw: every
-    // job still runs, the fault is rethrown once the batch drains, and
-    // a thrown job still ticks progress for its members, so the ticks
-    // rise strictly to the total at every thread count.
+    // job still runs and the fault is rethrown once the batch drains,
+    // at every thread count.
     lang::LanguageRegistry registry;
     std::vector<engine::SystemPtr> systems =
         oscillatorBatch(registry, 8);
@@ -335,10 +334,6 @@ TEST_F(FaultInjectTest, ThrowingJobsStillDrainAndTickProgress)
         options.sim.recordDt = 1e-2;
         options.laneBatching = false;
         options.numThreads = threads;
-        std::vector<std::pair<std::size_t, std::size_t>> ticks;
-        options.progress = [&](std::size_t done, std::size_t total) {
-            ticks.emplace_back(done, total);
-        };
 
         FaultInjector::arm(FaultSite::WorkerTask, 2, 2);
         EXPECT_THROW(session.runEnsemble(systems, 0.0, 1.0, options),
@@ -346,14 +341,6 @@ TEST_F(FaultInjectTest, ThrowingJobsStillDrainAndTickProgress)
             << "threads=" << threads;
         EXPECT_EQ(FaultInjector::seen(FaultSite::WorkerTask), 8u);
         EXPECT_EQ(FaultInjector::fired(FaultSite::WorkerTask), 2u);
-
-        std::size_t prev = 0;
-        for (auto [done, total] : ticks) {
-            EXPECT_EQ(total, systems.size());
-            EXPECT_GT(done, prev) << "threads=" << threads;
-            prev = done;
-        }
-        EXPECT_EQ(prev, systems.size()) << "threads=" << threads;
     }
 }
 

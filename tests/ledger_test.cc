@@ -120,6 +120,19 @@ TEST(LedgerTest, EnumSpellingsAreStable)
     EXPECT_STREQ(RunLedger::name(RunLedger::CacheOutcome::None), "none");
     EXPECT_STREQ(RunLedger::name(RunLedger::CacheOutcome::Hit), "hit");
     EXPECT_STREQ(RunLedger::name(RunLedger::CacheOutcome::Miss), "miss");
+    // The failure_reason values ledger exports carry.
+    EXPECT_STREQ(sim::abortReasonName(sim::AbortReason::Diverged),
+                 "diverged");
+    EXPECT_STREQ(sim::abortReasonName(sim::AbortReason::BudgetExhausted),
+                 "budget_exhausted");
+    EXPECT_STREQ(spice::transientAbortName(spice::TransientAbort::BadInput),
+                 "bad_input");
+    EXPECT_STREQ(
+        spice::transientAbortName(spice::TransientAbort::SingularMatrix),
+        "singular_matrix");
+    EXPECT_STREQ(
+        spice::transientAbortName(spice::TransientAbort::NonfiniteState),
+        "nonfinite_state");
 }
 
 TEST(LedgerTest, JsonRoundTripsAndEscapes)

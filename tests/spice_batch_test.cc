@@ -11,10 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <stop_token>
 #include <utility>
 #include <vector>
 
@@ -472,154 +470,6 @@ TEST_F(SpiceBatchTest, BatchLevelBadArgumentsThrow)
     EXPECT_TRUE(batch.run(std::vector<const Netlist *>{}, 0.0, 1e-8,
                           1e-11)
                     .empty());
-}
-
-void
-expectIdenticalTransients(const TransientResult &a,
-                          const TransientResult &b)
-{
-    ASSERT_EQ(a.ok(), b.ok());
-    ASSERT_EQ(a.size(), b.size());
-    ASSERT_EQ(a.dim(), b.dim());
-    for (std::size_t s = 0; s < a.size(); ++s) {
-        EXPECT_EQ(a.time(s), b.time(s));
-        auto stateA = a.state(s);
-        auto stateB = b.state(s);
-        for (std::size_t i = 0; i < stateA.size(); ++i)
-            EXPECT_EQ(stateA[i], stateB[i]) << "sample " << s;
-    }
-}
-
-TEST_F(SpiceBatchTest, MidSweepCancellationKeepsCompletedPrefix)
-{
-    // Serial execution makes the cut deterministic: the progress
-    // callback requests stop after the third completion, so instances
-    // 0-2 finish bit-identical to an uncancelled sweep and the rest
-    // are skipped with structured Cancelled failures.
-    std::vector<MappedTln> mapped;
-    std::vector<const Netlist *> netlists;
-    for (std::uint64_t seed = 0; seed < 8; ++seed)
-        mapped.push_back(sharedStructureLine(seed));
-    for (const MappedTln &line : mapped)
-        netlists.push_back(&line.netlist);
-
-    std::vector<TransientResult> clean =
-        TransientBatch().run(netlists, 0.0, 1e-8, 1e-11);
-
-    TransientBatchOptions options;
-    options.numThreads = 1;
-    std::stop_source source;
-    options.stop = source.get_token();
-    std::vector<std::pair<std::size_t, std::size_t>> calls;
-    options.progress = [&](std::size_t done, std::size_t total) {
-        calls.emplace_back(done, total);
-        if (done == 3)
-            source.request_stop();
-    };
-    std::vector<TransientResult> results =
-        TransientBatch(options).run(netlists, 0.0, 1e-8, 1e-11);
-    ASSERT_EQ(results.size(), netlists.size());
-
-    std::size_t completed = 0, cancelled = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (results[i].ok()) {
-            ++completed;
-            expectIdenticalTransients(results[i], clean[i]);
-        } else {
-            ++cancelled;
-            EXPECT_EQ(results[i].failure->reason,
-                      TransientAbort::Cancelled);
-            EXPECT_EQ(results[i].size(), 0u);
-        }
-    }
-    EXPECT_EQ(completed, 3u);
-    EXPECT_EQ(cancelled, netlists.size() - 3);
-    // Progress still ticks once per instance, skipped included.
-    std::size_t prev = 0;
-    for (auto [done, total] : calls) {
-        EXPECT_EQ(total, netlists.size());
-        EXPECT_GT(done, prev);
-        prev = done;
-    }
-    EXPECT_EQ(prev, netlists.size());
-}
-
-TEST_F(SpiceBatchTest, ExpiredDeadlineSkipsSweepStructurally)
-{
-    std::vector<MappedTln> mapped;
-    std::vector<const Netlist *> netlists;
-    for (std::uint64_t seed = 0; seed < 4; ++seed)
-        mapped.push_back(sharedStructureLine(seed));
-    for (const MappedTln &line : mapped)
-        netlists.push_back(&line.netlist);
-
-    TransientBatchOptions options;
-    options.deadline =
-        std::chrono::steady_clock::now() - std::chrono::seconds(1);
-    std::vector<TransientResult> results =
-        TransientBatch(options).run(netlists, 0.0, 1e-8, 1e-11);
-    for (const TransientResult &result : results) {
-        ASSERT_FALSE(result.ok());
-        EXPECT_EQ(result.failure->reason,
-                  TransientAbort::DeadlineExceeded);
-        EXPECT_EQ(result.size(), 0u);
-    }
-}
-
-TEST_F(SpiceBatchTest, FarFutureDeadlineKeepsSweepBitIdentical)
-{
-    std::vector<MappedTln> mapped;
-    std::vector<const Netlist *> netlists;
-    for (std::uint64_t seed = 0; seed < 5; ++seed)
-        mapped.push_back(sharedStructureLine(seed));
-    for (const MappedTln &line : mapped)
-        netlists.push_back(&line.netlist);
-
-    std::vector<TransientResult> clean =
-        TransientBatch().run(netlists, 0.0, 1e-8, 1e-11);
-    TransientBatchOptions options;
-    options.deadline =
-        std::chrono::steady_clock::now() + std::chrono::hours(10);
-    std::vector<TransientResult> bounded =
-        TransientBatch(options).run(netlists, 0.0, 1e-8, 1e-11);
-    ASSERT_EQ(bounded.size(), clean.size());
-    for (std::size_t i = 0; i < bounded.size(); ++i)
-        expectIdenticalTransients(bounded[i], clean[i]);
-}
-
-TEST_F(SpiceBatchTest, SerialTransientHonorsControl)
-{
-    // The per-step stop/deadline checks live in the serial drivers
-    // too (TransientStepper::run and the dense transient): a
-    // pre-triggered stop yields Cancelled at step 0 with no samples;
-    // stop wins over an expired deadline when both hold.
-    MappedTln mapped = sharedStructureLine(3);
-    SparseMnaSystem sparse(mapped.netlist);
-    MnaSystem dense(mapped.netlist);
-    std::stop_source source;
-    source.request_stop();
-    TransientControl control;
-    control.stop = source.get_token();
-    control.deadline = std::chrono::steady_clock::now() -
-                       std::chrono::seconds(1);
-
-    TransientResult viaSparse =
-        transient(sparse, 0.0, 1e-8, 1e-11, {}, control);
-    ASSERT_FALSE(viaSparse.ok());
-    EXPECT_EQ(viaSparse.failure->reason, TransientAbort::Cancelled);
-    EXPECT_EQ(viaSparse.size(), 0u);
-    TransientResult viaDense =
-        transient(dense, 0.0, 1e-8, 1e-11, {}, control);
-    ASSERT_FALSE(viaDense.ok());
-    EXPECT_EQ(viaDense.failure->reason, TransientAbort::Cancelled);
-
-    // Deadline alone: structured DeadlineExceeded, same shape.
-    TransientControl deadlineOnly;
-    deadlineOnly.deadline = control.deadline;
-    TransientResult timed =
-        transient(sparse, 0.0, 1e-8, 1e-11, {}, deadlineOnly);
-    ASSERT_FALSE(timed.ok());
-    EXPECT_EQ(timed.failure->reason, TransientAbort::DeadlineExceeded);
 }
 
 TEST_F(SpiceBatchTest, ValidationSweepMapsEveryTrialUnderOnePercent)

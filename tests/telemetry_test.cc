@@ -4,7 +4,8 @@
  * under concurrent writers, span nesting and thread attribution,
  * Chrome-trace JSON validity, the spice family a cached session sweep
  * records, the non-interference contract (collection on vs. off is
- * bit-identical), and the timestamped log-sink path.
+ * bit-identical), and whole timestamped log lines under concurrent
+ * warnings.
  */
 
 #include <gtest/gtest.h>
@@ -513,14 +514,9 @@ TEST(TelemetryTest, EnsembleBitIdenticalOnVsOff)
     }
 }
 
-TEST(TelemetryTest, LogSinkCapturesTimestampedLines)
+TEST(TelemetryTest, ConcurrentWarningsPrintWholeTimestampedLines)
 {
-    std::vector<std::string> lines;
-    support::setLogSink(
-        [&lines](support::LogSeverity, const std::string &line) {
-            lines.push_back(line);
-        });
-
+    testing::internal::CaptureStderr();
     constexpr int kThreads = 4;
     constexpr int kLinesPerThread = 50;
     std::vector<std::thread> threads;
@@ -532,7 +528,10 @@ TEST(TelemetryTest, LogSinkCapturesTimestampedLines)
     }
     for (std::thread &thread : threads)
         thread.join();
-    support::setLogSink(nullptr);
+    std::istringstream captured(testing::internal::GetCapturedStderr());
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(captured, line);)
+        lines.push_back(line);
 
     ASSERT_EQ(lines.size(),
               static_cast<std::size_t>(kThreads * kLinesPerThread));
