@@ -129,6 +129,8 @@ batteryOptions(const PufDesign &design, unsigned numThreads)
     options.sim.dt = design.simDt > 0 ? design.simDt
                                       : design.windowEnd / 4000.0;
     options.sim.recordDt = design.windowEnd / 4000.0;
+    // Every battery reads the response at OUT_V only.
+    options.sim.save = {"OUT_V"};
     options.sim.jit = design.jit;
     options.numThreads = numThreads;
     return options;

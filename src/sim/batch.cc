@@ -218,6 +218,7 @@ class BlockEvaluator
 std::vector<SimResult>
 runLaneRk4(BlockEvaluator &rhs,
            const std::vector<const std::vector<double> *> &initials,
+           const std::vector<const std::vector<std::size_t> *> &saved,
            const std::vector<const compiler::OdeSystem *> &systems,
            double t0, double t1, const SimOptions &options)
 {
@@ -227,6 +228,8 @@ runLaneRk4(BlockEvaluator &rhs,
     const std::size_t n = tape.numOutputs();
     const std::size_t m = n * width;
     std::vector<SimResult> results(lanes);
+    for (std::size_t l = 0; l < lanes; ++l)
+        results[l].trajectory = Trajectory(*saved[l]);
     VoteStats stats;
 
     // SoA blocks, lane-minor; padding lanes replicate lane 0 so their
@@ -267,22 +270,17 @@ runLaneRk4(BlockEvaluator &rhs,
     estimate = std::min<std::size_t>(estimate, std::size_t{1} << 20);
     for (std::size_t l = 0; l < lanes; ++l)
         if (alive[l])
-            results[l].trajectory.reserve(estimate, n);
+            results[l].trajectory.reserve(estimate, saved[l]->size());
 
     RecordGate gate{options.recordDt};
-    std::vector<double> sample(n), slope(n);
     // Dead lanes are simply skipped.
     auto record = [&](double t, bool force) {
         if (!gate.take(t, force))
             return;
         for (std::size_t l = 0; l < lanes; ++l) {
-            if (!alive[l])
-                continue;
-            for (std::size_t i = 0; i < n; ++i) {
-                sample[i] = state[i * width + l];
-                slope[i] = k1[i * width + l];
-            }
-            results[l].trajectory.addSample(t, sample, &slope);
+            if (alive[l])
+                results[l].trajectory.gatherSample(t, state.data() + l,
+                                                   k1.data() + l, width);
         }
     };
 
@@ -421,6 +419,7 @@ class LaneDopri5
   public:
     LaneDopri5(const std::vector<const expr::FusedTape *> &tapes,
                const std::vector<const std::vector<double> *> &initials,
+               const std::vector<const std::vector<std::size_t> *> &saved,
                const std::vector<const compiler::OdeSystem *> &systems,
                double t0, double t1, const SimOptions &options, bool jitOn)
         : tapes_(tapes), systems_(systems), options_(options), jitOn_(jitOn),
@@ -431,6 +430,7 @@ class LaneDopri5
           gate_{options.recordDt}, results_(tapes.size())
     {
         for (std::size_t member = 0; member < initials.size(); ++member) {
+            results_[member].trajectory = Trajectory(*saved[member]);
             const std::vector<double> &init = *initials[member];
             int bad = firstNonfinite(init.data(), init.size(), 1);
             if (bad >= 0) {
@@ -449,7 +449,8 @@ class LaneDopri5
                 : 256;
         estimate = std::min<std::size_t>(estimate, std::size_t{1} << 20);
         for (const Lane &lane : active_)
-            results_[lane.member].trajectory.reserve(estimate, n_);
+            results_[lane.member].trajectory.reserve(
+                estimate, saved[lane.member]->size());
     }
 
     ~LaneDopri5()
@@ -482,7 +483,8 @@ class LaneDopri5
         }
         // A copy on purpose: it drops the capacity the trajectories
         // reserved from the recordDt bound but never filled. Moving
-        // them out raised sec45-crossval's peak RSS by about 40 MB.
+        // them out raised sec45-crossval's peak RSS by about 40 MB
+        // when it stored every state.
         return results_;
     }
 
@@ -533,19 +535,13 @@ class LaneDopri5
             }
         }
 
-        std::vector<double> sample(n_), slope(n_);
         auto record = [&](double t, bool force) {
             if (!gate_.take(t, force))
                 return;
             for (std::size_t s = 0; s < L; ++s) {
-                if (!alive[s])
-                    continue;
-                for (std::size_t i = 0; i < n_; ++i) {
-                    sample[i] = state[i * W + s];
-                    slope[i] = k1[i * W + s];
-                }
-                results_[active_[s].member].trajectory.addSample(
-                    t, sample, &slope);
+                if (alive[s])
+                    results_[active_[s].member].trajectory.gatherSample(
+                        t, state.data() + s, k1.data() + s, W);
             }
         };
 
@@ -687,15 +683,14 @@ class LaneDopri5
                 if (aliveCount == 0)
                     return Status::Done;
                 // Step voting: the most cautious lane sets the pace.
-                double factor = Dopri5::acceptFactor(err[0], 1.0);
-                bool haveFactor = false;
+                // A lane is alive here, so the vote replaces the seed.
+                double factor = std::numeric_limits<double>::infinity();
                 for (std::size_t s = 0; s < L; ++s) {
                     if (!alive[s])
                         continue;
-                    double f = Dopri5::acceptFactor(err[s],
-                                                    active_[s].prevErr);
-                    factor = haveFactor ? std::min(factor, f) : f;
-                    haveFactor = true;
+                    factor = std::min(factor,
+                                      Dopri5::acceptFactor(
+                                          err[s], active_[s].prevErr));
                     active_[s].prevErr = err[s];
                 }
                 h_ *= factor;
@@ -776,10 +771,34 @@ class LaneDopri5
 
 } // namespace
 
+std::vector<std::size_t>
+detail::savedStates(const compiler::OdeSystem &system,
+                    const std::vector<std::string> &save)
+{
+    const std::vector<compiler::StateVar> &vars = system.vars();
+    auto saves = [&](const std::string &node) {
+        return std::find(save.begin(), save.end(), node) != save.end();
+    };
+    std::vector<std::size_t> states;
+    for (std::size_t i = 0; i < vars.size(); ++i)
+        if (save.empty() || saves(vars[i].node))
+            states.push_back(i);
+    for (const std::string &node : save) {
+        if (std::none_of(vars.begin(), vars.end(),
+                         [&](const compiler::StateVar &var) {
+                             return var.node == node;
+                         }))
+            throw SimError(cat("simulate: no state to save for node '",
+                               node, "'"));
+    }
+    return states;
+}
+
 std::vector<SimResult>
 detail::integrateBlock(
     const std::vector<const compiler::OdeSystem *> &systems,
-    const std::vector<const std::vector<double> *> &initials, double t0,
+    const std::vector<const std::vector<double> *> &initials,
+    const std::vector<const std::vector<std::size_t> *> &saved, double t0,
     double t1, const SimOptions &options, expr::RoundingMode rounding,
     bool jitOn, bool *usedJit)
 {
@@ -793,10 +812,12 @@ detail::integrateBlock(
     if (options.method == Method::Rk4) {
         BlockEvaluator rhs(tapes, jitOn);
         jitted = rhs.jitted();
-        results = runLaneRk4(rhs, initials, systems, t0, t1, options);
+        results =
+            runLaneRk4(rhs, initials, saved, systems, t0, t1, options);
     } else {
         // Merges per block itself: compaction re-merges survivors.
-        LaneDopri5 driver(tapes, initials, systems, t0, t1, options, jitOn);
+        LaneDopri5 driver(tapes, initials, saved, systems, t0, t1, options,
+                          jitOn);
         results = driver.run();
         jitted = driver.usedJit();
     }
@@ -1061,6 +1082,12 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
                                systemOf(i).size()));
         }
     }
+    // The saved states of each system (one for a homogeneous batch),
+    // resolved before any instance integrates: a node that some system
+    // lacks is a caller error, like a wrong initial-state size.
+    std::vector<std::vector<std::size_t>> saved(homogeneous ? 1 : count);
+    for (std::size_t i = 0; i < saved.size(); ++i)
+        saved[i] = detail::savedStates(systemOf(i), options.sim.save);
 
     // Partition into jobs: a stable group-by-structure pass collects
     // every instance sharing one fused program (interleaved batches
@@ -1173,16 +1200,19 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
                 span.setArg(members.size());
             std::vector<const compiler::OdeSystem *> blockSystems;
             std::vector<const std::vector<double> *> inits;
+            std::vector<const std::vector<std::size_t> *> saves;
             blockSystems.reserve(members.size());
             inits.reserve(members.size());
+            saves.reserve(members.size());
             for (std::size_t member : members) {
                 blockSystems.push_back(&systemOf(member));
                 inits.push_back(&initialOf(member));
+                saves.push_back(&saved[homogeneous ? 0 : member]);
             }
             bool jitted = false;
             std::vector<SimResult> block = detail::integrateBlock(
-                blockSystems, inits, t0, t1, options.sim, rounding, jitOn,
-                &jitted);
+                blockSystems, inits, saves, t0, t1, options.sim, rounding,
+                jitOn, &jitted);
             jitUsed[jobIndex] = jitted;
             for (std::size_t k = 0; k < members.size(); ++k)
                 results[members[k]] = std::move(block[k]);

@@ -68,6 +68,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/sim.h"
@@ -153,19 +154,31 @@ class BatchRunner
 namespace detail {
 
 /**
+ * The state indices of `save`'s nodes in `system`, every derivative
+ * order, ascending; every state when `save` is empty
+ * (SimOptions::save).
+ * @throws ark::support::SimError for a node the system lacks.
+ */
+std::vector<std::size_t> savedStates(const compiler::OdeSystem &system,
+                                     const std::vector<std::string> &save);
+
+/**
  * Integrates one block: instance k of `systems` from `initials[k]`
  * (one to expr::LaneTape::kMaxLanes instances of one program
- * structure). Takes each member's program for `rounding`, merges
+ * structure), storing the states `saved[k]` (savedStates) in its
+ * trajectory. Takes each member's program for `rounding`, merges
  * them into one LaneTape (width 1 for a single member), and runs the
- * driver for options.method. The caller resolves `rounding` and
- * `jitOn` once per run (expr::roundingMode, expr::jitEnabled). A JIT
- * kernel serves the RHS when `jitOn` and one resolves; `usedJit`,
- * when given, reports whether one did. The engine behind simulate()
- * and every BatchRunner job; not part of the public API.
+ * driver for options.method. The caller resolves `saved`, `rounding`
+ * and `jitOn` once per run (savedStates, expr::roundingMode,
+ * expr::jitEnabled). A JIT kernel serves the RHS when `jitOn` and one
+ * resolves; `usedJit`, when given, reports whether one did. The
+ * engine behind simulate() and every BatchRunner job; not part of the
+ * public API.
  */
 std::vector<SimResult> integrateBlock(
     const std::vector<const compiler::OdeSystem *> &systems,
-    const std::vector<const std::vector<double> *> &initials, double t0,
+    const std::vector<const std::vector<double> *> &initials,
+    const std::vector<const std::vector<std::size_t> *> &saved, double t0,
     double t1, const SimOptions &options, expr::RoundingMode rounding,
     bool jitOn, bool *usedJit = nullptr);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "sim/batch.h"
 #include "support/error.h"
@@ -12,15 +13,22 @@ namespace ark::sim {
 using support::cat;
 using support::SimError;
 
+Trajectory::Trajectory(std::vector<std::size_t> columns)
+    : columns_(std::move(columns))
+{
+}
+
 void
 Trajectory::addSample(double t, const std::vector<double> &state,
                       const std::vector<double> *deriv)
 {
-    if (times_.empty())
-        stateDim_ = state.size();
-    support::panicIf(state.size() != stateDim_,
+    if (times_.empty() && columns_.empty()) {
+        columns_.resize(state.size());
+        std::iota(columns_.begin(), columns_.end(), std::size_t{0});
+    }
+    support::panicIf(state.size() != columns_.size(),
                      "Trajectory::addSample: state dimension changed");
-    support::panicIf(deriv && deriv->size() != stateDim_,
+    support::panicIf(deriv && deriv->size() != columns_.size(),
                      "Trajectory::addSample: deriv dimension mismatch");
     times_.push_back(t);
     states_.insert(states_.end(), state.begin(), state.end());
@@ -39,6 +47,19 @@ Trajectory::addSample(double t, const std::vector<double> &state,
 }
 
 void
+Trajectory::gatherSample(double t, const double *state, const double *deriv,
+                         std::size_t stride)
+{
+    times_.push_back(t);
+    for (std::size_t i : columns_)
+        states_.push_back(state[i * stride]);
+    if (derivsDropped_)
+        return;
+    for (std::size_t i : columns_)
+        derivs_.push_back(deriv[i * stride]);
+}
+
+void
 Trajectory::reserve(std::size_t samples, std::size_t stateDim)
 {
     times_.reserve(samples);
@@ -52,7 +73,7 @@ Trajectory::state(std::size_t sample) const
 {
     support::panicIf(sample >= times_.size(),
                      "Trajectory::state: sample out of range");
-    return {states_.data() + sample * stateDim_, stateDim_};
+    return {states_.data() + sample * stateDim(), stateDim()};
 }
 
 std::span<const double>
@@ -62,19 +83,31 @@ Trajectory::deriv(std::size_t sample) const
                      "Trajectory::deriv: sample out of range");
     support::panicIf(!hasDerivs(),
                      "Trajectory::deriv: no derivatives recorded");
-    return {derivs_.data() + sample * stateDim_, stateDim_};
+    return {derivs_.data() + sample * stateDim(), stateDim()};
+}
+
+std::size_t
+Trajectory::column(int stateIndex) const
+{
+    auto idx = static_cast<std::size_t>(stateIndex);
+    auto it = std::lower_bound(columns_.begin(), columns_.end(), idx);
+    if (stateIndex < 0 || it == columns_.end() || *it != idx) {
+        throw SimError(cat("Trajectory: state ", stateIndex,
+                           " was not saved"));
+    }
+    return static_cast<std::size_t>(it - columns_.begin());
 }
 
 std::vector<double>
 Trajectory::series(int stateIndex) const
 {
-    auto idx = static_cast<std::size_t>(stateIndex);
-    support::panicIf(idx >= stateDim_ && !times_.empty(),
-                     "Trajectory::series: state index out of range");
+    if (times_.empty())
+        return {};
+    const std::size_t idx = column(stateIndex);
     std::vector<double> out;
     out.reserve(times_.size());
     for (std::size_t s = 0; s < times_.size(); ++s)
-        out.push_back(states_[s * stateDim_ + idx]);
+        out.push_back(states_[s * stateDim() + idx]);
     return out;
 }
 
@@ -83,28 +116,27 @@ Trajectory::sampleAt(int stateIndex, double t) const
 {
     if (times_.empty())
         throw SimError("sampleAt on an empty trajectory");
-    auto idx = static_cast<std::size_t>(stateIndex);
-    support::panicIf(idx >= stateDim_,
-                     "Trajectory::sampleAt: state index out of range");
+    const std::size_t idx = column(stateIndex);
+    const std::size_t dim = stateDim();
     if (t <= times_.front())
         return states_[idx];
     if (t >= times_.back())
-        return states_[(times_.size() - 1) * stateDim_ + idx];
+        return states_[(times_.size() - 1) * dim + idx];
     auto it = std::lower_bound(times_.begin(), times_.end(), t);
     std::size_t hi = static_cast<std::size_t>(it - times_.begin());
     std::size_t lo = hi - 1;
     double span = times_[hi] - times_[lo];
     if (span <= 0)
-        return states_[lo * stateDim_ + idx];
-    double y0 = states_[lo * stateDim_ + idx];
-    double y1 = states_[hi * stateDim_ + idx];
+        return states_[lo * dim + idx];
+    double y0 = states_[lo * dim + idx];
+    double y1 = states_[hi * dim + idx];
     if (hasDerivs()) {
         // Cubic Hermite using the recorded slopes.
         double s = (t - times_[lo]) / span;
         double s2 = s * s;
         double s3 = s2 * s;
-        double m0 = derivs_[lo * stateDim_ + idx];
-        double m1 = derivs_[hi * stateDim_ + idx];
+        double m0 = derivs_[lo * dim + idx];
+        double m1 = derivs_[hi * dim + idx];
         return (2 * s3 - 3 * s2 + 1) * y0 +
                (s3 - 2 * s2 + s) * span * m0 +
                (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * span * m1;
@@ -147,10 +179,12 @@ simulate(const compiler::OdeSystem &system,
                            initial.size(), " entries, system has ",
                            system.size()));
     }
+    const std::vector<std::size_t> saved =
+        detail::savedStates(system, options.save);
     // One interpreted one-lane block: the same driver every ensemble
     // job runs, without the ensemble's pool, span or ledger.
     std::vector<SimResult> results = detail::integrateBlock(
-        {&system}, {&initial}, t0, t1, options,
+        {&system}, {&initial}, {&saved}, t0, t1, options,
         expr::roundingMode(options.rounding), /*jitOn=*/false);
     return std::move(results.front());
 }
@@ -188,6 +222,10 @@ simulateToSteadyState(const compiler::OdeSystem &system, double t0,
                       double tMax, double derivTol,
                       const SimOptions &options)
 {
+    if (!options.save.empty()) {
+        throw SimError("simulateToSteadyState: SimOptions::save must be "
+                       "empty; the steady-state test reads every slope");
+    }
     SimOptions opts = options;
     if (opts.recordDt <= 0)
         opts.recordDt = (tMax - t0) / 2000.0;

@@ -97,6 +97,19 @@ struct SimOptions
     std::size_t maxSteps = 50'000'000; ///< Hard stop against stalls.
 
     /**
+     * Nodes whose states a run stores, named after SPICE's `.save`
+     * card. Each system resolves the names to the state indices of
+     * those nodes, every derivative order, in ascending order; empty
+     * (the default) stores every state. Saving changes which columns a
+     * Trajectory holds, never a step or a value: the divergence and
+     * budget checks still scan every state. A name that some system
+     * lacks is a caller error, thrown as SimError before any instance
+     * integrates. simulateToSteadyState rejects a non-empty list,
+     * because its convergence test reads every slope.
+     */
+    std::vector<std::string> save;
+
+    /**
      * Which RHS program every block integrates (expr::RoundingMode):
      * Exact (the default) keeps the tier-equivalence bit contract;
      * Fma contracts single-use Mul+Add pairs into one std::fma
@@ -137,7 +150,13 @@ struct SimOptions
 };
 
 /**
- * Recorded trajectory: times plus full state per sample.
+ * Recorded trajectory: times plus the stored columns of the state per
+ * sample. A trajectory stores either every state (a default-constructed
+ * one; its first sample fixes the dimension) or the states a run's
+ * SimOptions::save names. columns() lists which state each stored
+ * column holds; series(), sampleAt() and resample() take the system's
+ * state index and throw SimError for a state that was not stored.
+ * state(s), deriv(s) and stateDim() describe the stored columns.
  *
  * Storage is flat: one contiguous buffer of size() * stateDim()
  * doubles (sample-major), so recording a sample is a bulk append with
@@ -155,22 +174,41 @@ struct SimOptions
 class Trajectory
 {
   public:
+    /** A trajectory of every state; the first sample fixes its size. */
+    Trajectory() = default;
+
+    /** A trajectory of the states `columns` (ascending indices). */
+    explicit Trajectory(std::vector<std::size_t> columns);
+
     /**
-     * Appends a sample; `deriv` (dstate/dt at the sample, optional)
-     * enables cubic Hermite interpolation in sampleAt. All samples
-     * must share the first sample's dimension.
+     * Appends a sample of the stored columns; `deriv` (dstate/dt at
+     * the sample, optional) enables cubic Hermite interpolation in
+     * sampleAt. Each holds stateDim() entries; a default-constructed
+     * trajectory takes its dimension from the first sample.
      */
     void addSample(double t, const std::vector<double> &state,
                    const std::vector<double> *deriv = nullptr);
+
+    /**
+     * Appends a sample gathered from a whole state and its slope,
+     * with state index i at state[i * stride] and deriv[i * stride]:
+     * the integrators record a lane of their SoA block this way, one
+     * gather per stored column.
+     */
+    void gatherSample(double t, const double *state, const double *deriv,
+                      std::size_t stride);
 
     /** Pre-sizes the buffers for `samples` samples of `stateDim`. */
     void reserve(std::size_t samples, std::size_t stateDim);
 
     std::size_t size() const { return times_.size(); }
-    /** State-vector length; 0 until the first sample lands. */
-    std::size_t stateDim() const { return stateDim_; }
+    /** Stored columns per sample; 0 for a default-constructed
+     *  trajectory until the first sample lands. */
+    std::size_t stateDim() const { return columns_.size(); }
+    /** The state index each stored column holds, ascending. */
+    const std::vector<std::size_t> &columns() const { return columns_; }
     const std::vector<double> &times() const { return times_; }
-    /** One recorded state vector (a view into the flat buffer). */
+    /** One recorded sample's stored columns (a view into the buffer). */
     std::span<const double> state(std::size_t sample) const;
     double time(std::size_t sample) const { return times_.at(sample); }
 
@@ -178,21 +216,22 @@ class Trajectory
     bool hasDerivs() const { return !times_.empty() && !derivsDropped_; }
 
     /**
-     * The dstate/dt recorded with one sample (a view into the flat
-     * slope buffer). The simulation drivers record, with every
-     * sample, the RHS they integrated evaluated at that sample.
-     * Requires hasDerivs().
+     * The dstate/dt recorded with one sample, stored columns only (a
+     * view into the flat slope buffer). The simulation drivers record,
+     * with every sample, the RHS they integrated evaluated at that
+     * sample. Requires hasDerivs().
      */
     std::span<const double> deriv(std::size_t sample) const;
 
-    /** Series of one state variable across all samples. */
+    /** Series of one state variable across all samples (empty when
+     *  nothing was recorded). */
     std::vector<double> series(int stateIndex) const;
 
     /**
      * Value of one state variable at time t (clamped to the recorded
      * range): cubic Hermite between samples when derivatives were
      * recorded (O(h^4) — accurate across large adaptive steps),
-     * linear otherwise.
+     * linear otherwise. Reads only that state's column.
      */
     double sampleAt(int stateIndex, double t) const;
 
@@ -201,9 +240,12 @@ class Trajectory
                                  std::size_t n) const;
 
   private:
-    std::size_t stateDim_ = 0;
+    /** The stored column of a state. @throws SimError if not stored. */
+    std::size_t column(int stateIndex) const;
+
+    std::vector<std::size_t> columns_; ///< State index per column.
     std::vector<double> times_;
-    std::vector<double> states_; ///< Flat, size() * stateDim_.
+    std::vector<double> states_; ///< Flat, size() * stateDim().
     std::vector<double> derivs_; ///< Flat; empty once dropped.
     bool derivsDropped_ = false;
 };
@@ -360,6 +402,8 @@ std::vector<SimResult> simulateEnsemble(
  * sample, on the slopes the run recorded — so under a non-Exact
  * rounding mode the check follows the program actually integrated) or
  * tMax is reached; `reachedSteadyState` reports which.
+ * @throws ark::support::SimError when options.save is not empty: the
+ *         test reads every state's slope.
  */
 SimResult simulateToSteadyState(const compiler::OdeSystem &system,
                                 double t0, double tMax, double derivTol,

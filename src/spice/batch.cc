@@ -1,5 +1,6 @@
 #include "spice/batch.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
@@ -72,6 +73,24 @@ groupByStructure(
     }
 }
 
+/**
+ * The unknowns of the nodes `names` in `netlist`, ascending: a node's
+ * voltage is the unknown numbered by its id.
+ * @throws SemaError for a name the netlist lacks.
+ */
+std::vector<std::size_t>
+savedUnknowns(const Netlist &netlist, const std::vector<std::string> &names)
+{
+    std::vector<std::size_t> unknowns;
+    unknowns.reserve(names.size());
+    for (const std::string &name : names)
+        unknowns.push_back(static_cast<std::size_t>(netlist.node(name)));
+    std::sort(unknowns.begin(), unknowns.end());
+    unknowns.erase(std::unique(unknowns.begin(), unknowns.end()),
+                   unknowns.end());
+    return unknowns;
+}
+
 /** A freshly factored operator for `system` with its fractional final
  *  step (finalStepSize) prepared, so every instance that shares or
  *  rebinds it steps the whole grid without a one-off factorization. */
@@ -134,11 +153,14 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
                   telemetry::RunLedger::Workload::Spice, count)
             : 0;
 
-    // Phase 1: assemble every netlist (cheap, value-independent
-    // structure). Assembly rejects land as BadInput failures.
+    // Phase 1: resolve the save list and assemble every netlist
+    // (cheap, value-independent structure). A missing saved node and
+    // an assembly reject land as BadInput failures.
     std::vector<std::unique_ptr<SparseMnaSystem>> systems(count);
+    std::vector<std::vector<std::size_t>> saved(count);
     for (std::size_t i = 0; i < count; ++i) {
         try {
+            saved[i] = savedUnknowns(*netlists[i], options_.save);
             systems[i] = std::make_unique<SparseMnaSystem>(*netlists[i]);
         } catch (const support::ArkError &error) {
             results[i].failure = errorFailure(error, t0);
@@ -258,7 +280,7 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
                         return preparedStepper(system, dt, finalH);
                     });
                 }
-                results[i] = stepper->run(system, t0, t1);
+                results[i] = stepper->run(system, t0, t1, {}, saved[i]);
             } catch (const support::ArkError &error) {
                 results[i].failure = errorFailure(error, t0);
             } catch (...) {

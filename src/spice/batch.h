@@ -45,6 +45,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "spice/mna.h"
@@ -112,6 +113,17 @@ struct TransientBatchOptions
      * the call.
      */
     StepperCache *cache = nullptr;
+
+    /**
+     * Netlist nodes whose voltages each result stores, named after
+     * SPICE's `.save` card (Netlist::node names; the stored column of
+     * a node is its id, so TransientResult::series(id) reads it).
+     * Empty (the default) stores every unknown. Saving changes which
+     * columns a result holds, never a step, a value or a failure
+     * check. An instance whose netlist lacks a named node fails alone
+     * with TransientAbort::BadInput.
+     */
+    std::vector<std::string> save;
 };
 
 /** What a batch run did, beyond the per-instance results. */

@@ -47,8 +47,14 @@ waveformOf(const expr::Value &fnValue)
     expr::ExprPtr body = expr::applyLambda(fn, {expr::Expr::time()});
     expr::FusedTape tape = expr::FusedTape::compile({expr::fold(body)});
     return [tape](double t) {
+        // One scratch file per thread, grown to the largest waveform:
+        // a source is evaluated every SPICE step, and the program
+        // writes each register before reading it.
+        thread_local std::vector<double> regs;
+        const auto numRegs = static_cast<std::size_t>(tape.numRegs());
+        if (regs.size() < numRegs)
+            regs.resize(numRegs);
         double out = 0.0;
-        std::vector<double> regs(static_cast<std::size_t>(tape.numRegs()));
         tape.evalInto(nullptr, t, &out, regs.data());
         return out;
     };

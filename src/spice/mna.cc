@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "support/error.h"
 #include "support/logging.h"
@@ -201,6 +202,15 @@ sampleEstimate(double t0, double t1, double dt)
     return static_cast<std::size_t>(steps) + 2;
 }
 
+/** The columns of a result that stores every one of n unknowns. */
+std::vector<std::size_t>
+everyUnknown(std::size_t n)
+{
+    std::vector<std::size_t> columns(n);
+    std::iota(columns.begin(), columns.end(), std::size_t{0});
+    return columns;
+}
+
 TransientFailure
 singularStepFailure(const support::ArkError &error, double t,
                     std::size_t step)
@@ -352,22 +362,24 @@ SparseMnaSystem::sharesMatrixValues(const SparseMnaSystem &other) const
            k_.sameValues(other.k_);
 }
 
-void
-TransientResult::reserve(std::size_t samples, std::size_t dim)
+TransientResult::TransientResult(std::vector<std::size_t> columns)
+    : columns_(std::move(columns))
 {
-    times_.reserve(samples);
-    states_.reserve(samples * dim);
 }
 
 void
-TransientResult::addSample(double t, const double *state, std::size_t dim)
+TransientResult::reserve(std::size_t samples)
 {
-    if (dim_ == 0)
-        dim_ = dim;
-    support::panicIf(dim != dim_,
-                     "TransientResult::addSample dimension mismatch");
+    times_.reserve(samples);
+    states_.reserve(samples * dim());
+}
+
+void
+TransientResult::addSample(double t, const double *state)
+{
     times_.push_back(t);
-    states_.insert(states_.end(), state, state + dim);
+    for (std::size_t unknown : columns_)
+        states_.push_back(state[unknown]);
 }
 
 std::span<const double>
@@ -375,18 +387,24 @@ TransientResult::state(std::size_t sample) const
 {
     support::panicIf(sample >= times_.size(),
                      "TransientResult::state out of range");
-    return {states_.data() + sample * dim_, dim_};
+    return {states_.data() + sample * dim(), dim()};
 }
 
 std::vector<double>
 TransientResult::series(std::size_t unknown) const
 {
-    support::panicIf(!times_.empty() && unknown >= dim_,
-                     "TransientResult::series unknown out of range");
+    if (times_.empty())
+        return {};
+    auto it = std::lower_bound(columns_.begin(), columns_.end(), unknown);
+    if (it == columns_.end() || *it != unknown) {
+        throw SimError(cat("TransientResult: unknown ", unknown,
+                           " was not saved"));
+    }
+    const auto column = static_cast<std::size_t>(it - columns_.begin());
     std::vector<double> out;
     out.reserve(times_.size());
     for (std::size_t s = 0; s < times_.size(); ++s)
-        out.push_back(states_[s * dim_ + unknown]);
+        out.push_back(states_[s * dim() + column]);
     return out;
 }
 
@@ -442,13 +460,13 @@ transient(const MnaSystem &system, double t0, double t1, double dt,
         }
     }
 
-    TransientResult result;
-    result.reserve(sampleEstimate(t0, t1, dt), n);
+    TransientResult result(everyUnknown(n));
+    result.reserve(sampleEstimate(t0, t1, dt));
     if (int bad = firstNonfinite(x); bad >= 0) {
         result.failure = nonfiniteFailure(bad, t0, 0);
         return result;
     }
-    result.addSample(t0, x.data(), n);
+    result.addSample(t0, x.data());
     if (t1 == t0)
         return result;
 
@@ -529,7 +547,7 @@ transient(const MnaSystem &system, double t0, double t1, double dt,
             result.failure = nonfiniteFailure(bad, t, step);
             return result;
         }
-        result.addSample(t, x.data(), n);
+        result.addSample(t, x.data());
     }
     return result;
 }
@@ -694,10 +712,18 @@ TransientStepper::rebind(const SparseMnaSystem &system)
 
 TransientResult
 TransientStepper::run(const SparseMnaSystem &system, double t0, double t1,
-                      const std::vector<double> &x0) const
+                      const std::vector<double> &x0,
+                      const std::vector<std::size_t> &save) const
 {
     const std::size_t n = system.size();
     checkTransientArgs(n, t0, t1, dt_, x0);
+    for (std::size_t c = 0; c < save.size(); ++c) {
+        if (save[c] >= n || (c > 0 && save[c] <= save[c - 1])) {
+            throw SimError(cat("transient: save must list ascending "
+                               "unknowns below ",
+                               n));
+        }
+    }
     std::vector<double> x = x0.empty() ? std::vector<double>(n, 0.0) : x0;
 
     // Consistent initialization of algebraic rows, as in the dense
@@ -713,13 +739,13 @@ TransientStepper::run(const SparseMnaSystem &system, double t0, double t1,
         x = initLu_->solve(rhs0);
     }
 
-    TransientResult result;
-    result.reserve(sampleEstimate(t0, t1, dt_), n);
+    TransientResult result(save.empty() ? everyUnknown(n) : save);
+    result.reserve(sampleEstimate(t0, t1, dt_));
     if (int bad = firstNonfinite(x); bad >= 0) {
         result.failure = nonfiniteFailure(bad, t0, 0);
         return result;
     }
-    result.addSample(t0, x.data(), n);
+    result.addSample(t0, x.data());
     if (t1 == t0)
         return result;
 
@@ -779,7 +805,7 @@ TransientStepper::run(const SparseMnaSystem &system, double t0, double t1,
             result.failure = nonfiniteFailure(bad, t, step);
             return result;
         }
-        result.addSample(t, x.data(), n);
+        result.addSample(t, x.data());
     }
     return result;
 }

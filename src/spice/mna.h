@@ -194,31 +194,47 @@ struct TransientFailure
 };
 
 /**
- * Transient result: times plus all unknowns per sample in one flat
- * reserve-backed buffer (sample-major), mirroring sim::Trajectory —
- * recording a sample is a bulk append with no per-sample allocation,
- * and state(s) is a view into the buffer.
+ * Transient result: times plus the stored unknowns per sample in one
+ * flat reserve-backed buffer (sample-major), mirroring
+ * sim::Trajectory — recording a sample is a bulk append with no
+ * per-sample allocation, and state(s) is a view into the buffer. A
+ * run stores every unknown unless it was given a save list
+ * (TransientStepper::run, TransientBatchOptions::save); columns()
+ * lists which unknown each stored column holds, and series() takes
+ * the unknown (a node's id for node voltages), throwing SimError for
+ * one that was not stored. state(s) and dim() describe the stored
+ * columns.
  */
 class TransientResult
 {
   public:
-    /** Pre-sizes the buffers for `samples` samples of `dim` unknowns. */
-    void reserve(std::size_t samples, std::size_t dim);
+    /** A result with no columns: a sweep's failed-before-run slot. */
+    TransientResult() = default;
 
-    /** Appends one sample; all samples must share the first's dim. */
-    void addSample(double t, const double *state, std::size_t dim);
+    /** A result of the unknowns `columns` (ascending indices). */
+    explicit TransientResult(std::vector<std::size_t> columns);
+
+    /** Pre-sizes the buffers for `samples` samples. */
+    void reserve(std::size_t samples);
+
+    /** Appends one sample gathered from every unknown's value in
+     *  `state`: the entries at columns(). */
+    void addSample(double t, const double *state);
 
     std::size_t size() const { return times_.size(); }
-    /** Unknown-vector length; 0 until the first sample lands. */
-    std::size_t dim() const { return dim_; }
+    /** Stored columns per sample. */
+    std::size_t dim() const { return columns_.size(); }
+    /** The unknown each stored column holds, ascending. */
+    const std::vector<std::size_t> &columns() const { return columns_; }
 
     const std::vector<double> &times() const { return times_; }
     double time(std::size_t sample) const { return times_.at(sample); }
 
-    /** One recorded state vector (a view into the flat buffer). */
+    /** One recorded sample's stored columns (a view into the buffer). */
     std::span<const double> state(std::size_t sample) const;
 
-    /** Compatibility accessor: series of one unknown over all samples. */
+    /** Series of one unknown over all samples (empty when nothing was
+     *  recorded). */
     std::vector<double> series(std::size_t unknown) const;
 
     /**
@@ -233,9 +249,9 @@ class TransientResult
     bool ok() const { return !failure.has_value(); }
 
   private:
-    std::size_t dim_ = 0;
+    std::vector<std::size_t> columns_; ///< Unknown per column.
     std::vector<double> times_;
-    std::vector<double> states_; ///< Flat, size() * dim_.
+    std::vector<double> states_; ///< Flat, size() * dim().
 };
 
 /**
@@ -295,13 +311,16 @@ class TransientStepper
     /**
      * Integrates `system` (whose companion matrices must match the
      * currently bound values) from x0 (zeros when empty) over
-     * [t0, t1], sampling every step. Thread-safe: run() is const and
-     * touches no shared mutable state, so one stepper may serve
-     * concurrent value-identical instances.
-     * @throws support::SimError for invalid t0/t1/x0.
+     * [t0, t1], sampling every step. The result stores the unknowns
+     * `save` (ascending), or every unknown when `save` is empty;
+     * saving changes no step, value or failure check. Thread-safe:
+     * run() is const and touches no shared mutable state, so one
+     * stepper may serve concurrent value-identical instances.
+     * @throws support::SimError for invalid t0/t1/x0/save.
      */
     TransientResult run(const SparseMnaSystem &system, double t0,
-                        double t1, const std::vector<double> &x0 = {}) const;
+                        double t1, const std::vector<double> &x0 = {},
+                        const std::vector<std::size_t> &save = {}) const;
 
   private:
     double dt_;

@@ -49,12 +49,15 @@ void debug(const std::string &message);
  */
 [[noreturn]] void panic(const std::string &message);
 
-/** panic() unless the given condition holds. */
+/**
+ * panic() when the condition holds. The message is a view, so a
+ * literal argument allocates nothing unless the check fires.
+ */
 inline void
-panicIf(bool condition, const std::string &message)
+panicIf(bool condition, std::string_view message)
 {
     if (condition)
-        panic(message);
+        panic(std::string(message));
 }
 
 namespace detail {

@@ -4,16 +4,18 @@
  * voting"): tolerance-level agreement with scalar Dopri5 on random
  * TLN/OBC/CNN ensembles, bit identity across thread counts, stiff-lane
  * voting, per-lane divergence retirement with block compaction down
- * to width 1, ablation parity, degenerate ranges, and per-instance
- * progress monotonicity under lane retirement.
+ * to width 1 (storing every state or a saved node), ablation parity,
+ * and degenerate ranges.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numbers>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "paradigms/standard.h"
 #include "paradigms/tln.h"
 #include "sim/sim.h"
+#include "support/error.h"
 #include "support/rng.h"
 #include "validator/validator.h"
 
@@ -437,6 +440,80 @@ TEST(Dopri5BatchTest, DivergingLanesRetireThroughCompactionAndSpill)
     ASSERT_TRUE(survivor.ok());
     // x(t) = (sqrt(x0) - t/2)^2: the survivor stays well positive.
     EXPECT_NEAR(survivor.trajectory.sampleAt(0, 1.0), 6.25, 1e-3);
+}
+
+TEST(Dopri5BatchTest, SavedDivergingLanesRetireThroughCompactionAndSpill)
+{
+    // The run above with a second drain node, y, that never empties,
+    // saved alone. Saving changes no step and no failure check: every
+    // lane retires exactly as in the full run, still blaming x, keeps
+    // its saved samples from before the failure, and the survivor
+    // keeps its column through every compaction down to width 1.
+    lang::LanguageRegistry registry;
+    drainSystem(registry); // registers drain5
+    GraphBuilder builder(registry.language("drain5"), 0);
+    for (const char *node : {"x", "y"}) {
+        builder.node(node, "X");
+        builder.edge(std::string(node) + "_self", "E", node, node);
+        builder.init(node, 0, 1.0);
+    }
+    OdeSystem system =
+        compiler::compile(builder.take(), registry.language("drain5"));
+    const auto x = static_cast<std::size_t>(system.stateIndex("x", 0));
+    const auto y = static_cast<std::size_t>(system.stateIndex("y", 0));
+    const std::vector<double> x0s{0.0025, 0.01, 0.0225, 0.04, 0.0625,
+                                  0.09,   0.1225, 9.0};
+    std::vector<std::vector<double>> initials;
+    for (double x0 : x0s) {
+        std::vector<double> init(2);
+        init[x] = x0;
+        init[y] = 9.0;
+        initials.push_back(std::move(init));
+    }
+
+    EnsembleOptions options;
+    options.numThreads = 1;
+    options.sim.maxSteps = 200'000;
+    std::vector<SimResult> full =
+        sim::simulateEnsemble(system, initials, 0.0, 1.0, options);
+    options.sim.save = {"y"};
+    std::vector<SimResult> saved =
+        sim::simulateEnsemble(system, initials, 0.0, 1.0, options);
+    ASSERT_EQ(full.size(), x0s.size());
+    ASSERT_EQ(saved.size(), x0s.size());
+
+    for (std::size_t i = 0; i < x0s.size(); ++i) {
+        const bool survivor = i + 1 == x0s.size();
+        ASSERT_EQ(full[i].ok(), survivor) << "instance " << i;
+        ASSERT_EQ(saved[i].ok(), survivor) << "instance " << i;
+        EXPECT_EQ(saved[i].steps, full[i].steps);
+        EXPECT_EQ(saved[i].rejectedSteps, full[i].rejectedSteps);
+        if (!survivor) {
+            EXPECT_EQ(saved[i].failure->reason, sim::AbortReason::Diverged);
+            EXPECT_EQ(saved[i].failure->stateIndex,
+                      static_cast<int>(x));
+            EXPECT_EQ(saved[i].failure->stateIndex,
+                      full[i].failure->stateIndex);
+            EXPECT_EQ(saved[i].failure->step, full[i].failure->step);
+            EXPECT_EQ(saved[i].failure->time, full[i].failure->time);
+        }
+        const sim::Trajectory &a = saved[i].trajectory;
+        const sim::Trajectory &b = full[i].trajectory;
+        ASSERT_EQ(a.columns(), std::vector<std::size_t>{y});
+        ASSERT_GT(a.size(), 1u) << "instance " << i;
+        ASSERT_EQ(a.times(), b.times()) << "instance " << i;
+        ASSERT_TRUE(a.hasDerivs());
+        for (std::size_t s = 0; s < a.size(); ++s) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.state(s)[0]),
+                      std::bit_cast<std::uint64_t>(b.state(s)[y]));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.deriv(s)[0]),
+                      std::bit_cast<std::uint64_t>(b.deriv(s)[y]));
+        }
+        EXPECT_THROW(a.series(static_cast<int>(x)), support::SimError);
+    }
+    // y(t) = (3 - t/2)^2: the survivor reaches t = 1 on track.
+    EXPECT_NEAR(saved.back().trajectory.sampleAt(static_cast<int>(y), 1.0),
+                6.25, 1e-3);
 }
 
 TEST(Dopri5BatchTest, SurvivorsAlwaysRecordTheFinalSample)

@@ -2,13 +2,20 @@
  * @file
  * Tests for the batched ensemble simulation engine: determinism
  * against the serial path at every thread count, heterogeneous-system
- * batteries, failure propagation, and the batched PUF/max-cut app
- * entry points that ride on it.
+ * batteries, failure propagation, saved columns (SimOptions::save) at
+ * every block width of both integrators, and the batched PUF/max-cut
+ * app entry points that ride on it.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "apps/experiments.h"
 #include "apps/puf.h"
@@ -17,6 +24,7 @@
 #include "paradigms/standard.h"
 #include "sim/sim.h"
 #include "support/error.h"
+#include "support/ledger.h"
 #include "support/rng.h"
 
 namespace {
@@ -204,6 +212,212 @@ TEST(EnsembleTest, DivergingInstanceReportsStructuredFailure)
         EXPECT_EQ(batch[1].failure->time, serial.failure->time);
         expectIdenticalResults(batch[1], serial);
     }
+}
+
+/**
+ * Independent oscillators x'' = -(k w)^2 x, one order-2 node per name
+ * (the k-th at k times w), so a save list picks whole derivative
+ * chains out of a multi-node state.
+ */
+OdeSystem
+oscillatorBank(lang::LanguageRegistry &registry,
+               const std::vector<std::string> &nodes, double w)
+{
+    if (!registry.findLanguage("bank")) {
+        registry.addProgram(R"(
+            lang bank {
+                ntyp(2,sum) X {attr w2=real[0,1000],
+                               init(0) real[-10,10],
+                               init(1) real[-10,10]};
+                etyp E {};
+                prod(e:E,s:X->s:X) s <= -s.w2*var(s);
+            }
+        )");
+    }
+    GraphBuilder builder(registry.language("bank"), 0);
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+        const std::string &node = nodes[k];
+        const double wk = w * static_cast<double>(k + 1);
+        builder.node(node, "X");
+        builder.attr(node, "w2", wk * wk);
+        builder.edge(node + "_self", "E", node, node);
+        builder.init(node, 0, 1.0);
+        builder.init(node, 1, 0.0);
+    }
+    return compiler::compile(builder.take(), registry.language("bank"));
+}
+
+void
+expectSameBits(std::span<const double> a, std::span<const double> b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+                  std::bit_cast<std::uint64_t>(b[i]))
+            << "entry " << i;
+}
+
+/**
+ * `saved` is `full` with only the states `columns` stored: the same
+ * steps, failure and sample times, and for each stored state the same
+ * values and slopes bit for bit, read by column or by state index.
+ * Reading any other state index throws.
+ */
+void
+expectSavedColumns(const SimResult &saved, const SimResult &full,
+                   const std::vector<std::size_t> &columns)
+{
+    EXPECT_EQ(saved.steps, full.steps);
+    EXPECT_EQ(saved.rejectedSteps, full.rejectedSteps);
+    ASSERT_EQ(saved.ok(), full.ok());
+    if (!full.ok()) {
+        EXPECT_EQ(saved.failure->reason, full.failure->reason);
+        EXPECT_EQ(saved.failure->step, full.failure->step);
+        EXPECT_EQ(saved.failure->stateIndex, full.failure->stateIndex);
+        EXPECT_EQ(saved.failure->time, full.failure->time);
+    }
+    const sim::Trajectory &a = saved.trajectory;
+    const sim::Trajectory &b = full.trajectory;
+    ASSERT_EQ(a.columns(), columns);
+    ASSERT_EQ(a.stateDim(), columns.size());
+    ASSERT_EQ(a.times(), b.times());
+    ASSERT_EQ(a.hasDerivs(), b.hasDerivs());
+    ASSERT_GT(a.size(), 1u);
+    for (std::size_t s = 0; s < a.size(); ++s) {
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.state(s)[c]),
+                      std::bit_cast<std::uint64_t>(
+                          b.state(s)[columns[c]]));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.deriv(s)[c]),
+                      std::bit_cast<std::uint64_t>(
+                          b.deriv(s)[columns[c]]));
+        }
+    }
+    // Twice as many grid points as samples: most land between two
+    // samples, on the Hermite path.
+    const double t0 = a.times().front();
+    const double t1 = a.times().back();
+    const std::size_t grid = 2 * a.size() + 1;
+    for (std::size_t i = 0; i < b.stateDim(); ++i) {
+        const int index = static_cast<int>(i);
+        if (std::binary_search(columns.begin(), columns.end(), i)) {
+            expectSameBits(a.series(index), b.series(index));
+            expectSameBits(a.resample(index, t0, t1, grid),
+                           b.resample(index, t0, t1, grid));
+        } else {
+            EXPECT_THROW(a.series(index), SimError) << "state " << i;
+            EXPECT_THROW(a.sampleAt(index, t0), SimError);
+            EXPECT_THROW(a.resample(index, t0, t1, grid), SimError);
+        }
+    }
+}
+
+/** One saved-columns case: the integrator and the block width. */
+struct SaveCase
+{
+    sim::Method method;
+    std::size_t width;
+};
+
+class SavedColumnsTest : public ::testing::TestWithParam<SaveCase>
+{
+};
+
+TEST_P(SavedColumnsTest, MatchTheFullRunBitForBit)
+{
+    // `width` systems of one structure integrate as one lane block of
+    // that width, once storing every state and once saving nodes c
+    // and a (both derivative orders each, listed out of order). The
+    // systems name their nodes in rotated orders, so lane-mates
+    // resolve the list to different states.
+    const SaveCase param = GetParam();
+    lang::LanguageRegistry registry;
+    std::vector<OdeSystem> systems;
+    for (std::size_t i = 0; i < param.width; ++i) {
+        std::vector<std::string> nodes{"a", "b", "c"};
+        std::rotate(nodes.begin(),
+                    nodes.begin() + static_cast<std::ptrdiff_t>(i % 3),
+                    nodes.end());
+        systems.push_back(oscillatorBank(
+            registry, nodes, 1.1 + 0.1 * static_cast<double>(i)));
+    }
+    std::vector<const OdeSystem *> pointers;
+    for (const OdeSystem &system : systems)
+        pointers.push_back(&system);
+
+    telemetry::RunLedger ledger;
+    EnsembleOptions options;
+    options.numThreads = 1;
+    options.ledger = &ledger;
+    options.sim.method = param.method;
+    options.sim.dt = 1e-3;
+    options.sim.recordDt = 0.01;
+    std::vector<SimResult> full =
+        sim::simulateEnsemble(pointers, 0.0, 2.0, options);
+    for (const telemetry::RunLedger::Record &record : ledger.records())
+        ASSERT_EQ(record.laneWidth, param.width);
+    options.sim.save = {"c", "a"};
+    std::vector<SimResult> saved =
+        sim::simulateEnsemble(pointers, 0.0, 2.0, options);
+    ASSERT_EQ(full.size(), param.width);
+    ASSERT_EQ(saved.size(), param.width);
+
+    for (std::size_t i = 0; i < param.width; ++i) {
+        std::vector<std::size_t> columns;
+        for (const char *node : {"a", "c"})
+            for (int order : {0, 1})
+                columns.push_back(static_cast<std::size_t>(
+                    systems[i].stateIndex(node, order)));
+        std::sort(columns.begin(), columns.end());
+        ASSERT_TRUE(full[i].ok()) << "instance " << i;
+        expectSavedColumns(saved[i], full[i], columns);
+        if (param.width == 1) {
+            // simulate() resolves the list itself and runs this block.
+            expectSavedColumns(
+                sim::simulate(systems[i], 0.0, 2.0, options.sim), full[i],
+                columns);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, SavedColumnsTest,
+    ::testing::Values(SaveCase{sim::Method::Dopri5, 1},
+                      SaveCase{sim::Method::Dopri5, 2},
+                      SaveCase{sim::Method::Dopri5, 4},
+                      SaveCase{sim::Method::Dopri5, 8},
+                      SaveCase{sim::Method::Rk4, 1},
+                      SaveCase{sim::Method::Rk4, 8}),
+    [](const auto &info) {
+        return std::string(info.param.method == sim::Method::Rk4
+                               ? "Rk4"
+                               : "Dopri5") +
+               "W" + std::to_string(info.param.width);
+    });
+
+TEST(EnsembleTest, UnknownSavedNodeThrowsBeforeAnyInstanceIntegrates)
+{
+    // The second system lacks node b. That is a caller error, thrown
+    // before the first system (which has b and forms its own block)
+    // integrates: the ledger receives no record.
+    lang::LanguageRegistry registry;
+    OdeSystem withB = oscillatorBank(registry, {"a", "b"}, 1.1);
+    OdeSystem withoutB = oscillatorBank(registry, {"a", "c", "d"}, 1.2);
+    telemetry::RunLedger ledger;
+    EnsembleOptions options;
+    options.numThreads = 1;
+    options.ledger = &ledger;
+    options.sim.save = {"b"};
+    EXPECT_THROW(sim::simulateEnsemble(
+                     std::vector<const OdeSystem *>{&withB, &withoutB},
+                     0.0, 1.0, options),
+                 SimError);
+    EXPECT_THROW(sim::simulateEnsemble(withoutB,
+                                       {withoutB.initialState()}, 0.0,
+                                       1.0, options),
+                 SimError);
+    EXPECT_EQ(ledger.size(), 0u);
+    EXPECT_THROW(sim::simulate(withoutB, 0.0, 1.0, options.sim), SimError);
 }
 
 TEST(EnsembleTest, PufBatchedResponsesMatchSerial)

@@ -488,6 +488,19 @@ TEST(SimTest, SteadyStateDetection)
     EXPECT_FALSE(never.reachedSteadyState);
 }
 
+TEST(SimTest, SteadyStateRejectsASaveList)
+{
+    // The steady-state test reads every state's slope, so a run that
+    // stores fewer columns is a caller error.
+    lang::LanguageRegistry registry;
+    OdeSystem system = decaySystem(registry, 5.0, 1.0);
+    SimOptions options;
+    options.save = {"x"};
+    EXPECT_THROW(
+        sim::simulateToSteadyState(system, 0.0, 10.0, 1e-6, options),
+        SimError);
+}
+
 /** dx/dt = +x^3: finite-time blowup at t = 1/(2 x0^2). */
 OdeSystem
 boomSystem(lang::LanguageRegistry &registry, double x0)

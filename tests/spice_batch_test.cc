@@ -5,11 +5,13 @@
  * test), shared-structure factorization reuse, per-instance
  * structured failures (singular matrix, nonfinite state), members of
  * a group whose leader cannot be factored (with and without a stepper
- * cache), batch-level input validation, and thread-count invariance.
+ * cache), saved nodes (TransientBatchOptions::save), batch-level input
+ * validation, and thread-count invariance.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -451,6 +453,120 @@ TEST_F(SpiceBatchTest, MemberFactorsAloneWhenLeaderIsSingular)
     EXPECT_EQ(cachedStats.factorHits, 0u);
     EXPECT_EQ(cachedStats.factorMisses, 1u);
     EXPECT_EQ(cache.stats().steppersCached, 1u);
+}
+
+/** The unknowns of IN_V and OUT_V in a mapped line, ascending. */
+std::vector<std::size_t>
+inAndOut(const MappedTln &mapped)
+{
+    std::vector<std::size_t> unknowns{
+        static_cast<std::size_t>(mapped.circuitNodeOf.at("IN_V")),
+        static_cast<std::size_t>(
+            mapped.circuitNodeOf.at(ptln::outputNode()))};
+    std::sort(unknowns.begin(), unknowns.end());
+    return unknowns;
+}
+
+/** `saved` stores `columns` of `full`: the same samples, bit for bit,
+ *  and every other unknown throws. */
+void
+expectSavedUnknowns(const TransientResult &saved,
+                    const TransientResult &full,
+                    const std::vector<std::size_t> &columns)
+{
+    ASSERT_TRUE(saved.ok());
+    ASSERT_EQ(saved.columns(), columns);
+    ASSERT_EQ(saved.dim(), columns.size());
+    ASSERT_EQ(saved.times(), full.times());
+    for (std::size_t unknown = 0; unknown < full.dim(); ++unknown) {
+        if (!std::binary_search(columns.begin(), columns.end(), unknown)) {
+            EXPECT_THROW(saved.series(unknown), SimError);
+            continue;
+        }
+        std::vector<double> a = saved.series(unknown);
+        std::vector<double> b = full.series(unknown);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t s = 0; s < a.size(); ++s)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(a[s]),
+                      std::bit_cast<std::uint64_t>(b[s]))
+                << "unknown " << unknown << " sample " << s;
+    }
+}
+
+TEST_F(SpiceBatchTest, SavedSweepMatchesTheFullSweep)
+{
+    // A mixed sweep (a shared-structure group with a value-identical
+    // twin, plus singletons, ending on a fractional step) saving
+    // OUT_V and IN_V, listed out of order: each result stores those
+    // two unknowns, bit for bit as the full sweep has them, with and
+    // without a stepper cache, cold and warm.
+    std::vector<MappedTln> mapped;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        mapped.push_back(sharedStructureLine(seed));
+    mapped.push_back(sharedStructureLine(1)); // value-identical twin
+    for (std::uint64_t seed = 5; seed <= 6; ++seed)
+        mapped.push_back(randomLine(seed));
+    std::vector<const Netlist *> netlists;
+    for (const MappedTln &map : mapped)
+        netlists.push_back(&map.netlist);
+
+    const double dt = 1e-11, t1 = 400.5 * dt;
+    std::vector<TransientResult> full =
+        TransientBatch().run(netlists, 0.0, t1, dt);
+    TransientBatchOptions options;
+    options.save = {ptln::outputNode(), "IN_V"};
+    engine::ArtifactCache cache;
+    engine::Session session(
+        engine::SessionOptions{.caching = true, .cache = &cache});
+    engine::SweepStats warmStats;
+    const std::vector<TransientResult> sweeps[] = {
+        TransientBatch(options).run(netlists, 0.0, t1, dt),
+        session.runSweep(netlists, 0.0, t1, dt, options),
+        session.runSweep(netlists, 0.0, t1, dt, options, &warmStats)};
+    EXPECT_GT(warmStats.factorHits, 0u);
+    for (const std::vector<TransientResult> &saved : sweeps) {
+        ASSERT_EQ(saved.size(), netlists.size());
+        for (std::size_t i = 0; i < netlists.size(); ++i) {
+            ASSERT_TRUE(full[i].ok()) << "instance " << i;
+            expectSavedUnknowns(saved[i], full[i], inAndOut(mapped[i]));
+        }
+    }
+}
+
+TEST_F(SpiceBatchTest, NetlistWithoutASavedNodeFailsAlone)
+{
+    // The middle netlist has no OUT_V: it fails alone with BadInput,
+    // with and without a stepper cache, while its neighbors store
+    // their OUT_V column.
+    MappedTln a = sharedStructureLine(1);
+    MappedTln b = sharedStructureLine(2);
+    Netlist cell = selfControlledCell(0.5);
+    std::vector<const Netlist *> netlists{&a.netlist, &cell, &b.netlist};
+    const double dt = 1e-11, t1 = 200 * dt;
+    TransientBatchOptions options;
+    options.save = {ptln::outputNode()};
+    engine::Session session(engine::SessionOptions{.caching = true});
+    const std::vector<TransientResult> sweeps[] = {
+        TransientBatch(options).run(netlists, 0.0, t1, dt),
+        session.runSweep(netlists, 0.0, t1, dt, options)};
+    for (const std::vector<TransientResult> &results : sweeps) {
+        ASSERT_EQ(results.size(), 3u);
+        ASSERT_FALSE(results[1].ok());
+        EXPECT_EQ(results[1].failure->reason, TransientAbort::BadInput);
+        EXPECT_EQ(results[1].size(), 0u);
+        for (std::size_t i : {0u, 2u}) {
+            const MappedTln &map = i == 0 ? a : b;
+            TransientResult full =
+                TransientBatch()
+                    .run(std::vector<const Netlist *>{&map.netlist}, 0.0,
+                         t1, dt)
+                    .front();
+            expectSavedUnknowns(
+                results[i], full,
+                {static_cast<std::size_t>(
+                    map.circuitNodeOf.at(ptln::outputNode()))});
+        }
+    }
 }
 
 TEST_F(SpiceBatchTest, BatchLevelBadArgumentsThrow)
