@@ -1,6 +1,7 @@
 #include "expr/lanetape.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -25,6 +26,22 @@ widthFor(std::size_t lanes)
         return 4;
     return 8;
 }
+
+// Each PURE row of ARK_TAPE_OPS as a function of its operands: the
+// lane loops evaluate these, and a fused form composes them, so no
+// opcode is defined twice.
+struct Row
+{
+#define ARK_LANE_ROW_FN(Name, Arity, Expr)                              \
+    static double Name(double A, [[maybe_unused]] double B = 0.0,       \
+                       [[maybe_unused]] double C = 0.0)                 \
+    {                                                                   \
+        using std::fma; /* spelled bare in the FusedMulAdd row */       \
+        return Expr;                                                    \
+    }
+    ARK_TAPE_OPS(ARK_TAPE_SKIP, ARK_LANE_ROW_FN)
+#undef ARK_LANE_ROW_FN
+};
 
 } // namespace
 
@@ -99,9 +116,13 @@ LaneTape::deriveStream()
     auto row = [&rowOf](std::int32_t reg) {
         return reg < 0 ? reg : rowOf[static_cast<std::size_t>(reg)];
     };
+    static_assert(static_cast<int>(LaneOp::FusedMulAdd) ==
+                      static_cast<int>(OpCode::FusedMulAdd),
+                  "LaneOp must number the ARK_TAPE_OPS rows as OpCode does");
     stream_.clear();
     stream_.reserve(ops_.size());
     for (const TapeOp &op : ops_) {
+        const auto code = static_cast<LaneOp>(op.op);
         switch (op.op) {
           case OpCode::Const:
             rowOf[static_cast<std::size_t>(op.dst)] = constRow + op.a;
@@ -112,17 +133,112 @@ LaneTape::deriveStream()
             break;
           case OpCode::WriteOutput:
             stream_.push_back(
-                {op.op, op.builtin, op.dst, row(op.a), -1, -1});
+                {code, op.builtin, true, op.dst, row(op.a), -1, -1, -1});
             break;
           default:
             // Operands are remapped before dst is redirected: an
             // instruction may overwrite the register it reads.
-            stream_.push_back({op.op, op.builtin, op.dst, row(op.a),
-                               row(op.b), row(op.c)});
+            stream_.push_back({code, op.builtin, false, op.dst, row(op.a),
+                               row(op.b), row(op.c), -1});
             rowOf[static_cast<std::size_t>(op.dst)] = op.dst;
             break;
         }
     }
+    fuseStream();
+}
+
+void
+LaneTape::fuseStream()
+{
+    std::vector<FileOp> &s = stream_;
+    const auto n = static_cast<std::int32_t>(s.size());
+    auto at = [&s](std::int32_t i) -> FileOp & {
+        return s[static_cast<std::size_t>(i)];
+    };
+    auto operands = [](const FileOp &op) {
+        return std::array<std::int32_t, 4>{op.a, op.b, op.c, op.e};
+    };
+    // writer[x]: the last instruction so far that wrote row x, or -1
+    // (constant and state rows are never written). It keeps counting
+    // the writes of instructions fused away, which only ever blocks a
+    // fusion.
+    std::vector<std::int32_t> writer(fileRows_, -1);
+    auto lastWriter = [&writer](std::int32_t x) {
+        return x < 0 ? -1 : writer[static_cast<std::size_t>(x)];
+    };
+    auto write = [&](std::int32_t i) {
+        if (!at(i).toOutput)
+            writer[static_cast<std::size_t>(at(i).dst)] = i;
+    };
+
+    // reads[i]: how often instruction i's result is read before its
+    // row is written again.
+    std::vector<std::int32_t> reads(s.size(), 0);
+    for (std::int32_t i = 0; i < n; ++i) {
+        for (std::int32_t x : operands(at(i)))
+            if (const std::int32_t p = lastWriter(x); p >= 0)
+                ++reads[static_cast<std::size_t>(p)];
+        write(i);
+    }
+
+    // The producer of row x when the current instruction is its only
+    // reader, else -1.
+    auto soleProducer = [&](std::int32_t x) {
+        const std::int32_t p = lastWriter(x);
+        return p >= 0 && reads[static_cast<std::size_t>(p)] == 1 ? p : -1;
+    };
+    // soleProducer(x) when it computes `form` and no instruction since
+    // wrote a row it reads (its own write, which fusing removes,
+    // aside), so it may run in its reader's place; else -1.
+    auto movable = [&](std::int32_t x, LaneOp form) {
+        const std::int32_t p = soleProducer(x);
+        if (p < 0 || at(p).op != form)
+            return -1;
+        for (std::int32_t y : operands(at(p)))
+            if (lastWriter(y) > p)
+                return -1;
+        return p;
+    };
+    std::vector<char> gone(s.size(), 0);
+    std::fill(writer.begin(), writer.end(), -1);
+    for (std::int32_t q = 0; q < n; ++q) {
+        FileOp &op = at(q);
+        if (op.op == LaneOp::WriteOutput) {
+            // The producer stores the output itself, in its own place,
+            // so nothing it reads has changed.
+            if (const std::int32_t p = soleProducer(op.a); p >= 0) {
+                at(p).toOutput = true;
+                at(p).dst = op.dst;
+                gone[static_cast<std::size_t>(q)] = 1;
+            }
+            continue;
+        }
+        std::int32_t p = -1;
+        if (op.op == LaneOp::Div &&
+            (p = movable(op.a, LaneOp::Mul)) >= 0) {
+            const FileOp &mul = at(p);
+            op = {LaneOp::MulDiv, op.builtin, false, op.dst,
+                  mul.a,          mul.b,      op.b,  -1};
+        } else if (op.op == LaneOp::Add &&
+                   (p = movable(op.a, LaneOp::MulDiv)) >= 0) {
+            const FileOp &term = at(p);
+            op = {LaneOp::MulDivAdd, op.builtin, false,  op.dst,
+                  op.b,              term.a,     term.b, term.c};
+        } else if (op.op == LaneOp::Add &&
+                   (p = movable(op.b, LaneOp::MulDiv)) >= 0) {
+            const FileOp &term = at(p);
+            op = {LaneOp::AddMulDiv, op.builtin, false,  op.dst,
+                  op.a,              term.a,     term.b, term.c};
+        }
+        if (p >= 0)
+            gone[static_cast<std::size_t>(p)] = 1;
+        write(q);
+    }
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < s.size(); ++i)
+        if (!gone[i])
+            s[kept++] = s[i];
+    s.resize(kept);
 }
 
 LaneTape
@@ -136,26 +252,39 @@ LaneTape::broadcast(const FusedTape &tape, std::size_t lanes)
     return *std::move(merged);
 }
 
-// dst = Expr once per lane, reading the first Arity operand rows. An
-// operand slot the row does not read holds -1, so it reads A's row
-// instead and no pointer is formed from -1.
+// dst = Expr once per lane over the first Arity operand rows A, B, C
+// and E: load every operand lane, compute every lane, then store (see
+// the file header). An operand slot the form does not read holds -1,
+// so it reads A's row instead and no pointer is formed from -1.
 #define ARK_LANE_LOOP(Arity, Expr)                                      \
     {                                                                   \
-        double *d = row(op.dst);                                        \
-        const double *a = row(op.a);                                    \
-        const double *b = Arity > 1 ? row(op.b) : a;                    \
-        const double *c = Arity > 2 ? row(op.c) : a;                    \
+        const double *pa = row(op.a);                                   \
+        const double *pb = Arity > 1 ? row(op.b) : pa;                  \
+        const double *pc = Arity > 2 ? row(op.c) : pa;                  \
+        const double *pe = Arity > 3 ? row(op.e) : pa;                  \
+        double va[W], vb[W], vc[W], ve[W], vd[W];                       \
         for (int l = 0; l < W; ++l) {                                   \
-            [[maybe_unused]] const double A = a[l], B = b[l], C = c[l]; \
-            d[l] = Expr;                                                \
+            va[l] = pa[l];                                              \
+            vb[l] = pb[l];                                              \
+            vc[l] = pc[l];                                              \
+            ve[l] = pe[l];                                              \
         }                                                               \
+        for (int l = 0; l < W; ++l) {                                   \
+            [[maybe_unused]] const double A = va[l], B = vb[l],         \
+                                          C = vc[l], E = ve[l];         \
+            vd[l] = Expr;                                               \
+        }                                                               \
+        double *d = dest(op);                                           \
+        for (int l = 0; l < W; ++l)                                     \
+            d[l] = vd[l];                                               \
         break;                                                          \
     }
 
-// One case per PURE row of the op table, and one per row of the
-// builtin table (CallB packs a builtin's operands from slot a).
+// One case per PURE row of the op table, one per fused form, and one
+// per row of the builtin table (CallB packs a builtin's operands from
+// slot a).
 #define ARK_LANE_ROW(Name, Arity, Expr)                                 \
-    case OpCode::Name: ARK_LANE_LOOP(Arity, Expr)
+    case LaneOp::Name: ARK_LANE_LOOP(Arity, Row::Name(A, B, C))
 #define ARK_LANE_BUILTIN(Id, Name, Arity, Par, CName, Expr)             \
     case Builtin::Id: ARK_LANE_LOOP(Arity, Expr)
 
@@ -172,33 +301,33 @@ LaneTape::evalIntoT(const double *state, double t, double *out,
     auto row = [file](std::int32_t i) {
         return file + static_cast<std::size_t>(i) * W;
     };
-    using std::fma; // spelled bare in the FusedMulAdd row
+    auto dest = [file, out](const FileOp &op) {
+        return (op.toOutput ? out : file) +
+               static_cast<std::size_t>(op.dst) * W;
+    };
     for (const FileOp &op : stream_) {
         switch (op.op) {
-          case OpCode::WriteOutput: {
-            double *o = out + static_cast<std::size_t>(op.dst) * W;
-            const double *s = row(op.a);
-            for (int l = 0; l < W; ++l)
-                o[l] = s[l];
+          case LaneOp::WriteOutput: ARK_LANE_LOOP(1, A)
+          case LaneOp::LoadTime:
+            std::fill_n(dest(op), W, t);
             break;
-          }
-          case OpCode::LoadTime: {
-            double *d = row(op.dst);
-            for (int l = 0; l < W; ++l)
-                d[l] = t;
-            break;
-          }
-          case OpCode::CallB:
+          case LaneOp::CallB:
             // One builtin dispatch per instruction, then its row's
             // expression once per lane (libm calls stay scalar).
             switch (op.builtin) {
               ARK_BUILTINS(ARK_LANE_BUILTIN)
             }
             break;
-          case OpCode::Const:
-          case OpCode::LoadState:
+          case LaneOp::Const:
+          case LaneOp::LoadState:
             break; // never in the stream: deriveStream() folds loads
           ARK_TAPE_OPS(ARK_TAPE_SKIP, ARK_LANE_ROW)
+          case LaneOp::MulDiv:
+            ARK_LANE_LOOP(3, Row::Div(Row::Mul(A, B), C))
+          case LaneOp::AddMulDiv:
+            ARK_LANE_LOOP(4, Row::Add(A, Row::Div(Row::Mul(B, C), E)))
+          case LaneOp::MulDivAdd:
+            ARK_LANE_LOOP(4, Row::Add(Row::Div(Row::Mul(B, C), E), A))
         }
     }
 }

@@ -12,10 +12,20 @@
  * instance states — one instruction stream, W lanes wide. Each
  * instruction's inner loop runs lanewise over a compile-time width W
  * in {1, 2, 4, 8} (runtime dispatch picks the instantiation), so the
- * per-instruction dispatch cost is amortized W-fold and the lane
- * loops autovectorize into SIMD on targets that have it. The tier
- * above it, JIT native kernels (expr/cjit.h), compiles the same
- * program to C.
+ * per-instruction dispatch cost is amortized W-fold. The tier above
+ * it, JIT native kernels (expr/cjit.h), compiles the same program to
+ * C.
+ *
+ * Every lane loop is load–compute–store: it reads all W lanes of each
+ * operand row into local arrays, computes the W results into a local
+ * array, then stores them. Had the loop stored each lane as it went,
+ * the compiler could not rule out that the store overlaps the next
+ * lane's operand, and would keep it scalar; with the locals, GCC packs
+ * the width-2/4/8 arithmetic into SIMD (SSE2 on the baseline ISA).
+ * Rows never partially overlap and every read happens before the
+ * write, so an instruction that overwrites one of its own operand rows
+ * stays correct (which is also why the row pointers are not
+ * __restrict).
  *
  * Constants are lifted out of the instruction stream into a per-lane
  * constant table. This is what lets *heterogeneous-parameter,
@@ -38,18 +48,48 @@
  *     [ registers (numRegs) | constant slots | state slots ]
  *
  * that evalInto keeps in the caller's scratch (scratchSize() covers
- * all three parts) and refills with two block copies per call. ops()
- * and constants() are unaffected: they stay the JIT emitter's input
- * and the kernel cache key's.
+ * all three parts) and refills with two block copies per call.
+ *
+ * It then fuses the patterns that GmC-TLN's w·x/c coupling sums lower
+ * to, so each costs one dispatch (streamSize() counts them):
+ *
+ *   MulDiv     (A * B) / C       a Mul whose only reader is a Div's
+ *                                dividend;
+ *   AddMulDiv  A + (B * C) / E   a MulDiv whose only reader is an Add,
+ *   MulDivAdd  (B * C) / E + A   on either side (each form keeps the
+ *                                Add's operand order, as the oracle
+ *                                spells it; on x86, x + y and y + x
+ *                                can return different NaN payloads,
+ *                                though GCC, which treats + as
+ *                                commutative, may pick either order
+ *                                in any evaluator);
+ *
+ * and any register result whose only reader is a WriteOutput is
+ * stored into the output slot by its producer. A fused body composes
+ * the ARK_TAPE_OPS rows it replaces (the Div row applied to the Mul
+ * row), so no opcode is defined twice and every lane performs the
+ * same IEEE operations in the same order as before. A pattern fuses
+ * only when
+ *
+ *  - the consumer is the only reader of the producer's result before
+ *    that register is written again, and
+ *  - no instruction between producer and consumer writes a row the
+ *    producer reads (FusedTape recycles registers FIFO, so one may).
+ *
+ * A WriteOutput of a constant or state row has no producer and stays
+ * a copy. The pass is linear in the stream: it tracks each row's last
+ * writer. ops() and constants() are unaffected by both passes: they
+ * stay the JIT emitter's input and the kernel cache key's.
  *
  * Numerics: every lane executes the exact arithmetic of the source
  * FusedTape with the same IEEE operations in the same order (loads
- * only move values), so lane results are bit-identical to
- * FusedTape::evalInto, the test oracle, on the same state (builtin
- * calls included; they evaluate per lane). Each pure op's lane loop
- * is its ARK_TAPE_OPS row (expr/tape.h), the row the oracle and the
- * JIT emitter expand too. evalInto is a pure function of its inputs:
- * the TapeNan fault drill fires in the caller (sim/batch.cc).
+ * only move values, and a fused form rounds each row it composes),
+ * so lane results are bit-identical to FusedTape::evalInto, the test
+ * oracle, on the same state (builtin calls included; they evaluate per
+ * lane). Each pure op's lane loop is its ARK_TAPE_OPS row
+ * (expr/tape.h), the row the oracle and the JIT emitter expand too.
+ * evalInto is a pure function of its inputs: the TapeNan fault drill
+ * fires in the caller (sim/batch.cc).
  */
 
 #include <cstddef>
@@ -113,6 +153,10 @@ class LaneTape
     /** Instruction count, including WriteOutput ops. */
     std::size_t size() const { return ops_.size(); }
 
+    /** Instructions evalInto dispatches per call: size() less the
+     *  folded loads and the instructions fused into others. */
+    std::size_t streamSize() const { return stream_.size(); }
+
     /** The program; Const ops hold a constant-table slot in `a`.
      *  Exposed for the JIT emitter and its cache key. */
     const std::vector<TapeOp> &ops() const { return ops_; }
@@ -143,19 +187,35 @@ class LaneTape
     static bool compatible(const FusedTape &a, const FusedTape &b);
 
   private:
-    /** Interpreter instruction: dst and operands are file rows
-     *  (WriteOutput: dst is the output slot). */
+    /** What the interpreter dispatches: one code per ARK_TAPE_OPS row,
+     *  in OpCode order, then the fused forms (see the file header). */
+    enum class LaneOp : std::uint8_t {
+#define ARK_LANE_ENUMERATOR(Name, ...) Name,
+        ARK_TAPE_OPS(ARK_LANE_ENUMERATOR, ARK_LANE_ENUMERATOR)
+#undef ARK_LANE_ENUMERATOR
+        MulDiv,    ///< (A * B) / C
+        AddMulDiv, ///< A + (B * C) / E
+        MulDivAdd, ///< (B * C) / E + A
+    };
+
+    /** Interpreter instruction: operands are file rows, -1 where
+     *  unused; dst is a file row, or an output slot when toOutput
+     *  (every WriteOutput, and each producer fused with one). */
     struct FileOp
     {
-        OpCode op;
+        LaneOp op;
         Builtin builtin;
-        std::int32_t dst, a, b, c;
+        bool toOutput;
+        std::int32_t dst, a, b, c, e;
     };
 
     LaneTape() = default;
 
     /** Derives stream_ and the file layout from ops_. */
     void deriveStream();
+
+    /** Fuses stream_'s patterns in place (see the file header). */
+    void fuseStream();
 
     template <int W>
     void evalIntoT(const double *state, double t, double *out,
@@ -165,7 +225,8 @@ class LaneTape
     std::vector<TapeOp> ops_;
     /** Per-lane constants, slot-major: constants_[slot * width_ + l]. */
     std::vector<double> constants_;
-    /** What evalInto dispatches: ops_ without Const and LoadState. */
+    /** What evalInto dispatches: ops_ without Const and LoadState,
+     *  fused. */
     std::vector<FileOp> stream_;
     int numRegs_ = 0;
     std::size_t numOutputs_ = 0;

@@ -117,13 +117,18 @@ Trajectory::sampleAt(int stateIndex, double t) const
     if (times_.empty())
         throw SimError("sampleAt on an empty trajectory");
     const std::size_t idx = column(stateIndex);
+    auto it = std::lower_bound(times_.begin(), times_.end(), t);
+    return valueAt(idx, t, static_cast<std::size_t>(it - times_.begin()));
+}
+
+double
+Trajectory::valueAt(std::size_t idx, double t, std::size_t hi) const
+{
     const std::size_t dim = stateDim();
     if (t <= times_.front())
         return states_[idx];
     if (t >= times_.back())
         return states_[(times_.size() - 1) * dim + idx];
-    auto it = std::lower_bound(times_.begin(), times_.end(), t);
-    std::size_t hi = static_cast<std::size_t>(it - times_.begin());
     std::size_t lo = hi - 1;
     double span = times_[hi] - times_[lo];
     if (span <= 0)
@@ -151,11 +156,29 @@ Trajectory::resample(int stateIndex, double t0, double t1,
 {
     std::vector<double> out;
     out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double t = n > 1 ? t0 + (t1 - t0) * static_cast<double>(i) /
+    auto gridPoint = [&](std::size_t i) {
+        return n > 1 ? t0 + (t1 - t0) * static_cast<double>(i) /
                                static_cast<double>(n - 1)
-                         : t0;
-        out.push_back(sampleAt(stateIndex, t));
+                     : t0;
+    };
+    if (n == 0 || !(t0 <= t1)) {
+        // A descending grid searches per point.
+        for (std::size_t i = 0; i < n; ++i)
+            out.push_back(sampleAt(stateIndex, gridPoint(i)));
+        return out;
+    }
+    if (times_.empty())
+        throw SimError("sampleAt on an empty trajectory");
+    // An ascending grid advances one cursor. Inside the recorded range
+    // hi is then the sample std::lower_bound finds in sampleAt, so
+    // every point gets the same bracket and arithmetic, bit for bit.
+    const std::size_t idx = column(stateIndex);
+    std::size_t hi = 1;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double t = gridPoint(i);
+        while (hi + 1 < times_.size() && times_[hi] < t)
+            ++hi;
+        out.push_back(valueAt(idx, t, hi));
     }
     return out;
 }

@@ -23,8 +23,11 @@
  *     compare against; no integrator calls it;
  *  3. LaneTape interpreter (expr::LaneTape) — the fused programs of
  *     one to eight instances merged over a structure-of-arrays block,
- *     amortizing instruction dispatch and autovectorizing the lane
- *     loops;
+ *     amortizing instruction dispatch over the lanes. Its lane loops
+ *     load every operand lane before they store, so they compile to
+ *     packed SIMD, and it dispatches a shorter stream in which each
+ *     (a*b)/c, its sum with one addend, and each result's store to
+ *     its output slot cost one instruction;
  *  4. JIT native kernels (expr/cjit.h, SimOptions::jit) — the lane
  *     program lowered to straight-line C, compiled at runtime, and
  *     called through one function pointer per evaluation. Results are
@@ -235,13 +238,21 @@ class Trajectory
      */
     double sampleAt(int stateIndex, double t) const;
 
-    /** Resamples a variable onto a uniform grid of n points. */
+    /**
+     * Resamples a variable onto a uniform grid of n points: sampleAt
+     * at each, bit for bit. An ascending grid walks one cursor
+     * through the samples instead of searching per point.
+     */
     std::vector<double> resample(int stateIndex, double t0, double t1,
                                  std::size_t n) const;
 
   private:
     /** The stored column of a state. @throws SimError if not stored. */
     std::size_t column(int stateIndex) const;
+
+    /** Column idx at t, clamped to the recorded range; hi is the first
+     *  sample at or after t, read only when t lies inside the range. */
+    double valueAt(std::size_t idx, double t, std::size_t hi) const;
 
     std::vector<std::size_t> columns_; ///< State index per column.
     std::vector<double> times_;

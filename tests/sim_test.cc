@@ -457,6 +457,63 @@ TEST(SimTest, TrajectoryEmptySampleAtThrows)
     EXPECT_EQ(traj.stateDim(), 0u);
 }
 
+TEST(SimTest, TrajectoryResampleIsSampleAtBitForBit)
+{
+    // resample walks one cursor over an ascending grid and searches
+    // per point on a descending one; either way each point must be
+    // sampleAt's value there, bit for bit. The times repeat a sample
+    // inside the range and at its end, and grids hit recorded times
+    // exactly, run past both ends, and hold a single point.
+    const std::vector<double> times{0.0, 0.25, 0.25, 0.7, 1.0, 1.0, 1.5};
+    sim::Trajectory hermite, linear, single;
+    for (std::size_t k = 0; k < times.size(); ++k) {
+        const double x = static_cast<double>(k);
+        std::vector<double> state{std::sin(3.0 * x), std::cos(2.0 * x)};
+        std::vector<double> slope{std::cos(3.0 * x), -std::sin(2.0 * x)};
+        hermite.addSample(times[k], state, &slope);
+        linear.addSample(times[k], state);
+    }
+    single.addSample(0.5, {2.0, -3.0});
+    ASSERT_TRUE(hermite.hasDerivs());
+    ASSERT_FALSE(linear.hasDerivs());
+
+    struct Grid
+    {
+        double t0, t1;
+        std::size_t n;
+    };
+    const std::vector<Grid> grids{
+        {0.0, 1.5, 400}, {0.0, 1.5, 7},   {-0.5, 2.0, 97}, {0.25, 1.0, 301},
+        {-2.0, -1.0, 5}, {1.6, 3.0, 5},   {0.3, 0.3, 3},   {0.3, 0.9, 1},
+        {1.5, 0.0, 61},  {2.0, -1.0, 13}, {1.0, 0.25, 4},  {0.9, 0.3, 1},
+    };
+    for (const sim::Trajectory *traj : {&hermite, &linear, &single})
+        for (int state : {0, 1})
+            for (const Grid &grid : grids) {
+                const std::vector<double> got =
+                    traj->resample(state, grid.t0, grid.t1, grid.n);
+                ASSERT_EQ(got.size(), grid.n);
+                for (std::size_t i = 0; i < grid.n; ++i) {
+                    const double t =
+                        grid.n > 1
+                            ? grid.t0 + (grid.t1 - grid.t0) *
+                                            static_cast<double>(i) /
+                                            static_cast<double>(grid.n - 1)
+                            : grid.t0;
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                              std::bit_cast<std::uint64_t>(
+                                  traj->sampleAt(state, t)))
+                        << "state " << state << " grid " << grid.t0
+                        << ".." << grid.t1 << " point " << i;
+                }
+            }
+
+    sim::Trajectory empty;
+    EXPECT_TRUE(empty.resample(0, 0.0, 1.0, 0).empty());
+    EXPECT_THROW(empty.resample(0, 0.0, 1.0, 3), SimError);
+    EXPECT_THROW(hermite.resample(2, 0.0, 1.0, 3), SimError);
+}
+
 TEST(SimTest, TrajectoryFlatStorageAccessors)
 {
     sim::Trajectory traj;
