@@ -17,12 +17,6 @@
  * the same RHS blocks served by runtime-compiled native kernels, and
  * the same adaptive battery with SimOptions::jit on — each reads
  * against its interpreted counterpart above.
- * BM_MaxcutRhsFma measures the FusedMulAdd tape ISA on a
- * sum-of-products Kuramoto RHS, FMA off vs on, scalar and 8-lane —
- * on baseline ISAs std::fma routes through libm soft-fma (expected
- * slower; the opcode pays off under ARK_ENABLE_NATIVE on FMA hosts),
- * which is exactly why the contraction is opt-in and this benchmark
- * records both sides.
  */
 
 #include <benchmark/benchmark.h>
@@ -35,7 +29,6 @@
 #include "engine/jit.h"
 #include "expr/cjit.h"
 #include "expr/lanetape.h"
-#include "paradigms/obc.h"
 #include "paradigms/standard.h"
 #include "sim/sim.h"
 #include "support/rng.h"
@@ -322,76 +315,5 @@ BM_EnsembleDopri5Jit(benchmark::State &state)
 BENCHMARK(BM_EnsembleDopri5Jit)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-/** Compiles one dense Kuramoto max-cut system (sum-of-products RHS). */
-const compiler::OdeSystem &
-maxcutSystem()
-{
-    static const compiler::OdeSystem system = [] {
-        lang::LanguageRegistry registry =
-            paradigms::makeStandardRegistry();
-        paradigms::obc::MaxcutInstance instance;
-        instance.numVertices = 12;
-        for (int a = 0; a < instance.numVertices; ++a)
-            for (int b = a + 1; b < instance.numVertices; ++b)
-                instance.edges.emplace_back(a, b);
-        paradigms::obc::MaxcutSpec spec;
-        for (int v = 0; v < instance.numVertices; ++v)
-            spec.initPhases.push_back(0.37 * v);
-        const lang::Language &obc = registry.language("obc");
-        return compiler::compile(
-            paradigms::obc::buildMaxcut(obc, instance, spec), obc);
-    }();
-    return system;
-}
-
-/**
- * FMA-on/off RHS microbench on a Kuramoto sum-of-products program:
- * range(0) selects the tape (0 plain, 1 FMA-contracted), range(1)
- * the lane width (1 scalar, 8 lane-batched). items/sec ==
- * instance-RHS-evaluations per second.
- */
-void
-BM_MaxcutRhsFma(benchmark::State &state)
-{
-    const bool fma = state.range(0) != 0;
-    const auto width = static_cast<std::size_t>(state.range(1));
-    const compiler::OdeSystem &system = maxcutSystem();
-    const expr::FusedTape &tape = system.rhsTape(
-        fma ? expr::RoundingMode::Fma : expr::RoundingMode::Exact);
-    const std::size_t n = system.size();
-
-    support::Rng rng(31);
-    if (width == 1) {
-        std::vector<double> input(n), out(n);
-        for (double &v : input)
-            v = rng.uniform(-2.0, 2.0);
-        std::vector<double> regs(
-            static_cast<std::size_t>(tape.numRegs()));
-        for (auto _ : state) {
-            tape.evalInto(input.data(), 1e-9, out.data(), regs.data());
-            benchmark::DoNotOptimize(out.data());
-        }
-        state.SetItemsProcessed(
-            static_cast<std::int64_t>(state.iterations()));
-    } else {
-        expr::LaneTape lanes = expr::LaneTape::broadcast(tape, width);
-        std::vector<double> input(n * width), out(n * width);
-        for (double &v : input)
-            v = rng.uniform(-2.0, 2.0);
-        std::vector<double> regs(lanes.scratchSize());
-        for (auto _ : state) {
-            lanes.evalInto(input.data(), 1e-9, out.data(), regs.data());
-            benchmark::DoNotOptimize(out.data());
-        }
-        state.SetItemsProcessed(
-            static_cast<std::int64_t>(state.iterations() * width));
-    }
-}
-BENCHMARK(BM_MaxcutRhsFma)
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({0, 8})
-    ->Args({1, 8});
 
 } // namespace

@@ -13,22 +13,6 @@ namespace ark::compiler {
 using support::cat;
 using support::CompileError;
 
-namespace {
-
-/** Lock-free fetch_max for the scratch high-water mark. */
-void
-raiseScratch(std::atomic<std::size_t> &scratch, std::size_t want)
-{
-    std::size_t cur = scratch.load(std::memory_order_relaxed);
-    while (cur < want &&
-           !scratch.compare_exchange_weak(cur, want,
-                                          std::memory_order_release,
-                                          std::memory_order_relaxed)) {
-    }
-}
-
-} // namespace
-
 std::string
 StateVar::label() const
 {
@@ -50,7 +34,7 @@ compileRhsTape(const std::vector<expr::ExprPtr> &rhs,
         telemetry::Registry::shared().counter("ark.compile.tape_regs");
     telemetry::ScopedSpan span("ark.compile.tapes", rhs.size());
     telemetry::ScopedTimer timer(tapesNs);
-    expr::FusedTape tape = expr::FusedTape::compile(rhs, false, slots);
+    expr::FusedTape tape = expr::FusedTape::compile(rhs, slots);
     tapeOps.add(tape.size());
     tapeRegs.add(static_cast<std::uint64_t>(tape.numRegs()));
     return tape;
@@ -60,14 +44,12 @@ OdeSystem::OdeSystem(std::vector<StateVar> vars,
                      std::vector<double> initial,
                      std::vector<expr::ExprPtr> rhs)
     : vars_(std::move(vars)), initial_(std::move(initial)),
-      rhs_(std::move(rhs)), lazy_(std::make_unique<LazyTapes>())
+      rhs_(std::move(rhs)), rhsOnce_(std::make_unique<std::once_flag>())
 {
     support::panicIf(vars_.size() != initial_.size() ||
                      vars_.size() != rhs_.size(),
                      "OdeSystem: inconsistent component sizes");
     fused_ = compileRhsTape(rhs_);
-    lazy_->scratch.store(static_cast<std::size_t>(fused_.numRegs()),
-                         std::memory_order_release);
 }
 
 OdeSystem::OdeSystem(
@@ -77,32 +59,29 @@ OdeSystem::OdeSystem(
     std::vector<double> params)
     : vars_(std::move(vars)), initial_(std::move(initial)),
       fused_(std::move(tape)), templateRhs_(std::move(templateRhs)),
-      params_(std::move(params)), lazy_(std::make_unique<LazyTapes>())
+      params_(std::move(params)),
+      rhsOnce_(std::make_unique<std::once_flag>())
 {
     support::panicIf(templateRhs_ == nullptr ||
                          vars_.size() != initial_.size() ||
                          vars_.size() != templateRhs_->size() ||
                          vars_.size() != fused_.numOutputs(),
                      "OdeSystem: inconsistent component sizes");
-    lazy_->scratch.store(static_cast<std::size_t>(fused_.numRegs()),
-                         std::memory_order_release);
 }
 
 OdeSystem::OdeSystem(const OdeSystem &other)
     : vars_(other.vars_), initial_(other.initial_),
       rhs_(other.templateRhs_ ? std::vector<expr::ExprPtr>{} : other.rhs_),
       fused_(other.fused_), templateRhs_(other.templateRhs_),
-      params_(other.params_), lazy_(std::make_unique<LazyTapes>())
+      params_(other.params_), rhsOnce_(std::make_unique<std::once_flag>())
 {
-    lazy_->scratch.store(static_cast<std::size_t>(fused_.numRegs()),
-                         std::memory_order_release);
 }
 
 const std::vector<expr::ExprPtr> &
 OdeSystem::rhsExprs() const
 {
     if (templateRhs_) {
-        std::call_once(lazy_->rhsOnce, [this] {
+        std::call_once(*rhsOnce_, [this] {
             rhs_ = expr::bindParams(*templateRhs_, params_);
         });
     }
@@ -126,33 +105,6 @@ OdeSystem::stateIndex(const std::string &node, int derivative) const
     }
     throw CompileError(cat("no state variable for node '", node,
                            "' derivative ", derivative));
-}
-
-const expr::FusedTape &
-OdeSystem::rhsTape(expr::RoundingMode mode) const
-{
-    if (mode == expr::RoundingMode::Exact)
-        return fused_;
-    LazyTapes::Variant &variant =
-        lazy_->variants[static_cast<std::size_t>(mode) - 1];
-    std::call_once(variant.once, [&] {
-        const bool reassoc = mode == expr::RoundingMode::Reassoc;
-        std::vector<expr::ExprPtr> rewritten;
-        if (reassoc)
-            rewritten = expr::reassociate(rhsExprs(), &lazy_->reassocStats);
-        variant.tape = expr::FusedTape::compile(
-            reassoc ? rewritten : rhsExprs(), /*fuseMulAdd=*/true);
-        raiseScratch(lazy_->scratch,
-                     static_cast<std::size_t>(variant.tape.numRegs()));
-    });
-    return variant.tape;
-}
-
-const expr::RewriteStats &
-OdeSystem::reassocStats() const
-{
-    rhsTape(expr::RoundingMode::Reassoc);
-    return lazy_->reassocStats;
 }
 
 void

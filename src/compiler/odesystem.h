@@ -11,8 +11,9 @@
  * pure functions and own no state.
  *
  * Construction compiles at most one program: the fused whole-system
- * expr::FusedTape (the default RHS program — cross-equation common
- * subexpressions are computed once and one pass fills all of dstate).
+ * expr::FusedTape (the system's one RHS program — cross-equation
+ * common subexpressions are computed once and one pass fills all of
+ * dstate).
  * A *bound* system (compiler::bind) compiles none: it takes its
  * structure template's program with this instance's slot values
  * patched in, and builds its RHS trees, rhsExprs(), only on first
@@ -22,24 +23,7 @@
  * instructions than FusedTape::compile(rhsExprs()) (equal values in
  * distinct slots are not merged) but evaluates bit-identically.
  *
- * The programs of the two non-Exact rounding modes
- * (expr::RoundingMode, selected by SimOptions::rounding) are compiled
- * lazily on first request from rhsExprs(), so the cold compile path
- * never pays for a variant it doesn't run:
- *
- *  - Fma: the FMA-contracted fused tape;
- *  - Reassoc: the expr/rewrite.h pass over the RHS, then FMA
- *    contraction.
- *
- * Laziness is invisible to callers: variants build under
- * std::call_once (safe against concurrent ensemble workers), and
- * scratchSize() is an atomic high-water mark that each newly built
- * variant raises before it is ever evaluated. Integration drivers
- * size their scratch after selecting the tape, so a lazily built
- * variant can never see an undersized buffer; evalRhs additionally
- * grows an undersized caller buffer on first call.
- *
- * The fused program is also the unit of ensemble batching: rhsTape()
+ * The fused program is also the unit of ensemble batching: fusedTape()
  * exposes the compiled layout so sim::BatchRunner can merge
  * structurally identical systems (same stream, different constants —
  * e.g. per-chip mismatch) into one expr::LaneTape and integrate many
@@ -48,7 +32,6 @@
  * four-tier execution ladder.
  */
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -56,7 +39,6 @@
 
 #include "expr/expr.h"
 #include "expr/fusedtape.h"
-#include "expr/rewrite.h"
 
 namespace ark::compiler {
 
@@ -72,9 +54,9 @@ struct StateVar
 
 /**
  * A system of first-order ODEs dq/dt = f(q, t) produced by the Ark
- * compiler. Logically immutable after construction; the lazily
- * compiled tape variants are memoized derived data (thread-safe,
- * value-independent), not state.
+ * compiler. Logically immutable after construction; a bound system's
+ * lazily built RHS trees are memoized derived data (thread-safe), not
+ * state.
  */
 class OdeSystem
 {
@@ -92,9 +74,8 @@ class OdeSystem
               std::shared_ptr<const std::vector<expr::ExprPtr>> templateRhs,
               std::vector<double> params);
 
-    /** Copies share the (interned) RHS and fused tape; the lazy
-     *  variant cache (and a bound system's RHS trees) starts empty in
-     *  the copy. */
+    /** Copies share the (interned) RHS and fused tape; a bound
+     *  system's RHS trees start unbuilt in the copy. */
     OdeSystem(const OdeSystem &other);
     OdeSystem &operator=(const OdeSystem &other);
     OdeSystem(OdeSystem &&) noexcept = default;
@@ -127,14 +108,10 @@ class OdeSystem
     void evalRhsInterpreted(const double *state, double t,
                             double *dstate) const;
 
-    /**
-     * Scratch doubles evalRhs requires. A lazily compiled variant
-     * raises this before it can be selected, so sizing scratch after
-     * picking a tape is always sufficient.
-     */
+    /** Scratch doubles evalRhs requires. */
     std::size_t scratchSize() const
     {
-        return lazy_->scratch.load(std::memory_order_acquire);
+        return static_cast<std::size_t>(fused_.numRegs());
     }
 
     /** A correctly sized scratch buffer for evalRhs. */
@@ -143,59 +120,27 @@ class OdeSystem
         return std::vector<double>(scratchSize());
     }
 
-    /** The fused whole-system tape: the Exact program
-     *  (introspection, benchmarks). */
+    /** The fused whole-system tape: the one RHS program every
+     *  evaluator and integration driver runs. */
     const expr::FusedTape &fusedTape() const { return fused_; }
-
-    /**
-     * The RHS program a simulation driver executes under `mode`:
-     * fusedTape() for Exact; for Fma and Reassoc a variant compiled
-     * on first request (see expr::RoundingMode), which agrees with
-     * fusedTape() to tolerance, not bitwise. Every tier executes the
-     * same program for a mode, so lane-vs-scalar bit identity holds.
-     */
-    const expr::FusedTape &rhsTape(expr::RoundingMode mode) const;
-
-    /** What the reassociation pass changed (builds the Reassoc
-     *  program). */
-    const expr::RewriteStats &reassocStats() const;
 
     /** Pretty-printed equations, one per line ("d name/dt = ..."). */
     std::string equationsStr() const;
 
   private:
-    /**
-     * Lazily compiled tape variants. Heap-allocated so OdeSystem
-     * stays movable (std::once_flag and std::atomic are not); the
-     * pointer never changes after construction, so concurrent readers
-     * race only on the call_once/atomic members, which are safe.
-     */
-    struct LazyTapes
-    {
-        /** One program per non-Exact mode, indexed by mode - 1. */
-        struct Variant
-        {
-            std::once_flag once;
-            expr::FusedTape tape;
-        };
-
-        std::once_flag rhsOnce;
-        Variant variants[2];
-        expr::RewriteStats reassocStats;
-        std::atomic<std::size_t> scratch{0};
-    };
-
     std::vector<StateVar> vars_;
     std::vector<double> initial_;
     /** Built by a bound system's first rhsExprs() call (under
-     *  rhsOnce), set at construction otherwise. */
+     *  rhsOnce_), set at construction otherwise. */
     mutable std::vector<expr::ExprPtr> rhs_;
     expr::FusedTape fused_;
     /** Bound systems only: the template trees and parameter vector
      *  rhs_ is built from. */
     std::shared_ptr<const std::vector<expr::ExprPtr>> templateRhs_;
     std::vector<double> params_;
-    std::unique_ptr<LazyTapes> lazy_;
+    /** Heap-allocated so OdeSystem stays movable (std::once_flag is
+     *  not); the pointer never changes after construction. */
+    std::unique_ptr<std::once_flag> rhsOnce_;
 };
 
 /**

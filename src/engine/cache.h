@@ -10,13 +10,11 @@
  *
  *  - dg::Graph + language -> shared_ptr<const compiler::OdeSystem>,
  *    keyed by the graph's combined fingerprint. A hit skips ILP
- *    validation, lowering and binding entirely; the cached system
- *    serves every SimOptions::rounding mode (its Fma and Reassoc
- *    programs build lazily, once). Because compilation is deterministic, a
- *    cached system is bit-identical to a freshly compiled one —
- *    ensembles mixing cached and cold systems produce bit-identical
- *    trajectories (engine_test regression-tests this at several
- *    thread counts).
+ *    validation, lowering and binding entirely. Because compilation
+ *    is deterministic, a cached system is bit-identical to a freshly
+ *    compiled one — ensembles mixing cached and cold systems produce
+ *    bit-identical trajectories (engine_test regression-tests this at
+ *    several thread counts).
  *
  *  - GraphFingerprint::structure -> compiler::SystemTemplate: the
  *    template shard behind the system shard. A system miss whose

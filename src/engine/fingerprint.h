@@ -168,9 +168,7 @@ Fingerprint stepperKey(const MnaFingerprint &pattern,
  * change invalidates every cached kernel (in memory and on disk).
  * Const immediates are deliberately excluded: they are call-time data
  * (the per-lane constant table), which is what lets one kernel serve
- * every parameter draw of a structure class. FMA needs no separate
- * flag — contracted tapes carry FusedMulAdd opcodes, so their streams
- * already differ.
+ * every parameter draw of a structure class.
  */
 Fingerprint kernelKey(const expr::LaneTape &tape);
 

@@ -100,14 +100,13 @@ runCommand(const std::string &cmd)
  * interpreter's dispatch overhead; -fno-fast-math -ffp-contract=off
  * pin IEEE semantics — no reassociation, no value-changing
  * transforms, and no contraction of the emitted a*b+c statements into
- * hardware FMA (FusedMulAdd lowers to an explicit fma() call instead,
- * matching the interpreter's std::fma). -ftree-vectorize,
- * -funroll-loops, and -march=native are value-preserving here: every
- * emitted lane loop is element-wise (no reductions, no cross-lane
- * flow), so vector, unrolled, and wider-ISA code performs the
- * identical IEEE operation per element — targeting the running host
- * is the point of compiling at runtime, and the equivalence suite in
- * tests/jit_test.cc holds the kernels to bit-identity either way.
+ * hardware FMA. -ftree-vectorize, -funroll-loops, and -march=native
+ * are value-preserving here: every emitted lane loop is element-wise
+ * (no reductions, no cross-lane flow), so vector, unrolled, and
+ * wider-ISA code performs the identical IEEE operation per element —
+ * targeting the running host is the point of compiling at runtime,
+ * and the equivalence suite in tests/jit_test.cc holds the kernels to
+ * bit-identity either way.
  * (Hosts whose cc rejects -march=native fail the toolchain probe and
  * stay on the interpreted tiers.)
  *

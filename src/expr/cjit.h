@@ -20,7 +20,7 @@
  * operand order, and libm call identical per lane, so kernel results
  * are bit-identical to LaneTape::evalInto (regression-tested in
  * tests/jit_test.cc across random TLN/OBC/CNN programs at every
- * width, with and without FMA contraction).
+ * width).
  *
  * Kernels are pure functions of the tape *structure* (opcode stream,
  * width, register/output counts) — per-lane Const immediates arrive

@@ -48,20 +48,12 @@
  *
  * ## Rewrite-soundness contract
  *
- * Passes over this IR are staged by rounding behavior:
- *
- *  - **Exact, always-on** (expr/fold.h, run by the compiler on every
- *    lowering): constant folding and field identities (x+0, x*1,
- *    -(-x), literal branch pruning). These never change the IEEE
- *    value of any result and shrink every execution tier.
- *  - **Rounding-changing, opt-in only** (expr/rewrite.h): the
- *    RoundingMode::Reassoc reassociation/reciprocal rewrites and the
- *    FMA contraction of RoundingMode::Fma, selected by
- *    sim::SimOptions::rounding or the ARK_ROUNDING override. They
- *    stay within tolerance but are not bit-identical to the tree.
- *    Never applied under the default Exact mode; lane-vs-scalar bit
- *    identity still holds in every mode because every tier executes
- *    the same program.
+ * Every pass over this IR is exact (expr/fold.h, run by the compiler
+ * on every lowering): constant folding and field identities (x+0,
+ * x*1, -(-x), literal branch pruning). These never change the IEEE
+ * value of any result and shrink every execution tier. No pass moves
+ * a rounding: none reorders a sum, distributes a product or contracts
+ * a*b+c into one rounding.
  *
  * Factories themselves never simplify (`(0 * x)` prints as written —
  * parser and golden tests rely on source-shaped trees); all rewriting

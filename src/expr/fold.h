@@ -3,12 +3,10 @@
 
 /**
  * @file
- * Constant folding and algebraic simplification — the *exact,
- * always-on* stage of the rewrite contract (see expr/expr.h):
- * every rule here preserves IEEE values bit-for-bit (modulo the
- * documented x+0 sign-of-zero caveat), so the compiler applies them
- * on every lowering. Rounding-changing rewrites live in
- * expr/rewrite.h behind an explicit opt-in.
+ * Constant folding and algebraic simplification — the rewrite
+ * contract of expr/expr.h: every rule here preserves IEEE values
+ * bit-for-bit (modulo the documented x+0 sign-of-zero caveat), so the
+ * compiler applies them on every lowering.
  *
  * Run after production-rule rewriting substitutes attribute values, so
  * the ODE right-hand sides handed to the simulator are as small as

@@ -39,7 +39,6 @@ double
 execCompute(const TapeOp &op, const double *state, double t,
             const double *r)
 {
-    using std::fma; // spelled bare in the FusedMulAdd row
     switch (op.op) {
       case OpCode::Const:
         return op.imm;
@@ -489,53 +488,13 @@ class Fuser
 } // namespace
 
 FusedTape
-FusedTape::compile(const std::vector<ExprPtr> &outputs, bool fuseMulAdd,
+FusedTape::compile(const std::vector<ExprPtr> &outputs,
                    const std::vector<ExprPtr> &slots)
 {
     Fuser fuser(slots);
     fuser.outputVals.reserve(outputs.size());
     for (const ExprPtr &e : outputs)
         fuser.outputVals.push_back(fuser.lower(e));
-
-    // Guarded Mul+Add contraction, on the value graph (pre-regalloc,
-    // so the allocator naturally keeps the product's operand values
-    // live to the FusedMulAdd site): every Mul consumed by exactly
-    // one Add — and nothing else, outputs included — merges with that
-    // Add into one FusedMulAdd(a, b, addend). The orphaned Mul is
-    // dropped by the reachability pass below. Single-use only: a
-    // shared product would otherwise be re-evaluated (with a
-    // different rounding) per consumer.
-    std::size_t fmaContractions = 0;
-    if (fuseMulAdd) {
-        std::vector<int> useCount(fuser.vals.size(), 0);
-        for (const Fuser::Val &v : fuser.vals) {
-            if (v.op == OpCode::Const || v.op == OpCode::LoadTime ||
-                v.op == OpCode::LoadState)
-                continue; // a/b/c are not value ids for leaf ops
-            for (int operand : {v.a, v.b, v.c})
-                if (operand >= 0)
-                    ++useCount[static_cast<std::size_t>(operand)];
-        }
-        for (int out : fuser.outputVals)
-            ++useCount[static_cast<std::size_t>(out)];
-        for (Fuser::Val &v : fuser.vals) {
-            if (v.op != OpCode::Add)
-                continue;
-            for (int side = 0; side < 2; ++side) {
-                int x = side == 0 ? v.a : v.b;
-                int addend = side == 0 ? v.b : v.a;
-                const Fuser::Val &mul =
-                    fuser.vals[static_cast<std::size_t>(x)];
-                if (mul.op != OpCode::Mul ||
-                    useCount[static_cast<std::size_t>(x)] != 1)
-                    continue;
-                v = Fuser::Val{OpCode::FusedMulAdd, Builtin::Sin,
-                               mul.a, mul.b, addend, 0.0};
-                ++fmaContractions;
-                break;
-            }
-        }
-    }
 
     const auto numVals = fuser.vals.size();
 
@@ -677,7 +636,6 @@ FusedTape::compile(const std::vector<ExprPtr> &outputs, bool fuseMulAdd,
     }
     fused.numRegs_ = nextReg;
     fused.fusionSavings_ = fuser.hits;
-    fused.fmaContractions_ = fmaContractions;
     fused.shape_ = shapeOf(fused.ops_, fused.numOutputs_, fused.numRegs_);
     return fused;
 }

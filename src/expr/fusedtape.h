@@ -46,7 +46,7 @@
  * to the sign of zero under the x+0 and odd-difference identities,
  * and the sign or payload of a NaN).
  *
- * compile(outputs, false, slots) compiles a *template*: each subtree
+ * compile(outputs, slots) compiles a *template*: each subtree
  * slots[j] (a parameter-only subtree the compiler hoisted, see
  * compiler/compiler.h) lowers to one Const instruction whose
  * immediate is a placeholder until bind() sets it. Slot Consts take
@@ -63,21 +63,6 @@
  * LaneTape::merge requires lanes to share (output and register
  * counts, and every instruction but its Const immediate). A bound
  * program inherits its template's shape.
- *
- * compile(outputs, fuseMulAdd = true) derives an FMA variant of
- * the program: a value-graph pass contracts each single-use Mul
- * feeding an Add into one FusedMulAdd instruction (executed with
- * std::fma — exactly one rounding for a*b+c, deterministic across
- * hosts). The pass runs before register allocation so the product's
- * operands stay live to the fused site. It is a guarded opt-in,
- * never applied by default: the default program keeps
- * one-IEEE-rounding-per-arithmetic-step semantics and therefore
- * stays bit-identical to the tree interpreter; the FMA variant
- * agrees with it only to rounding (~1 ulp per contracted pair) but
- * shortens the stream by one instruction per contraction. The Fma
- * and Reassoc rounding modes (expr::RoundingMode, selected by
- * SimOptions::rounding) run such variants on the simulation hot
- * paths.
  *
  * FusedTape has two roles (see sim/sim.h for the full execution
  * ladder). It is the compiler: the compiled program (ops()) is what
@@ -130,17 +115,14 @@ class FusedTape
   public:
     /**
      * Compiles the resolved expressions `outputs[k]` into one fused
-     * program writing `out[k]` for every k. With `fuseMulAdd` set,
-     * single-use Mul+Add value pairs contract into FusedMulAdd
-     * instructions (see the file header for the rounding contract).
-     * Non-empty `slots` compile a template whose Const for slots[j]
-     * bind() fills in; Param leaves may appear only inside slots.
+     * program writing `out[k]` for every k. Non-empty `slots` compile
+     * a template whose Const for slots[j] bind() fills in; Param
+     * leaves may appear only inside slots.
      * @throws ark::support::CompileError if any tree still contains
      *         Var, Attr, NodeVar, unslotted Param, or lambda-callee
      *         nodes.
      */
     static FusedTape compile(const std::vector<ExprPtr> &outputs,
-                             bool fuseMulAdd = false,
                              const std::vector<ExprPtr> &slots = {});
 
     /**
@@ -168,17 +150,6 @@ class FusedTape
      * perf instrumentation for tests and benchmarks.
      */
     std::size_t fusionSavings() const { return fusionSavings_; }
-
-    /**
-     * Mul+Add pairs contracted into FusedMulAdd instructions; 0
-     * unless the program was compiled with fuseMulAdd. Every
-     * contraction is a Mul whose value fed exactly one Add and
-     * nothing else (not even a WriteOutput); the contracted program
-     * is shorter by this many instructions and agrees with the plain
-     * compile to rounding (the product is no longer rounded before
-     * the add).
-     */
-    std::size_t fmaContractions() const { return fmaContractions_; }
 
     /** Largest state index referenced, or -1 when stateless. */
     int maxStateIndex() const { return maxStateIndex_; }
@@ -213,7 +184,6 @@ class FusedTape
     int numRegs_ = 0;
     std::size_t numOutputs_ = 0;
     std::size_t fusionSavings_ = 0;
-    std::size_t fmaContractions_ = 0;
     int maxStateIndex_ = -1;
 };
 

@@ -36,7 +36,6 @@ struct Row
     static double Name(double A, [[maybe_unused]] double B = 0.0,       \
                        [[maybe_unused]] double C = 0.0)                 \
     {                                                                   \
-        using std::fma; /* spelled bare in the FusedMulAdd row */       \
         return Expr;                                                    \
     }
     ARK_TAPE_OPS(ARK_TAPE_SKIP, ARK_LANE_ROW_FN)
@@ -116,8 +115,8 @@ LaneTape::deriveStream()
     auto row = [&rowOf](std::int32_t reg) {
         return reg < 0 ? reg : rowOf[static_cast<std::size_t>(reg)];
     };
-    static_assert(static_cast<int>(LaneOp::FusedMulAdd) ==
-                      static_cast<int>(OpCode::FusedMulAdd),
+    static_assert(static_cast<int>(LaneOp::WriteOutput) ==
+                      static_cast<int>(OpCode::WriteOutput),
                   "LaneOp must number the ARK_TAPE_OPS rows as OpCode does");
     stream_.clear();
     stream_.reserve(ops_.size());

@@ -41,12 +41,6 @@
  *   LoadState   dst = state[a]
  *   CallB       dst = builtin(r[a], r[b], r[c]), operands >= 0 only
  *   WriteOutput out[dst] = r[a]
- *
- * FusedMulAdd rounds once for the whole a*b+c (fma(), so the result
- * is deterministic across hosts and compilers). No base compile
- * emits it: only the guarded Mul+Add contraction in
- * FusedTape::compile(outputs, fuseMulAdd = true) produces it, so
- * default-compiled programs never contain it.
  */
 
 #include <cstdint>
@@ -73,8 +67,7 @@
     PURE(NotOp, 1, A == 0.0 ? 1.0 : 0.0)                               \
     PURE(Select, 3, C != 0.0 ? A : B)                                  \
     SPECIAL(CallB)                                                     \
-    SPECIAL(WriteOutput)                                               \
-    PURE(FusedMulAdd, 3, fma(A, B, C))
+    SPECIAL(WriteOutput)
 
 /** Expands a row to nothing (for the row kind an expansion skips). */
 #define ARK_TAPE_SKIP(...)

@@ -17,7 +17,6 @@
 #include "engine/jit.h"
 #include "expr/cjit.h"
 #include "expr/lanetape.h"
-#include "expr/rewrite.h"
 #include "support/error.h"
 #include "support/faultinject.h"
 #include "support/ledger.h"
@@ -799,13 +798,12 @@ detail::integrateBlock(
     const std::vector<const compiler::OdeSystem *> &systems,
     const std::vector<const std::vector<double> *> &initials,
     const std::vector<const std::vector<std::size_t> *> &saved, double t0,
-    double t1, const SimOptions &options, expr::RoundingMode rounding,
-    bool jitOn, bool *usedJit)
+    double t1, const SimOptions &options, bool jitOn, bool *usedJit)
 {
     std::vector<const expr::FusedTape *> tapes;
     tapes.reserve(systems.size());
     for (const compiler::OdeSystem *system : systems)
-        tapes.push_back(&system->rhsTape(rounding));
+        tapes.push_back(&system->fusedTape());
 
     std::vector<SimResult> results;
     bool jitted = false;
@@ -1098,10 +1096,6 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
     // job — singletons and laneBatching=false instances included — is
     // one lane block run by detail::integrateBlock.
     const bool laneEligible = options.laneBatching;
-    // Resolved once per batch (ARK_ROUNDING override folded in) so
-    // every member of a lane class runs the same mode's program.
-    const expr::RoundingMode rounding =
-        expr::roundingMode(options.sim.rounding);
     // Resolved once per batch: the option gated by the ARK_JIT_FORCE
     // override. Kernel resolution itself stays per block (per merged
     // structure), so a mixed batch jits what it can.
@@ -1114,7 +1108,7 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
     for (std::size_t i = 0; i < count; ++i) {
         if (laneEligible) {
             auto [it, added] = classOf.try_emplace(
-                systemOf(i).rhsTape(rounding).shape(), classes.size());
+                systemOf(i).fusedTape().shape(), classes.size());
             if (!added) {
                 classes[it->second].push_back(i);
                 continue;
@@ -1211,8 +1205,8 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
             }
             bool jitted = false;
             std::vector<SimResult> block = detail::integrateBlock(
-                blockSystems, inits, saves, t0, t1, options.sim, rounding,
-                jitOn, &jitted);
+                blockSystems, inits, saves, t0, t1, options.sim, jitOn,
+                &jitted);
             jitUsed[jobIndex] = jitted;
             for (std::size_t k = 0; k < members.size(); ++k)
                 results[members[k]] = std::move(block[k]);

@@ -54,9 +54,7 @@
  * Determinism: block partitioning depends only on the batch, never on
  * thread count or scheduling; each block integrates independently, so
  * results at any thread count equal the single-thread results on
- * every path. SimOptions::rounding routes every block through the
- * same program of the selected rounding mode, so the identity
- * contracts above hold in every mode.
+ * every path.
  *
  * Failure discipline: divergence and budget exhaustion are always
  * structured per-instance failures — never exceptions — at every
@@ -166,21 +164,20 @@ std::vector<std::size_t> savedStates(const compiler::OdeSystem &system,
  * Integrates one block: instance k of `systems` from `initials[k]`
  * (one to expr::LaneTape::kMaxLanes instances of one program
  * structure), storing the states `saved[k]` (savedStates) in its
- * trajectory. Takes each member's program for `rounding`, merges
- * them into one LaneTape (width 1 for a single member), and runs the
- * driver for options.method. The caller resolves `saved`, `rounding`
- * and `jitOn` once per run (savedStates, expr::roundingMode,
- * expr::jitEnabled). A JIT kernel serves the RHS when `jitOn` and one
- * resolves; `usedJit`, when given, reports whether one did. The
- * engine behind simulate() and every BatchRunner job; not part of the
- * public API.
+ * trajectory. Merges the members' programs (OdeSystem::fusedTape)
+ * into one LaneTape (width 1 for a single member) and runs the driver
+ * for options.method. The caller resolves `saved` and `jitOn` once
+ * per run (savedStates, expr::jitEnabled). A JIT kernel serves the
+ * RHS when `jitOn` and one resolves; `usedJit`, when given, reports
+ * whether one did. The engine behind simulate() and every BatchRunner
+ * job; not part of the public API.
  */
 std::vector<SimResult> integrateBlock(
     const std::vector<const compiler::OdeSystem *> &systems,
     const std::vector<const std::vector<double> *> &initials,
     const std::vector<const std::vector<std::size_t> *> &saved, double t0,
-    double t1, const SimOptions &options, expr::RoundingMode rounding,
-    bool jitOn, bool *usedJit = nullptr);
+    double t1, const SimOptions &options, bool jitOn,
+    bool *usedJit = nullptr);
 
 } // namespace detail
 

@@ -207,8 +207,7 @@ simulate(const compiler::OdeSystem &system,
     // One interpreted one-lane block: the same driver every ensemble
     // job runs, without the ensemble's pool, span or ledger.
     std::vector<SimResult> results = detail::integrateBlock(
-        {&system}, {&initial}, {&saved}, t0, t1, options,
-        expr::roundingMode(options.rounding), /*jitOn=*/false);
+        {&system}, {&initial}, {&saved}, t0, t1, options, /*jitOn=*/false);
     return std::move(results.front());
 }
 

@@ -113,24 +113,6 @@ struct SimOptions
     std::vector<std::string> save;
 
     /**
-     * Which RHS program every block integrates (expr::RoundingMode):
-     * Exact (the default) keeps the tier-equivalence bit contract;
-     * Fma contracts single-use Mul+Add pairs into one std::fma
-     * rounding each; Reassoc runs the expr/rewrite.h pass first so
-     * GmC-TLN terms like `w*var(t)/c` contract too (0% without it).
-     * Fma and Reassoc agree with Exact only to tolerance, so they are
-     * opt-in; blocks of every width honor the mode identically, so
-     * lane-vs-serial bit identity holds under each. The ARK_ROUNDING
-     * environment variable overrides this field
-     * (expr::roundingMode). Perf note: a contraction removes one
-     * instruction per pair but only pays off where std::fma is a
-     * hardware instruction (ARK_ENABLE_NATIVE on FMA hosts);
-     * baseline-ISA builds route through libm's soft fma, which is
-     * slower than Mul+Add.
-     */
-    expr::RoundingMode rounding = expr::RoundingMode::Exact;
-
-    /**
      * Serve RHS evaluation from JIT-compiled native kernels
      * (expr/cjit.h): the ensemble engine lowers each lane block's
      * program, one-lane blocks included, to C,
@@ -410,9 +392,8 @@ std::vector<SimResult> simulateEnsemble(
 
 /**
  * Integrates until max |dq/dt| falls below `derivTol` (checked every
- * sample, on the slopes the run recorded — so under a non-Exact
- * rounding mode the check follows the program actually integrated) or
- * tMax is reached; `reachedSteadyState` reports which.
+ * sample, on the slopes the run recorded) or tMax is reached;
+ * `reachedSteadyState` reports which.
  * @throws ark::support::SimError when options.save is not empty: the
  *         test reads every state's slope.
  */

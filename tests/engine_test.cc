@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the content-addressed compiled-artifact engine:
- * fingerprint lane semantics, the hash-equality => program-equality
+ * fingerprint lane semantics, expression fingerprints that follow
+ * interning, the hash-equality => program-equality
  * property on random TLN/OBC/CNN graphs, ArtifactCache hit/miss/
  * eviction accounting, bit-identity of cached-vs-cold ensembles at
  * several thread counts, and the cache-backed SPICE sweep against
@@ -78,7 +79,7 @@ sameBits(double x, double y)
            std::bit_cast<std::uint64_t>(y);
 }
 
-/** Full program equality: vars, initial state, and both tape variants. */
+/** Full program equality: vars, initial state, and the fused tape. */
 ::testing::AssertionResult
 samePrograms(const compiler::OdeSystem &a, const compiler::OdeSystem &b)
 {
@@ -93,24 +94,46 @@ samePrograms(const compiler::OdeSystem &a, const compiler::OdeSystem &b)
             return ::testing::AssertionFailure()
                    << "initial state " << i << " differs";
     }
-    for (bool fma : {false, true}) {
-        const expr::RoundingMode mode =
-            fma ? expr::RoundingMode::Fma : expr::RoundingMode::Exact;
-        const auto &ta = a.rhsTape(mode).ops();
-        const auto &tb = b.rhsTape(mode).ops();
-        if (ta.size() != tb.size())
-            return ::testing::AssertionFailure()
-                   << "tape length differs (fma=" << fma << ")";
-        for (std::size_t i = 0; i < ta.size(); ++i) {
-            if (ta[i].op != tb[i].op || ta[i].builtin != tb[i].builtin ||
-                ta[i].dst != tb[i].dst || ta[i].a != tb[i].a ||
-                ta[i].b != tb[i].b || ta[i].c != tb[i].c ||
-                !sameBits(ta[i].imm, tb[i].imm))
-                return ::testing::AssertionFailure()
-                       << "op " << i << " differs (fma=" << fma << ")";
-        }
+    const auto &ta = a.fusedTape().ops();
+    const auto &tb = b.fusedTape().ops();
+    if (ta.size() != tb.size())
+        return ::testing::AssertionFailure() << "tape length differs";
+    for (std::size_t i = 0; i < ta.size(); ++i) {
+        if (ta[i].op != tb[i].op || ta[i].builtin != tb[i].builtin ||
+            ta[i].dst != tb[i].dst || ta[i].a != tb[i].a ||
+            ta[i].b != tb[i].b || ta[i].c != tb[i].c ||
+            !sameBits(ta[i].imm, tb[i].imm))
+            return ::testing::AssertionFailure() << "op " << i << " differs";
     }
     return ::testing::AssertionSuccess();
+}
+
+TEST(FingerprintTest, PointerEqualityImpliesFingerprintEquality)
+{
+    // engine::Hasher absorbs the interned digest, so two separately
+    // built (hence pointer-equal) trees must fingerprint identically,
+    // and structurally distinct trees must not.
+    using expr::BinOp;
+    using expr::Expr;
+    expr::ExprPtr a = Expr::binary(
+        BinOp::Div,
+        Expr::binary(BinOp::Mul, Expr::real(0.75), Expr::stateVar(2)),
+        Expr::real(3e-9));
+    expr::ExprPtr b = Expr::binary(
+        BinOp::Div,
+        Expr::binary(BinOp::Mul, Expr::real(0.75), Expr::stateVar(2)),
+        Expr::real(3e-9));
+    ASSERT_EQ(a.get(), b.get());
+    engine::Hasher ha, hb, hc;
+    ha.absorb(*a);
+    hb.absorb(*b);
+    EXPECT_EQ(ha.finish(), hb.finish());
+    expr::ExprPtr c = Expr::binary(
+        BinOp::Div,
+        Expr::binary(BinOp::Mul, Expr::real(0.75), Expr::stateVar(2)),
+        Expr::real(3.0000001e-9));
+    hc.absorb(*c);
+    EXPECT_FALSE(ha.finish() == hc.finish());
 }
 
 TEST_F(EngineTest, FingerprintIsDeterministicAcrossRebuilds)
@@ -939,8 +962,8 @@ TEST_F(EngineTest, ConcurrentMissesOnOneStructureBuildTheSameProgram)
         const compiler::OdeSystem reference =
             compiler::compile(graphs[i], *languages[i]);
         EXPECT_TRUE(samePrograms(*systems[i], reference)) << "draw " << i;
-        EXPECT_TRUE(systems[i]->rhsTape(expr::RoundingMode::Exact).shape() ==
-                    reference.rhsTape(expr::RoundingMode::Exact).shape())
+        EXPECT_TRUE(systems[i]->fusedTape().shape() ==
+                    reference.fusedTape().shape())
             << "draw " << i;
     }
     EXPECT_EQ(cache.stats().templatesCached, edgeSets.size() + 2);

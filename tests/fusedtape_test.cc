@@ -2,9 +2,11 @@
  * @file
  * Tests for the fused whole-system tape: multi-output correctness,
  * cross-equation CSE, constant folding, the sign and parity
- * identities, register reuse, error handling, and a randomized
+ * identities, register reuse, error handling, a randomized
  * equivalence property against the tree-walking interpreter and
- * one-output tapes per equation across real TLN/OBC/CNN systems.
+ * one-output tapes per equation across real TLN/OBC/CNN systems, and
+ * bit-for-bit agreement with the interpreter on GmC-TLN, OBC and CNN
+ * systems.
  */
 
 #include <gtest/gtest.h>
@@ -202,7 +204,7 @@ TEST(FusedTapeTest, DifferencesWithConstantsKeepTheirOrder)
     };
     const ExprPtr p = Expr::param(0), q = Expr::param(1);
     const FusedTape bound =
-        FusedTape::compile(program(p, q), false, {p, q}).bind({c, c});
+        FusedTape::compile(program(p, q), {p, q}).bind({c, c});
     const FusedTape direct =
         FusedTape::compile(program(Expr::real(c), Expr::real(c)));
     for (double state0 : {c, std::numeric_limits<double>::quiet_NaN(),
@@ -365,114 +367,103 @@ TEST_P(FusedEquivalence, RandomCnnSystem)
 INSTANTIATE_TEST_SUITE_P(Seeds, FusedEquivalence,
                          ::testing::Range(0, 6));
 
-TEST(FusedTapeFmaTest, SingleUseMulAddContractsToOneFma)
+compiler::OdeSystem
+gmcTlnSystem(lang::LanguageRegistry &registry, std::uint64_t seed)
 {
-    // q0*q1 + q2: the product feeds exactly one Add and nothing else,
-    // so the FMA variant must contract the pair into one FusedMulAdd
-    // whose result is bit-exactly std::fma(a, b, c) — one rounding,
-    // where the plain program rounds the product first.
+    const lang::Language &gmcTln = registry.language("gmc-tln");
+    support::Rng rng(seed);
+    paradigms::tln::LineSpec spec;
+    spec.sections = static_cast<int>(rng.uniformInt(3, 12));
+    spec.inductance = rng.uniform(0.5e-9, 2e-9);
+    spec.capacitance = rng.uniform(0.5e-9, 2e-9);
+    spec.sourceConductance = rng.uniform(0.5, 2.0);
+    spec.termConductance = rng.uniform(0.5, 2.0);
+    spec.mismatchC = true;
+    spec.mismatchGm = true;
+    spec.seed = rng.deriveSeed();
+    return compiler::compile(paradigms::tln::buildLine(gmcTln, spec),
+                             gmcTln);
+}
+
+compiler::OdeSystem
+obcSystem(lang::LanguageRegistry &registry, int vertices)
+{
+    const lang::Language &obc = registry.language("obc");
+    paradigms::obc::MaxcutInstance instance;
+    instance.numVertices = vertices;
+    for (int a = 0; a < vertices; ++a)
+        for (int b = a + 1; b < vertices; ++b)
+            instance.edges.emplace_back(a, b);
+    paradigms::obc::MaxcutSpec spec;
+    for (int v = 0; v < vertices; ++v)
+        spec.initPhases.push_back(0.31 * v);
+    return compiler::compile(
+        paradigms::obc::buildMaxcut(obc, instance, spec), obc);
+}
+
+compiler::OdeSystem
+cnnSystem(lang::LanguageRegistry &registry, std::uint64_t seed)
+{
+    const lang::Language &cnn = registry.language("cnn");
+    support::Rng rng(seed);
+    paradigms::cnn::CnnSpec spec;
+    spec.width = 4;
+    spec.height = 4;
+    std::vector<double> input;
+    for (int i = 0; i < spec.width * spec.height; ++i)
+        input.push_back(rng.uniform(-1.0, 1.0));
+    return compiler::compile(
+        paradigms::cnn::buildCnn(cnn, spec, input), cnn);
+}
+
+TEST(FusedTapeTest, InternedRhsEvaluatesLikeInterpreter)
+{
+    // Interning + single-pass instantiate must not change semantics:
+    // the tree-walking interpreter over the (shared) RHS agrees
+    // bit-for-bit with the fused tape on random states.
+    lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
+    std::vector<compiler::OdeSystem> systems;
+    systems.push_back(gmcTlnSystem(registry, 41));
+    systems.push_back(obcSystem(registry, 4));
+    systems.push_back(cnnSystem(registry, 42));
+    support::Rng rng(7);
+    for (const compiler::OdeSystem &system : systems) {
+        std::vector<double> scratch = system.makeScratch();
+        std::vector<double> viaTape(system.size());
+        std::vector<double> viaTree(system.size());
+        for (int trial = 0; trial < 4; ++trial) {
+            std::vector<double> state;
+            for (std::size_t i = 0; i < system.size(); ++i)
+                state.push_back(rng.uniform(-1.0, 1.0));
+            double t = rng.uniform(0.0, 1e-8);
+            system.evalRhs(state.data(), t, viaTape.data(), scratch);
+            system.evalRhsInterpreted(state.data(), t, viaTree.data());
+            for (std::size_t i = 0; i < system.size(); ++i)
+                ASSERT_EQ(viaTape[i], viaTree[i]) << "state " << i;
+        }
+    }
+}
+
+TEST(FusedTapeTest, MulAddRoundsTheProductFirst)
+{
+    // q0*q1 + q2 compiles to a Mul and an Add, each rounded once: no
+    // program contracts a*b+c into a single rounding.
     ExprPtr e = Expr::binary(
         BinOp::Add,
         Expr::binary(BinOp::Mul, Expr::stateVar(0), Expr::stateVar(1)),
         Expr::stateVar(2));
     FusedTape plain = FusedTape::compile({e});
-    EXPECT_EQ(plain.fmaContractions(), 0u); // default compile never fuses
-    FusedTape fma = FusedTape::compile({e}, /*fuseMulAdd=*/true);
-    EXPECT_EQ(fma.fmaContractions(), 1u);
-    EXPECT_EQ(fma.size(), plain.size() - 1);
-    // The variant may allocate slightly differently (three operands
-    // live into one instruction); OdeSystem sizes one scratch block
-    // for the max of all paths.
-    EXPECT_LE(fma.numRegs(), plain.numRegs() + 1);
 
     // Operands where the two rounding regimes provably differ:
     // (1+2^-27)^2 = 1 + 2^-26 + 2^-54 rounds to 1 + 2^-26, so the
-    // plain path cancels to exactly 0 while the fused path keeps the
+    // program cancels to exactly 0 where std::fma(a, a, c) keeps the
     // 2^-54 tail.
     double a = 1.0 + std::ldexp(1.0, -27);
     double c = -(1.0 + std::ldexp(1.0, -26));
     std::vector<double> state{a, a, c};
     double plainVal = plain.evalAlloc(state, 0.0)[0];
-    double fmaVal = fma.evalAlloc(state, 0.0)[0];
     EXPECT_EQ(plainVal, a * a + c);
     EXPECT_EQ(plainVal, 0.0);
-    EXPECT_EQ(fmaVal, std::fma(a, a, c));
-    EXPECT_EQ(fmaVal, std::ldexp(1.0, -54));
-    EXPECT_NE(fmaVal, plainVal); // the one-rounding contract is visible
-}
-
-TEST(FusedTapeFmaTest, SharedProductsAreNotContracted)
-{
-    // The product q0*q1 feeds two Adds (and CSE computes it once):
-    // contracting it would re-evaluate the multiply per use, so the
-    // peephole must leave it alone.
-    ExprPtr product =
-        Expr::binary(BinOp::Mul, Expr::stateVar(0), Expr::stateVar(1));
-    std::vector<ExprPtr> outputs{
-        Expr::binary(BinOp::Add, product, Expr::stateVar(2)),
-        Expr::binary(BinOp::Add, product, Expr::time()),
-    };
-    FusedTape plain = FusedTape::compile(outputs);
-    FusedTape fma = FusedTape::compile(outputs, /*fuseMulAdd=*/true);
-    EXPECT_EQ(fma.fmaContractions(), 0u);
-    EXPECT_EQ(fma.size(), plain.size());
-}
-
-TEST(FusedTapeFmaTest, OutputProductsAreNotContracted)
-{
-    // The product is itself an output (WriteOutput reads it) besides
-    // feeding the Add: two readers, no contraction.
-    ExprPtr product =
-        Expr::binary(BinOp::Mul, Expr::stateVar(0), Expr::stateVar(1));
-    std::vector<ExprPtr> outputs{
-        product,
-        Expr::binary(BinOp::Add, product, Expr::stateVar(2)),
-    };
-    FusedTape fma = FusedTape::compile(outputs, /*fuseMulAdd=*/true);
-    EXPECT_EQ(fma.fmaContractions(), 0u);
-}
-
-TEST(FusedTapeFmaTest, FmaVariantMatchesPlainToRounding)
-{
-    // Kuramoto RHS programs are sum-of-products (K*sin(...) chains):
-    // the variant must contract a healthy fraction of the stream and
-    // agree with the plain program to rounding everywhere. (TLN GmC
-    // lines put a Div between every product and its sum, so they
-    // contract nothing — which is correct, not a missed case.)
-    lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
-    support::Rng rng(77);
-    paradigms::obc::MaxcutInstance instance;
-    instance.numVertices = 6;
-    for (int a = 0; a < instance.numVertices; ++a)
-        for (int b = a + 1; b < instance.numVertices; ++b)
-            instance.edges.emplace_back(a, b);
-    paradigms::obc::MaxcutSpec spec;
-    for (int v = 0; v < instance.numVertices; ++v)
-        spec.initPhases.push_back(0.37 * v);
-    const lang::Language &obc = registry.language("obc");
-    compiler::OdeSystem system = compiler::compile(
-        paradigms::obc::buildMaxcut(obc, instance, spec), obc);
-    const FusedTape &plain = system.fusedTape();
-    const FusedTape &fma = system.rhsTape(expr::RoundingMode::Fma);
-    EXPECT_EQ(plain.fmaContractions(), 0u);
-    EXPECT_GT(fma.fmaContractions(), 0u);
-    EXPECT_EQ(fma.size(), plain.size() - fma.fmaContractions());
-
-    const std::size_t n = system.size();
-    std::vector<double> state(n);
-    for (int trial = 0; trial < 16; ++trial) {
-        for (std::size_t i = 0; i < n; ++i)
-            state[i] = rng.uniform(-2.0, 2.0);
-        double t = rng.uniform(0.0, 1e-7);
-        std::vector<double> a = plain.evalAlloc(state, t);
-        std::vector<double> b = fma.evalAlloc(state, t);
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            double scale = 1.0 + std::fabs(a[i]);
-            EXPECT_NEAR(a[i], b[i], 1e-12 * scale)
-                << "output " << i << " trial " << trial;
-        }
-    }
 }
 
 } // namespace

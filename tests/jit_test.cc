@@ -4,9 +4,8 @@
  * engine/jit.h): the C emitter, every tape opcode and builtin on
  * special values through the oracle, the lane interpreter and the
  * kernel, the bitwise symmetry of the builtins marked odd or even,
- * the kernel-vs-interpreter bit-identity
- * property across random TLN/OBC/CNN programs at every lane width
- * (with and without FMA contraction), per-lane constant delivery
+ * the kernel-vs-interpreter bit-identity property across random
+ * TLN/OBC/CNN programs at every lane width, per-lane constant delivery
  * through merged tapes, ensemble-level bit-identity with the JIT on
  * and off under both integrators, ledger tier provenance, the
  * structure-only cache key, the bounded on-disk object cache
@@ -224,8 +223,7 @@ const std::vector<IsaRow> kIsaRows = {
 
 /**
  * One output per operator and per builtin over x = q0, y = q1,
- * z = q2 and t. The product y*z feeds only one Add, so the
- * fuseMulAdd compile contracts it into a FusedMulAdd.
+ * z = q2 and t.
  */
 std::vector<ExprPtr>
 everyOpProgram()
@@ -288,71 +286,66 @@ TEST(TapeIsaTest, EveryOpcodeAndBuiltinAgreesOnSpecialValues)
     const std::vector<ExprPtr> outputs = everyOpProgram();
     std::vector<bool> opSeen(kIsaRows.size(), false);
     std::vector<bool> builtinSeen(expr::allBuiltins().size(), false);
-    for (bool fma : {false, true}) {
-        const FusedTape fused = FusedTape::compile(outputs, fma);
-        for (const expr::TapeOp &op : fused.ops()) {
-            opSeen[static_cast<std::size_t>(op.op)] = true;
-            if (op.op == expr::OpCode::CallB)
-                builtinSeen[static_cast<std::size_t>(op.builtin)] = true;
-        }
-        const std::size_t n = fused.numOutputs();
-
-        // The oracle, one point at a time.
-        std::vector<double> expected(points * n);
-        for (std::size_t p = 0; p < points; ++p) {
-            const std::vector<double> state{input(p, 0), input(p, 1),
-                                            input(p, 2)};
-            const std::vector<double> out =
-                fused.evalAlloc(state, timeOf(p));
-            std::copy(out.begin(), out.end(), expected.begin() + p * n);
-        }
-
-        std::size_t mismatches = 0;
-        for (std::size_t lanes : {1u, 2u, 4u, 8u}) {
-            const LaneTape tape = LaneTape::broadcast(fused, lanes);
-            expr::JitKernelPtr kernel;
-            if (expr::jitToolchainAvailable()) {
-                kernel = expr::compileKernel(tape, "");
-                ASSERT_NE(kernel, nullptr) << "width " << lanes;
-            }
-            std::vector<double> state(3 * lanes), out(n * lanes),
-                regs(tape.scratchSize());
-            auto check = [&](const char *tier, std::size_t first) {
-                for (std::size_t l = 0; l < lanes && first + l < points;
-                     ++l)
-                    for (std::size_t k = 0; k < n; ++k) {
-                        const double want = expected[(first + l) * n + k];
-                        const double got = out[k * lanes + l];
-                        if (sameBits(want, got) || ++mismatches > 10)
-                            continue;
-                        ADD_FAILURE()
-                            << tier << " W=" << lanes << " fma=" << fma
-                            << " " << outputs[k]->str() << " at x="
-                            << input(first + l, 0) << " y="
-                            << input(first + l, 1) << " z="
-                            << input(first + l, 2)
-                            << " t=" << timeOf(first)
-                            << ": oracle " << want << ", got " << got;
-                    }
-            };
-            for (std::size_t first = 0; first < points; first += lanes) {
-                // The last block's padding lanes repeat its first point.
-                for (std::size_t l = 0; l < lanes; ++l)
-                    for (std::size_t var = 0; var < 3; ++var)
-                        state[var * lanes + l] = input(
-                            first + l < points ? first + l : first, var);
-                tape.evalInto(state.data(), timeOf(first), out.data(),
-                              regs.data());
-                check("interpreter", first);
-                if (kernel == nullptr)
-                    continue;
-                kernel->call(state.data(), timeOf(first), out.data(),
-                             tape.constants().data());
-                check("kernel", first);
-            }
-        }
-        EXPECT_EQ(mismatches, 0u) << "fma=" << fma;
+    const FusedTape fused = FusedTape::compile(outputs);
+    for (const expr::TapeOp &op : fused.ops()) {
+        opSeen[static_cast<std::size_t>(op.op)] = true;
+        if (op.op == expr::OpCode::CallB)
+            builtinSeen[static_cast<std::size_t>(op.builtin)] = true;
     }
+    const std::size_t n = fused.numOutputs();
+
+    // The oracle, one point at a time.
+    std::vector<double> expected(points * n);
+    for (std::size_t p = 0; p < points; ++p) {
+        const std::vector<double> state{input(p, 0), input(p, 1),
+                                        input(p, 2)};
+        const std::vector<double> out = fused.evalAlloc(state, timeOf(p));
+        std::copy(out.begin(), out.end(), expected.begin() + p * n);
+    }
+
+    std::size_t mismatches = 0;
+    for (std::size_t lanes : {1u, 2u, 4u, 8u}) {
+        const LaneTape tape = LaneTape::broadcast(fused, lanes);
+        expr::JitKernelPtr kernel;
+        if (expr::jitToolchainAvailable()) {
+            kernel = expr::compileKernel(tape, "");
+            ASSERT_NE(kernel, nullptr) << "width " << lanes;
+        }
+        std::vector<double> state(3 * lanes), out(n * lanes),
+            regs(tape.scratchSize());
+        auto check = [&](const char *tier, std::size_t first) {
+            for (std::size_t l = 0; l < lanes && first + l < points; ++l)
+                for (std::size_t k = 0; k < n; ++k) {
+                    const double want = expected[(first + l) * n + k];
+                    const double got = out[k * lanes + l];
+                    if (sameBits(want, got) || ++mismatches > 10)
+                        continue;
+                    ADD_FAILURE()
+                        << tier << " W=" << lanes << " "
+                        << outputs[k]->str() << " at x="
+                        << input(first + l, 0) << " y="
+                        << input(first + l, 1) << " z="
+                        << input(first + l, 2) << " t=" << timeOf(first)
+                        << ": oracle " << want << ", got " << got;
+                }
+        };
+        for (std::size_t first = 0; first < points; first += lanes) {
+            // The last block's padding lanes repeat its first point.
+            for (std::size_t l = 0; l < lanes; ++l)
+                for (std::size_t var = 0; var < 3; ++var)
+                    state[var * lanes + l] = input(
+                        first + l < points ? first + l : first, var);
+            tape.evalInto(state.data(), timeOf(first), out.data(),
+                          regs.data());
+            check("interpreter", first);
+            if (kernel == nullptr)
+                continue;
+            kernel->call(state.data(), timeOf(first), out.data(),
+                         tape.constants().data());
+            check("kernel", first);
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
     // A new ARK_TAPE_OPS row or builtin fails here until the program
     // above exercises it.
     for (const IsaRow &row : kIsaRows)
@@ -489,8 +482,7 @@ TEST(TapeIsaTest, ParityRowsAreBitwiseSymmetric)
 
 /**
  * Property: on real compiled systems, the kernel reproduces the
- * interpreter bit-for-bit at widths 1/2/4/8, on both the plain and
- * the FMA-contracted program.
+ * interpreter bit-for-bit at widths 1/2/4/8.
  */
 class JitEquivalence : public ::testing::TestWithParam<int>
 {
@@ -522,13 +514,10 @@ lang::LanguageRegistry *JitEquivalence::registry_ = nullptr;
 void
 expectJitAgreement(const compiler::OdeSystem &system, support::Rng &rng)
 {
-    for (bool fma : {false, true}) {
-        const FusedTape &fused = system.rhsTape(
-            fma ? expr::RoundingMode::Fma : expr::RoundingMode::Exact);
-        for (std::size_t lanes : {1u, 2u, 4u, 8u}) {
-            expectKernelMatchesTape(LaneTape::broadcast(fused, lanes),
-                                    rng, rng.uniform(0.0, 1e-7));
-        }
+    for (std::size_t lanes : {1u, 2u, 4u, 8u}) {
+        expectKernelMatchesTape(
+            LaneTape::broadcast(system.fusedTape(), lanes), rng,
+            rng.uniform(0.0, 1e-7));
     }
 }
 

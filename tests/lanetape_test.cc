@@ -408,11 +408,10 @@ TEST(LaneTapeTest, DerivedStreamWithoutStateLoads)
     });
 }
 
-TEST(LaneTapeTest, FusedMulAddExecutesLanewiseBitIdentical)
+TEST(LaneTapeTest, KuramotoProgramExecutesLanewiseBitIdentical)
 {
-    // An FMA-contracted Kuramoto program across lanes: both executors
-    // call std::fma per lane, so every lane must reproduce the scalar
-    // FMA tape bit for bit, exactly like the plain opcodes.
+    // A Kuramoto program, a sum of sin couplings, across lanes: every
+    // lane must reproduce the scalar tape bit for bit.
     lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
     support::Rng rng(4242);
     paradigms::obc::MaxcutInstance instance;
@@ -426,12 +425,11 @@ TEST(LaneTapeTest, FusedMulAddExecutesLanewiseBitIdentical)
     const lang::Language &obc = registry.language("obc");
     compiler::OdeSystem system = compiler::compile(
         paradigms::obc::buildMaxcut(obc, instance, spec), obc);
-    const FusedTape &fma = system.rhsTape(expr::RoundingMode::Fma);
-    ASSERT_GT(fma.fmaContractions(), 0u);
+    const FusedTape &fused = system.fusedTape();
 
     for (std::size_t lanes : {2u, 4u, 8u}) {
-        LaneTape lane = LaneTape::broadcast(fma, lanes);
-        std::vector<const FusedTape *> tapes(lanes, &fma);
+        LaneTape lane = LaneTape::broadcast(fused, lanes);
+        std::vector<const FusedTape *> tapes(lanes, &fused);
         std::vector<std::vector<double>> states;
         for (std::size_t l = 0; l < lanes; ++l) {
             std::vector<double> state;

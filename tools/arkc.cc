@@ -20,10 +20,8 @@
  * cache (ark::engine::Session); `--cache-stats` on equations/run
  * prints the hit/miss counters to stderr after the command.
  * `--ir-stats` prints compiler IR statistics to stderr: RHS tree vs.
- * unique (hash-consed) node counts and the sharing ratio, the
- * process-wide intern table counters, the reassociation pass's
- * rewrite deltas, and the FMA contraction share of the plain and
- * reassociated tape variants.
+ * unique (hash-consed) node counts and the sharing ratio, and the
+ * process-wide intern table counters.
  * `--metrics` prints the engine telemetry registry to stderr,
  * `--trace out.json` records the command as Chrome trace-event JSON
  * (load it in chrome://tracing or Perfetto), and `--ledger out.json`
@@ -80,7 +78,7 @@ usage()
         "equations/run compile through the engine artifact cache;\n"
         "--cache-stats prints its hit/miss counters to stderr.\n"
         "--ir-stats prints IR statistics (node/sharing counts,\n"
-        "rewrite deltas, FMA contraction share) to stderr.\n"
+        "intern table counters) to stderr.\n"
         "--metrics prints engine telemetry counters to stderr;\n"
         "--trace FILE writes a Chrome trace (chrome://tracing);\n"
         "--ledger FILE writes the run's flight-recorder JSON.\n";
@@ -270,10 +268,7 @@ struct TelemetryScope
 /**
  * Prints the compiled system's IR statistics to stderr: how much the
  * hash-consed IR shares (tree nodes counted as if expanded vs. unique
- * interned nodes), what the opt-in reassociation pass would change,
- * and how many tape instructions contract to FusedMulAdd with and
- * without it. Builds the lazy Fma/Reassoc programs as a side effect —
- * acceptable for a diagnostics flag.
+ * interned nodes) and the process-wide intern table counters.
  */
 void
 reportIrStats(const compiler::OdeSystem &system)
@@ -290,17 +285,6 @@ reportIrStats(const compiler::OdeSystem &system)
         unique.empty() ? 1.0
                        : static_cast<double>(treeNodes) /
                              static_cast<double>(unique.size());
-
-    const expr::FusedTape &plain = system.fusedTape();
-    const expr::FusedTape &fma = system.rhsTape(expr::RoundingMode::Fma);
-    const expr::FusedTape &reassoc =
-        system.rhsTape(expr::RoundingMode::Reassoc);
-    const expr::RewriteStats &rw = system.reassocStats();
-    auto share = [](std::uint64_t contractions, std::size_t plainOps) {
-        return plainOps == 0 ? 0.0
-                             : 100.0 * static_cast<double>(contractions) /
-                                   static_cast<double>(plainOps);
-    };
     expr::InternStats intern = expr::internStats();
 
     std::ostream &out = std::cerr;
@@ -309,17 +293,6 @@ reportIrStats(const compiler::OdeSystem &system)
     out << "arkc: ir: intern table: live " << intern.liveNodes
         << ", interned " << intern.internedTotal << ", hits "
         << intern.hits << ", purged " << intern.purged << "\n";
-    out << "arkc: ir: reassoc rewrite: nodes " << rw.nodesBefore
-        << " -> " << rw.nodesAfter << " (div->recip "
-        << rw.divReciprocals << ", const-folds " << rw.mulConstFolds
-        << ", neg-folds " << rw.negFolds << ", sub->add "
-        << rw.subToAdd << ")\n";
-    out << "arkc: ir: fma contraction: plain "
-        << fma.fmaContractions() << "/" << plain.size() << " ops ("
-        << share(fma.fmaContractions(), plain.size())
-        << "%), reassoc " << reassoc.fmaContractions() << "/"
-        << plain.size() << " ops ("
-        << share(reassoc.fmaContractions(), plain.size()) << "%)\n";
 }
 
 /** Prints cache counters / IR stats / telemetry metrics when
